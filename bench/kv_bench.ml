@@ -3,29 +3,35 @@
    under the YCSB core workloads, with the lease read tier on and off.
    Three slices:
 
-   1. a preset sweep (YCSB A-F) quoting per-class p50/p99/p999;
+   1. a preset sweep (YCSB A-E) quoting per-class p50/p99/p999;
    2. a leases x workers grid on YCSB-A (update-heavy) and YCSB-C
       (read-only), the headline local-read comparison;
-   3. a sustained-throughput ladder on YCSB-C: the highest offered rate
-      whose read p99 stays inside a fixed budget, leases on vs off.
+   3. a sustained-throughput ladder on YCSB-C, leases on vs off: the
+      offered rate doubles until a rung breaks the read-p99 budget, then
+      the last bracket is bisected; the first failing rung is recorded, so
+      the sustained rate is a ceiling, not the top of a fixed ladder.
 
    A final verify slice replays a small history-recording run through the
    linearizability checker.  Results go to stdout and BENCH_kv.json; CI
-   gates on the leases-on read p99 beating leases-off on YCSB-C, the
-   linearizability verdict and a throughput floor. *)
+   gates on the local-to-ordered read p99 ratio on YCSB-C, both ladders
+   finding a failing rung, the linearizability verdict and throughput
+   floors. *)
 
 let out_file = "BENCH_kv.json"
 let grid_rate = 2_000.0
 let until = 1.0
 let drain = 0.5
 let p99_budget_ms = 5.0
-let ladder_rates = [ 1_000.0; 2_000.0; 4_000.0; 8_000.0; 16_000.0; 32_000.0 ]
+let ladder_from = 1_000.0
+let ladder_cap = 4_096_000.0  (* a rung this high that still holds is a bug *)
+let bisections = 4
 
 type run = {
   preset : Kv.Ycsb.preset;
   leases : bool;
   workers : int;
   rate : float;
+  generated : int;
   issued : int;
   drops : int;
   completed : int;
@@ -69,6 +75,7 @@ let run_once ?(seed = 7) ~preset ~leases ~workers ~rate () =
     leases;
     workers;
     rate;
+    generated = Smr.Workload.Open_loop.generated wl;
     issued = Kv.issued sys;
     drops = Kv.drops sys;
     completed;
@@ -124,21 +131,45 @@ let grid () =
     [ Kv.Ycsb.A; Kv.Ycsb.C ];
   List.rev !cells
 
-(* Walk the offered-rate ladder until the read tail leaves the budget;
-   the sustained rate is the last one inside it. *)
+(* A rung holds when the read tail stays inside the budget and every
+   arrival completed by the end of the drain: a rung that drops or strands
+   operations does not sustain its offered rate. *)
+let holds r = r.read_p99 <= p99_budget_ms && r.completed = r.generated
+
+(* Double the offered rate from [ladder_from] until a rung fails, then
+   bisect the last bracket [bisections] times.  Returns the highest rate
+   that held (0 if none), the lowest that failed (None if the cap held),
+   and every rung in the order probed. *)
 let ladder leases =
-  let rec go sustained acc = function
-    | [] -> (sustained, List.rev acc)
-    | rate :: rest ->
-        let r = run_once ~preset:Kv.Ycsb.C ~leases ~workers:2 ~rate () in
-        Printf.printf "%-7s %12.0f %12.0f %10.3f %10d\n"
-          (if leases then "leases" else "ordered")
-          rate r.ops_per_sec r.read_p99 r.drops;
-        let acc = r :: acc in
-        if r.read_p99 <= p99_budget_ms then go rate acc rest
-        else (sustained, List.rev acc)
+  let probed = ref [] in
+  let probe rate =
+    let r = run_once ~preset:Kv.Ycsb.C ~leases ~workers:2 ~rate () in
+    Printf.printf "%-7s %12.0f %12.0f %10.3f %10d %6s\n"
+      (if leases then "leases" else "ordered")
+      rate r.ops_per_sec r.read_p99 r.drops
+      (if holds r then "holds" else "fails");
+    probed := r :: !probed;
+    holds r
   in
-  go 0.0 [] ladder_rates
+  let rec climb ok rate =
+    if rate > ladder_cap then (ok, None)
+    else if probe rate then climb rate (2.0 *. rate)
+    else (ok, Some rate)
+  in
+  let rec bisect ok bad n =
+    if n = 0 then (ok, bad)
+    else
+      let mid = Float.round ((ok +. bad) /. 2.0) in
+      if probe mid then bisect mid bad (n - 1) else bisect ok mid (n - 1)
+  in
+  let sustained, failing =
+    match climb 0.0 ladder_from with
+    | ok, Some bad when ok > 0.0 ->
+        let ok, bad = bisect ok bad bisections in
+        (ok, Some bad)
+    | res -> res
+  in
+  (sustained, failing, List.rev !probed)
 
 let verify_slice () =
   let engine = Sim.Engine.create () in
@@ -181,11 +212,12 @@ let verify_slice () =
 let json_of_run (r : run) =
   Printf.sprintf
     "{\"preset\":%S,\"leases\":%b,\"workers\":%d,\"offered_rate\":%.0f,\
-     \"issued\":%d,\"drops\":%d,\"completed\":%d,\"ops_per_sec\":%.1f,\
+     \"generated\":%d,\"issued\":%d,\"drops\":%d,\"completed\":%d,\"ops_per_sec\":%.1f,\
      \"local_reads\":%d,\"local_nacks\":%d,\
      \"read_p50_ms\":%.4f,\"read_p99_ms\":%.4f,\"read_p999_ms\":%.4f,\
      \"classes\":[%s]}"
-    (Kv.Ycsb.name r.preset) r.leases r.workers r.rate r.issued r.drops
+    (Kv.Ycsb.name r.preset) r.leases r.workers r.rate r.generated r.issued
+    r.drops
     r.completed r.ops_per_sec r.local_reads r.local_nacks r.read_p50
     r.read_p99 r.read_p999
     (String.concat "," (List.map Kv.Slo.json_row r.rows))
@@ -196,13 +228,15 @@ let run () =
   Util.header
     (Printf.sprintf "Sustained YCSB-C throughput at read p99 <= %.1f ms"
        p99_budget_ms);
-  Printf.printf "%-7s %12s %12s %10s %10s\n" "tier" "offered" "ops/s"
-    "p99(ms)" "drops";
-  let sustained_on, ladder_on = ladder true in
-  let sustained_off, ladder_off = ladder false in
+  Printf.printf "%-7s %12s %12s %10s %10s %6s\n" "tier" "offered" "ops/s"
+    "p99(ms)" "drops" "rung";
+  let sustained_on, failing_on, ladder_on = ladder true in
+  let sustained_off, failing_off, ladder_off = ladder false in
+  let rate_opt = function Some r -> Printf.sprintf "%.0f" r | None -> "null" in
   Printf.printf
-    "sustained at budget: leases on %.0f ops/s, leases off %.0f ops/s\n"
-    sustained_on sustained_off;
+    "sustained at budget: leases on %.0f ops/s (fails at %s), leases off \
+     %.0f ops/s (fails at %s)\n"
+    sustained_on (rate_opt failing_on) sustained_off (rate_opt failing_off);
   let lin, agree = verify_slice () in
   let find ~preset ~leases ~workers =
     List.find
@@ -242,6 +276,8 @@ let run () =
      \"ycsb_a_ops_per_sec\":%.1f,\
      \"sustained_ops_leases_on\":%.0f,\
      \"sustained_ops_leases_off\":%.0f,\
+     \"failing_rate_leases_on\":%s,\
+     \"failing_rate_leases_off\":%s,\
      \"linearizable\":%b,\"replicas_agree\":%b}\n\
      }\n"
     grid_rate p99_budget_ms
@@ -250,6 +286,7 @@ let run () =
     (String.concat ",\n" (List.map json_of_run (ladder_on @ ladder_off)))
     c_on.read_p99 c_off.read_p99 local_p99
     (float_of_int c_on.local_reads /. float_of_int (max 1 c_on.completed))
-    a_on.ops_per_sec sustained_on sustained_off lin agree;
+    a_on.ops_per_sec sustained_on sustained_off (rate_opt failing_on)
+    (rate_opt failing_off) lin agree;
   close_out oc;
   Printf.printf "wrote %s\n%!" out_file

@@ -40,7 +40,7 @@ type Simnet.payload +=
   | KGrant of { replica : int; keys : Btree.Keyset.t; until : float }
   | KResp of { uid : int; obs : int option }
   | KWAck of { uid : int; replica : int }
-  | KReadReq of { rid : int; client : int; lo : int; hi : int }
+  | KReadReq of { rid : int; client : int; key : int }
   | KReadResp of { rid : int; ok : bool; obs : int option }
 
 (* One replica's view of every replica's lease.  The table is log-driven
@@ -160,10 +160,16 @@ let respond_now t ~replica ~uid ~client ~obs ~size ~at =
 
 (* --- ordered delivery ----------------------------------------------------------- *)
 
+(* Reply bytes, one rule for the ordered and the lease-served path: a point
+   read or a write answers with one value, only a scan with a page.  (The
+   service's own [resp_size] is the fig6 range-query page.) *)
+let point_resp = 256
+let scan_resp = 8192
+
 let resp_size_of op =
   match op with
-  | Smr.Btree_service.Query { lo; hi } when hi > lo -> 8192
-  | _ -> 256
+  | Smr.Btree_service.Query { lo; hi } when hi > lo -> scan_resp
+  | _ -> point_resp
 
 let apply_grant t rep ~replica ~keys ~until =
   let e = rep.r_leases.(replica) in
@@ -382,7 +388,7 @@ let local_read t (a : OL.arrival) ~key ~replica =
       p_timer = timer };
   Simnet.send t.net ~src:(client_proc t c) ~dst:(learner_proc t replica)
     ~size:64
-    (KReadReq { rid; client = c; lo = key; hi = key })
+    (KReadReq { rid; client = c; key })
 
 let issue t (a : OL.arrival) =
   match class_of t a with
@@ -395,27 +401,36 @@ let issue t (a : OL.arrival) =
 
 (* --- replica-side handlers (local reads, write acks) --------------------------- *)
 
-let serve_read t rep ~rid ~client ~lo ~hi =
+let serve_read t rep ~rid ~client ~key =
   let e = rep.r_leases.(rep.r_idx) in
   let now = Simnet.now t.net in
   let proc = learner_proc t rep.r_idx in
   let valid = t.broken_leases || now < e.ls_until in
-  let covered = Btree.Keyset.subset (Btree.Keyset.range ~lo ~hi) e.ls_keys in
+  let covered =
+    Btree.Keyset.subset (Btree.Keyset.range ~lo:key ~hi:key) e.ls_keys
+  in
   if t.cfg.leases && valid && covered then begin
     Protocol.Counters.incr t.ctrs "kv_local_reads";
-    let oc =
-      rep.r_svc.Smr.Btree_service.service.Smr.Service.execute
-        (Smr.Btree_service.Query { lo; hi })
+    (* The service owns the CPU cost; the reply carries one value. *)
+    let cost =
+      (rep.r_svc.Smr.Btree_service.service.Smr.Service.execute
+         (Smr.Btree_service.Query { lo = key; hi = key }))
+        .Smr.Service.cost
     in
+    (* The observed value only feeds the linearizability history. *)
     let obs =
-      if lo = hi then Btree.find rep.r_svc.Smr.Btree_service.tree lo else None
+      if t.cfg.record_history then
+        Btree.find rep.r_svc.Smr.Btree_service.tree key
+      else None
     in
-    trace t (fun tr ->
+    (match Simnet.tracer t.net with
+    | Some tr ->
         Trace.span tr ~pid:(Simnet.pid proc) ~cat:"lease" ~name:"local-read"
-          ~ts:now ~dur:oc.Smr.Service.cost);
-    Simnet.exec t.net proc ~dur:oc.Smr.Service.cost (fun () ->
+          ~ts:now ~dur:cost
+    | None -> ());
+    Simnet.exec t.net proc ~dur:cost (fun () ->
         Simnet.send t.net ~src:proc ~dst:(client_proc t client)
-          ~size:oc.Smr.Service.resp_size
+          ~size:point_resp
           (KReadResp { rid; ok = true; obs }))
   end
   else begin
@@ -566,8 +581,7 @@ let create ?on_broadcast ?on_deliver net cfg ~n_clients =
       let prev = Simnet.handler_of p in
       Simnet.set_handler p (fun m ->
           match m.Simnet.payload with
-          | KReadReq { rid; client; lo; hi } ->
-              serve_read t rep ~rid ~client ~lo ~hi
+          | KReadReq { rid; client; key } -> serve_read t rep ~rid ~client ~key
           | KWAck { uid; replica } -> handle_wack t ~uid ~replica
           | _ -> prev m))
     t.reps;

@@ -52,7 +52,8 @@ type Simnet.payload +=
   | KGrant of { replica : int; keys : Btree.Keyset.t; until : float }
   | KResp of { uid : int; obs : int option }
   | KWAck of { uid : int; replica : int }
-  | KReadReq of { rid : int; client : int; lo : int; hi : int }
+  | KReadReq of { rid : int; client : int; key : int }
+      (** a lease-served point read *)
   | KReadResp of { rid : int; ok : bool; obs : int option }
 
 type t

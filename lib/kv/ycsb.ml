@@ -1,8 +1,8 @@
 module OL = Smr.Workload.Open_loop
 
-type preset = A | B | C | D | E | F
+type preset = A | B | C | D | E
 
-let all = [ A; B; C; D; E; F ]
+let all = [ A; B; C; D; E ]
 
 let name = function
   | A -> "ycsb-a"
@@ -10,7 +10,6 @@ let name = function
   | C -> "ycsb-c"
   | D -> "ycsb-d"
   | E -> "ycsb-e"
-  | F -> "ycsb-f"
 
 let of_name s =
   List.find_opt (fun p -> name p = s || name p = "ycsb-" ^ s) all
@@ -21,7 +20,6 @@ let describe = function
   | C -> "read only: 100% read, zipf"
   | D -> "read latest: 95% read / 5% insert, latest-key"
   | E -> "short ranges: 95% scan / 5% insert, zipf"
-  | F -> "read-modify-write: 50% read / 50% rmw, zipf"
 
 (* The standard YCSB mixes (Cooper et al., SoCC'10), expressed as weighted
    op lists for {!Smr.Workload.Open_loop}. *)
@@ -31,7 +29,6 @@ let ops = function
   | C -> [ (OL.Read, 100) ]
   | D -> [ (OL.Read, 95); (OL.Insert, 5) ]
   | E -> [ (OL.Scan, 95); (OL.Insert, 5) ]
-  | F -> [ (OL.Read, 50); (OL.Rmw, 50) ]
 
 (* YCSB's scrambled-zipfian constant. *)
 let zipf_s = 0.99

@@ -88,7 +88,7 @@ module Open_loop = struct
     | Storm of { base : float; peak : float; at : float; len : float }
     | Seq of (curve * float) list
 
-  type op_kind = Read | Update | Insert | Scan | Rmw
+  type op_kind = Read | Update | Insert | Scan
 
   type key_dist = Uniform | Zipf of float | Latest of float
 
@@ -249,7 +249,7 @@ module Open_loop = struct
     match kind with
     | Read -> read_arrival t (draw_key t)
     | Scan -> scan_arrival t (draw_key t)
-    | Update | Rmw -> update_arrival t (draw_key t)
+    | Update -> update_arrival t (draw_key t)
     | Insert -> insert_arrival t
 
   (* Advance the generator clock and produce one arrival.  Does NOT count

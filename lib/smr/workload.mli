@@ -57,11 +57,10 @@ module Open_loop : sig
             the last segment runs forever. *)
 
   (** Operation classes for the YCSB-style mixes: [Read] is a single-key
-      point query, [Scan] a [query_span]-key range query, [Update]/[Rmw]
-      overwrite an existing key (read-modify-write: the insert returns the
-      previous value), [Insert] allocates a fresh key above every key
-      allocated so far. *)
-  type op_kind = Read | Update | Insert | Scan | Rmw
+      point query, [Scan] a [query_span]-key range query, [Update]
+      overwrites an existing key, [Insert] allocates a fresh key above
+      every key allocated so far. *)
+  type op_kind = Read | Update | Insert | Scan
 
   (** Key-choice distribution: [Zipf s] skews towards small keys,
       [Latest s] skews towards the most recently {!Insert}ed keys (the

@@ -48,18 +48,36 @@ let test_kv_completes () =
   Alcotest.(check bool) "no stuck write responses" true
     (Kv.pending_writes sys = 0)
 
-let test_kv_local_reads_served () =
+(* A read-only workload with every client proxy wrapped from outside,
+   collecting the sizes of ordered ([KResp]) and lease-served
+   ([KReadResp] ok) replies. *)
+let read_only_run ~leases =
   let config =
-    { Kv.default_config with initial_keys = 1_000; key_range = 10_000 }
+    { Kv.default_config with leases; initial_keys = 1_000; key_range = 10_000 }
   in
   let engine, _net, sys = mk ~config () in
-  (* Read-only workload: leases stay valid, so reads are served locally. *)
+  let ordered = ref [] and local = ref [] in
+  for c = 0 to 3 do
+    let p = Kv.client_proc sys c in
+    let prev = Simnet.handler_of p in
+    Simnet.set_handler p (fun m ->
+        (match m.Simnet.payload with
+        | Kv.KResp _ -> ordered := m.Simnet.size :: !ordered
+        | Kv.KReadResp { ok = true; _ } -> local := m.Simnet.size :: !local
+        | _ -> ());
+        prev m)
+  done;
   let wl =
     OL.create ~ops:[ (OL.Read, 100) ] ~dist:(OL.Zipf 0.99)
       (Sim.Rng.create 11) ~key_range:10_000 ~rate:(OL.Constant 2_000.0)
   in
   Kv.start_open sys wl ~until:0.5;
   Sim.Engine.run engine ~until:1.0;
+  (sys, !ordered, !local)
+
+let test_kv_local_reads_served () =
+  (* Read-only workload: leases stay valid, so reads are served locally. *)
+  let sys, _, _ = read_only_run ~leases:true in
   Alcotest.(check bool) "local reads served" true
     (Kv.counter sys "kv_local_reads" > 500);
   Alcotest.(check bool) "grants flowed" true
@@ -67,6 +85,28 @@ let test_kv_local_reads_served () =
   (* Read-only: nothing ever invalidates a lease. *)
   Alcotest.(check int) "no invalidations" 0
     (Kv.counter sys "kv_lease_invalidations")
+
+(* A lease-served point read replies with one value, exactly as many bytes
+   as the same read answered through the ordered log — not the service's
+   range-query page.  A leases-off run of the same workload gives the
+   ordered-path reference size. *)
+let test_kv_local_read_reply_size () =
+  let _, ordered, _ = read_only_run ~leases:false in
+  let point =
+    match ordered with
+    | s :: _ -> s
+    | [] -> Alcotest.fail "no ordered-path read to compare with"
+  in
+  Alcotest.(check bool) "ordered point reads share one size" true
+    (List.for_all (( = ) point) ordered);
+  let sys, _, local = read_only_run ~leases:true in
+  Alcotest.(check bool) "local reads served" true
+    (Kv.counter sys "kv_local_reads" > 0);
+  Alcotest.(check int) "every local reply seen"
+    (Kv.counter sys "kv_local_reads") (List.length local);
+  List.iter
+    (fun size -> Alcotest.(check int) "local reply size" point size)
+    local
 
 let test_kv_writes_invalidate_leases () =
   let sys, _ = drive ~config:verify_config ~rate:500.0 ~until:0.5 () in
@@ -185,6 +225,8 @@ let suite =
   [ Alcotest.test_case "kv ycsb-a end to end" `Quick test_kv_completes;
     Alcotest.test_case "kv leases serve local reads" `Quick
       test_kv_local_reads_served;
+    Alcotest.test_case "kv local read replies with the value" `Quick
+      test_kv_local_read_reply_size;
     Alcotest.test_case "kv writes invalidate leases" `Quick
       test_kv_writes_invalidate_leases;
     Alcotest.test_case "kv replicas agree" `Quick test_kv_replicas_agree;
