@@ -5,7 +5,9 @@ type 'v t = {
   spec : (int, unit) Hashtbl.t;
 }
 
-let create () = { next = 0; max_seen = -1; tbl = Hashtbl.create 4096; spec = Hashtbl.create 256 }
+(* Delivery drains [tbl] as it fills, so it holds a reorder window, not a
+   log: both tables start small and grow only under a backlog. *)
+let create () = { next = 0; max_seen = -1; tbl = Hashtbl.create 64; spec = Hashtbl.create 64 }
 
 let next t = t.next
 let max_seen t = t.max_seen
@@ -56,15 +58,11 @@ let speculate t ~inst f =
   end
 
 let drop_below t floor =
-  let prune tbl =
-    let doomed = Hashtbl.fold (fun i _ acc -> if i < floor then i :: acc else acc) tbl [] in
-    List.iter (Hashtbl.remove tbl) doomed
-  in
-  prune t.tbl;
+  Hashtbl.filter_map_inplace (fun i v -> if i < floor then None else Some v) t.tbl;
   (* Speculation marks are keyed by instance too: a GC floor that outruns
      [next] (decisions delivered by other learners in the partition) would
      otherwise strand their marks forever. *)
-  prune t.spec
+  Hashtbl.filter_map_inplace (fun i () -> if i < floor then None else Some ()) t.spec
 
 let fast_forward t inst =
   (* Jump the delivery cursor to [inst] without delivering the skipped

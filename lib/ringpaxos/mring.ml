@@ -115,7 +115,7 @@ type acc = {
   x_disk : Storage.Disk.t option;
   x_done_uids : (int, unit) Hashtbl.t;
       (* item uids of votes pruned by GC — all decided; see [acc_gc] *)
-  mutable x_mem : int;
+  mutable x_mem : int;  (* sum of the value sizes in [x_votes]; see [set_vote] *)
   mutable x_gc_floor : int;
   mutable x_max_dec : int;  (* highest instance known decided *)
   (* coordinator-only state, live on whichever acceptor currently leads *)
@@ -153,6 +153,7 @@ type lrn = {
   l_parts : int list;
   l_od : (int * int list) Od.t;  (* inst -> (vid, parts) *)
   l_vals : (int, Paxos.Value.t) Hashtbl.t;  (* vid -> value *)
+  mutable l_val_bytes : int;  (* sum of the value sizes in [l_vals]; see [set_val] *)
   mutable l_delay : float;  (* processing cost per delivered instance *)
   l_sink : (int * Paxos.Value.t option) Od.sink;  (* in-order, unprocessed *)
   mutable l_fc_sent : bool;
@@ -212,8 +213,6 @@ type t = {
 
 let dbg t name = Protocol.Counters.incr t.ctrs name
 let counters t = Protocol.Counters.snapshot t.ctrs
-
-let trace t f = match Simnet.tracer t.net with Some tr -> f tr | None -> ()
 
 let n_acceptors cfg = (2 * cfg.f) + 1
 
@@ -291,16 +290,26 @@ let cancel_catchup a =
 
 (* --- memory accounting ------------------------------------------------ *)
 
-let acc_update_mem a =
-  let bytes = ref 0 in
-  Hashtbl.iter (fun _ (_, v, _) -> bytes := !bytes + v.Paxos.Value.size) a.x_votes;
-  a.x_mem <- !bytes;
-  Simnet.set_mem a.x_proc (!bytes + (Hashtbl.length a.x_decided * 16))
+(* [x_mem] and [l_val_bytes] are running sums of the value sizes held in
+   [x_votes] and [l_vals]: every insert and replace goes through
+   [set_vote]/[set_val], and every removal subtracts in place, so reporting
+   a process's memory is O(1) instead of a walk over the GC window. *)
+let set_vote a inst ((_, (v : Paxos.Value.t), _) as vote) =
+  (match Hashtbl.find_opt a.x_votes inst with
+  | Some (_, old, _) -> a.x_mem <- a.x_mem - old.Paxos.Value.size
+  | None -> ());
+  Hashtbl.replace a.x_votes inst vote;
+  a.x_mem <- a.x_mem + v.size
 
-let lrn_update_mem l =
-  let bytes = ref 0 in
-  Hashtbl.iter (fun _ v -> bytes := !bytes + v.Paxos.Value.size) l.l_vals;
-  Simnet.set_mem l.l_proc (!bytes + (Od.size l.l_od * 16))
+let set_val l (v : Paxos.Value.t) =
+  (match Hashtbl.find_opt l.l_vals v.vid with
+  | Some old -> l.l_val_bytes <- l.l_val_bytes - old.Paxos.Value.size
+  | None -> ());
+  Hashtbl.replace l.l_vals v.vid v;
+  l.l_val_bytes <- l.l_val_bytes + v.size
+
+let acc_update_mem a = Simnet.set_mem a.x_proc (a.x_mem + (Hashtbl.length a.x_decided * 16))
+let lrn_update_mem l = Simnet.set_mem l.l_proc (l.l_val_bytes + (Od.size l.l_od * 16))
 
 (* --- coordinator ------------------------------------------------------- *)
 
@@ -324,7 +333,7 @@ let coord_local_vote t c inst rnd (v : Paxos.Value.t) parts =
     | None -> false
   in
   if not duplicate then begin
-    Hashtbl.replace c.x_votes inst (rnd, v, parts);
+    set_vote c inst (rnd, v, parts);
     Hashtbl.replace c.x_durable inst (t.cfg.durability <> Sync_disk);
     (match (t.cfg.durability, c.x_disk) with
     | Sync_disk, Some d ->
@@ -337,18 +346,22 @@ let coord_local_vote t c inst rnd (v : Paxos.Value.t) parts =
 (* [parts] is canonicalised (sorted, duplicate-free) by [propose_batch], so
    each destination group is multicast to exactly once. *)
 let mcast_p2a t c inst (v : Paxos.Value.t) parts =
-  trace t (fun tr ->
+  (match Simnet.tracer t.net with
+  | Some tr ->
       Trace.instant tr ~id:inst ~pid:(Simnet.pid c.x_proc) ~cat:"proto" ~name:"p2a"
-        ~ts:(Simnet.now t.net));
+        ~ts:(Simnet.now t.net)
+  | None -> ());
   let p2a = P2a { inst; rnd = c.c_rnd; value = v; parts } in
   List.iter
     (fun p -> Simnet.mcast t.net ~src:c.x_proc t.part_groups.(p) ~size:(v.size + hdr) p2a)
     parts
 
 let propose_instance t c inst (v : Paxos.Value.t) parts =
-  trace t (fun tr ->
+  (match Simnet.tracer t.net with
+  | Some tr ->
       Trace.abegin tr ~pid:(Simnet.pid c.x_proc) ~cat:"ordering" ~name:"consensus" ~id:inst
-        ~ts:(Simnet.now t.net));
+        ~ts:(Simnet.now t.net)
+  | None -> ());
   note_rc t inst v ~decided:false;
   Retry.watch c.c_insts ~now:(Simnet.now t.net) inst (v, parts);
   c.c_rate_bits <-
@@ -388,17 +401,19 @@ let start_phase1 t c =
 
 let rec drain t c =
   if c.c_phase1_ok && c.x_is_coord && Simnet.is_alive c.x_proc then begin
-    let claimed = Hashtbl.fold (fun i x acc -> (i, x) :: acc) c.c_claimed [] in
-    Hashtbl.reset c.c_claimed;
-    List.iter
-      (fun (inst, (_, v, parts)) ->
-        (* A coordinator taking over mid-reconfiguration reconstructs the
-           pending membership change from the claimed votes. *)
-        note_rc t inst v ~decided:(Hashtbl.mem c.x_decided inst);
-        if not (Retry.mem c.c_insts inst) && not (Hashtbl.mem c.x_decided inst) then
-          propose_instance t c inst v parts;
-        if inst >= c.c_next_inst then c.c_next_inst <- inst + 1)
-      (List.sort compare claimed);
+    if Hashtbl.length c.c_claimed > 0 then begin
+      let claimed = Hashtbl.fold (fun i x acc -> (i, x) :: acc) c.c_claimed [] in
+      Hashtbl.reset c.c_claimed;
+      List.iter
+        (fun (inst, (_, v, parts)) ->
+          (* A coordinator taking over mid-reconfiguration reconstructs the
+             pending membership change from the claimed votes. *)
+          note_rc t inst v ~decided:(Hashtbl.mem c.x_decided inst);
+          if not (Retry.mem c.c_insts inst) && not (Hashtbl.mem c.x_decided inst) then
+            propose_instance t c inst v parts;
+          if inst >= c.c_next_inst then c.c_next_inst <- inst + 1)
+        (List.sort compare claimed)
+    end;
     (* Coordinator-side flow control: Phase 2A traffic is paced below the
        rate the network can multicast without loss (§3.3.6). *)
     let pace_ok () =
@@ -696,10 +711,12 @@ let coord_decide t c inst vid =
          the majority provided its own vote is durable. *)
       let fire () =
         if not (Hashtbl.mem c.x_decided inst) then begin
-          trace t (fun tr ->
+          (match Simnet.tracer t.net with
+          | Some tr ->
               let now = Simnet.now t.net and pid = Simnet.pid c.x_proc in
               Trace.aend tr ~pid ~cat:"ordering" ~name:"consensus" ~id:inst ~ts:now;
-              Trace.instant tr ~id:inst ~pid ~cat:"proto" ~name:"decision" ~ts:now);
+              Trace.instant tr ~id:inst ~pid ~cat:"proto" ~name:"decision" ~ts:now
+          | None -> ());
           ignore (Retry.ack c.c_insts inst);
           Hashtbl.add c.x_decided inst (vid, parts);
           if inst > c.x_max_dec then c.x_max_dec <- inst;
@@ -786,7 +803,7 @@ let acc_on_p2a t a inst rnd (v : Paxos.Value.t) parts =
   end
   else if rnd >= a.x_rnd then begin
     a.x_rnd <- rnd;
-    Hashtbl.replace a.x_votes inst (rnd, v, parts);
+    set_vote a inst (rnd, v, parts);
     acc_update_mem a;
     let after_durable () =
       Hashtbl.replace a.x_durable inst true;
@@ -873,9 +890,11 @@ let repair_cycle t l =
     ~alive:(fun () -> Simnet.is_alive l.l_proc)
     ~complete:(fun _ (vid, _) -> Hashtbl.mem l.l_vals vid)
     ~send:(fun insts ->
-      trace t (fun tr ->
+      (match Simnet.tracer t.net with
+      | Some tr ->
           Trace.instant tr ~pid:(Simnet.pid l.l_proc) ~cat:"proto" ~name:"repair-req"
-            ~ts:(Simnet.now t.net));
+            ~ts:(Simnet.now t.net)
+      | None -> ());
       match pref_acceptor t l with
       | Some a ->
           Simnet.send t.net ~src:l.l_proc ~dst:a.x_proc ~size:(hdr + List.length insts)
@@ -888,9 +907,11 @@ let repair_cycle t l =
 let lrn_drain t l =
   Od.pump l.l_od (fun inst (vid, parts) ->
       let release v =
-        trace t (fun tr ->
+        (match Simnet.tracer t.net with
+        | Some tr ->
             Trace.aend tr ~pid:(Simnet.pid l.l_proc) ~cat:"ordering" ~name:"deliver-wait"
-              ~id:((inst * 256) + l.l_idx) ~ts:(Simnet.now t.net));
+              ~id:((inst * 256) + l.l_idx) ~ts:(Simnet.now t.net)
+        | None -> ());
         Od.sink_push l.l_sink (inst, v);
         lrn_fc_check t l;
         lrn_pump t l;
@@ -901,6 +922,7 @@ let lrn_drain t l =
         match Hashtbl.find_opt l.l_vals vid with
         | Some v ->
             Hashtbl.remove l.l_vals vid;
+            l.l_val_bytes <- l.l_val_bytes - v.size;
             lrn_update_mem l;
             release (Some v)
         | None ->
@@ -913,13 +935,15 @@ let lrn_drain t l =
    their order is decided (Chapter 4); the replica layer detects and rolls
    back the rare arrival/decision mismatches. *)
 let lrn_on_p2a t l inst (v : Paxos.Value.t) =
-  Hashtbl.replace l.l_vals v.vid v;
+  set_val l v;
   (match t.speculative with
   | Some spec ->
       Od.speculate l.l_od ~inst (fun () ->
-          trace t (fun tr ->
+          (match Simnet.tracer t.net with
+          | Some tr ->
               Trace.instant tr ~id:inst ~pid:(Simnet.pid l.l_proc) ~cat:"proto"
-                ~name:"speculate" ~ts:(Simnet.now t.net));
+                ~name:"speculate" ~ts:(Simnet.now t.net)
+          | None -> ());
           spec ~learner:l.l_idx ~inst v)
   | None -> ());
   lrn_update_mem l;
@@ -928,9 +952,11 @@ let lrn_on_p2a t l inst (v : Paxos.Value.t) =
 let lrn_on_decision t l inst vid parts =
   Od.note_max l.l_od inst;
   if Od.offer l.l_od ~inst (vid, parts) then begin
-    trace t (fun tr ->
+    (match Simnet.tracer t.net with
+    | Some tr ->
         Trace.abegin tr ~pid:(Simnet.pid l.l_proc) ~cat:"ordering" ~name:"deliver-wait"
-          ~id:((inst * 256) + l.l_idx) ~ts:(Simnet.now t.net));
+          ~id:((inst * 256) + l.l_idx) ~ts:(Simnet.now t.net)
+    | None -> ());
     lrn_drain t l
   end
   else if Od.backlog l.l_od > 0 then
@@ -957,24 +983,29 @@ let version_reports t l =
 (* --- garbage collection ------------------------------------------------- *)
 
 let acc_gc t a floor =
-  trace t (fun tr ->
-      Trace.instant tr ~pid:(Simnet.pid a.x_proc) ~cat:"proto" ~name:"gc"
-        ~ts:(Simnet.now t.net));
+  (match Simnet.tracer t.net with
+  | Some tr ->
+      Trace.instant tr ~pid:(Simnet.pid a.x_proc) ~cat:"proto" ~name:"gc" ~ts:(Simnet.now t.net)
+  | None -> ());
   a.x_gc_floor <- Stdlib.max a.x_gc_floor floor;
   (* The GC floor only advances past applied instances, so every pruned
      vote is for a decided value.  Remember its item uids: if this
      acceptor later takes over as coordinator, they seed [c_seen_uids] so
      a proposer that missed the decision (lossy multicast) cannot get the
      same item decided under a second instance. *)
-  Hashtbl.iter
-    (fun i ((_, v, _) : int * Paxos.Value.t * int list) ->
-      if i < floor then
-        List.iter (fun it -> Hashtbl.replace a.x_done_uids it.Paxos.Value.uid ()) v.items)
+  let done_item (it : Paxos.Value.item) = Hashtbl.replace a.x_done_uids it.uid () in
+  Hashtbl.filter_map_inplace
+    (fun i ((_, (v : Paxos.Value.t), _) as vote) ->
+      if i < floor then begin
+        List.iter done_item v.items;
+        a.x_mem <- a.x_mem - v.size;
+        None
+      end
+      else Some vote)
     a.x_votes;
-  let prune tbl = Hashtbl.iter (fun i _ -> if i < floor then Hashtbl.remove tbl i) (Hashtbl.copy tbl) in
-  prune a.x_votes;
-  prune a.x_decided;
-  prune a.x_durable;
+  let prune i x = if i < floor then None else Some x in
+  Hashtbl.filter_map_inplace prune a.x_decided;
+  Hashtbl.filter_map_inplace prune a.x_durable;
   acc_update_mem a
 
 let coord_on_version t c learner version =
@@ -1313,7 +1344,7 @@ let acc_handler t a (m : Simnet.msg) =
              instance is already decided, so no vote is re-forwarded along
              the ring. *)
           if not (Hashtbl.mem a.x_votes inst) then begin
-            Hashtbl.replace a.x_votes inst (a.x_rnd, value, parts);
+            set_vote a inst (a.x_rnd, value, parts);
             Hashtbl.replace a.x_durable inst true;
             acc_update_mem a
           end;
@@ -1339,12 +1370,15 @@ let lrn_handler t l (m : Simnet.msg) =
   | Decision { inst; vid; parts; uids = _ } -> lrn_on_decision t l inst vid parts
   | Retrans { inst; value; parts } ->
       (* A repair response supplies both the decision and the value. *)
-      Hashtbl.replace l.l_vals value.Paxos.Value.vid value;
+      set_val l value;
       Od.note_max l.l_od inst;
-      if Od.offer l.l_od ~inst (value.vid, parts) then
-        trace t (fun tr ->
+      if Od.offer l.l_od ~inst (value.vid, parts) then begin
+        match Simnet.tracer t.net with
+        | Some tr ->
             Trace.abegin tr ~pid:(Simnet.pid l.l_proc) ~cat:"ordering" ~name:"deliver-wait"
-              ~id:((inst * 256) + l.l_idx) ~ts:(Simnet.now t.net));
+              ~id:((inst * 256) + l.l_idx) ~ts:(Simnet.now t.net)
+        | None -> ()
+      end;
       lrn_drain t l
   | Gc { floor } ->
       Od.drop_below l.l_od (Stdlib.min floor (Od.next l.l_od))
@@ -1377,80 +1411,86 @@ let prop_handler t p (m : Simnet.msg) =
 
 (* --- construction --------------------------------------------------------- *)
 
+let new_proc net role i =
+  let node = Simnet.add_node net (Printf.sprintf "mr-%s%d" role i) in
+  Simnet.add_proc net node (Printf.sprintf "mr-%s%d" role i)
+
+(* The vote, decision and durability tables hold one GC window of
+   instances (≈ 1–2k under load) and start at that size; every other
+   table is small or coordinator-only and grows on demand. *)
+let new_acc net cfg i ~ring =
+  let proc = new_proc net "acc" i in
+  let disk =
+    match cfg.durability with
+    | Memory -> None
+    | Sync_disk | Async_disk ->
+        Some (Storage.Disk.create (Simnet.engine net) (Printf.sprintf "disk%d" i))
+  in
+  { x_proc = proc;
+    x_idx = i;
+    x_rnd = 0;
+    x_ring = ring;
+    x_is_coord = false;
+    x_retired = false;
+    x_catchup = None;
+    x_votes = Hashtbl.create 4096;
+    x_decided = Hashtbl.create 4096;
+    x_durable = Hashtbl.create 4096;
+    x_held = Hashtbl.create 64;
+    x_disk = disk;
+    x_done_uids = Hashtbl.create 64;
+    x_mem = 0;
+    x_gc_floor = 0;
+    x_max_dec = -1;
+    c_rnd = 0;
+    c_phase1_ok = false;
+    c_p1b = 0;
+    c_claimed = Hashtbl.create 64;
+    c_next_inst = 0;
+    c_outstanding = 0;
+    c_batch = Batcher.create ~buffer_bytes:cfg.buffer_bytes ~batch_bytes:cfg.batch_bytes ();
+    c_insts = Retry.tracker ();
+    c_window = cfg.window;
+    c_decided = 0;
+    c_versions = Hashtbl.create 16;
+    c_gc_floor = 0;
+    c_seen_uids = Hashtbl.create 64;
+    c_preq = Queue.create ();
+    c_rate_window = 0.0;
+    c_rate_bits = 0.0;
+    c_rate_timer = false;
+    c_rate_limit = cfg.send_rate;
+    c_rc_fill = -1 }
+
+let new_lrn proc i ~parts ~active =
+  { l_proc = proc;
+    l_idx = i;
+    l_parts = parts;
+    l_od = Od.create ();
+    l_vals = Hashtbl.create 64;
+    l_val_bytes = 0;
+    l_delay = 0.0;
+    l_sink = Od.sink ();
+    l_fc_sent = false;
+    l_repair = Od.repairer ();
+    l_active = active }
+
 let create ?speculative ?learner_nodes net cfg ~n_proposers ~n_learners ~learner_parts
     ~deliver =
   let n_acc = n_acceptors cfg in
-  let mk_proc role i =
-    let node = Simnet.add_node net (Printf.sprintf "mr-%s%d" role i) in
-    Simnet.add_proc net node (Printf.sprintf "mr-%s%d" role i)
-  in
   let mk_lrn_proc i =
     match learner_nodes with
     | Some nodes when i < Array.length nodes ->
         Simnet.add_proc net nodes.(i) (Printf.sprintf "mr-lrn%d" i)
-    | _ -> mk_proc "lrn" i
+    | _ -> new_proc net "lrn" i
   in
-  let accs =
-    Array.init n_acc (fun i ->
-        let proc = mk_proc "acc" i in
-        let disk =
-          match cfg.durability with
-          | Memory -> None
-          | Sync_disk | Async_disk ->
-              Some (Storage.Disk.create (Simnet.engine net) (Printf.sprintf "disk%d" i))
-        in
-        { x_proc = proc;
-          x_idx = i;
-          x_rnd = 0;
-          x_ring = [];
-          x_is_coord = false;
-          x_retired = false;
-          x_catchup = None;
-          x_votes = Hashtbl.create 4096;
-          x_decided = Hashtbl.create 4096;
-          x_durable = Hashtbl.create 4096;
-          x_held = Hashtbl.create 64;
-          x_disk = disk;
-          x_done_uids = Hashtbl.create 4096;
-          x_mem = 0;
-          x_gc_floor = 0;
-          x_max_dec = -1;
-          c_rnd = 0;
-          c_phase1_ok = false;
-          c_p1b = 0;
-          c_claimed = Hashtbl.create 64;
-          c_next_inst = 0;
-          c_outstanding = 0;
-          c_batch = Batcher.create ~buffer_bytes:cfg.buffer_bytes ~batch_bytes:cfg.batch_bytes ();
-          c_insts = Retry.tracker ();
-          c_window = cfg.window;
-          c_decided = 0;
-          c_versions = Hashtbl.create 16;
-          c_gc_floor = 0;
-          c_seen_uids = Hashtbl.create 4096;
-          c_preq = Queue.create ();
-          c_rate_window = 0.0;
-          c_rate_bits = 0.0;
-          c_rate_timer = false;
-          c_rate_limit = cfg.send_rate;
-          c_rc_fill = -1 })
-  in
+  let accs = Array.init n_acc (fun i -> new_acc net cfg i ~ring:[]) in
   let lrns =
-    Array.init n_learners (fun i ->
-        { l_proc = mk_lrn_proc i;
-          l_idx = i;
-          l_parts = learner_parts i;
-          l_od = Od.create ();
-          l_vals = Hashtbl.create 4096;
-          l_delay = 0.0;
-          l_sink = Od.sink ();
-          l_fc_sent = false;
-          l_repair = Od.repairer ();
-          l_active = true })
+    Array.init n_learners (fun i -> new_lrn (mk_lrn_proc i) i ~parts:(learner_parts i) ~active:true)
   in
   let props =
     Array.init n_proposers (fun i ->
-        { p_proc = mk_proc "prop" i;
+        { p_proc = new_proc net "prop" i;
           p_idx = i;
           p_pending = Retry.tracker ();
           p_unacked_bytes = 0;
@@ -1557,6 +1597,7 @@ let crash_acceptor t idx =
   cancel_catchup a;
   if t.cfg.durability = Memory then begin
     Hashtbl.reset a.x_votes;
+    a.x_mem <- 0;
     Hashtbl.reset a.x_decided;
     Hashtbl.reset a.x_durable;
     Hashtbl.reset a.x_done_uids;
@@ -1634,54 +1675,9 @@ let learner_active t i = t.lrns.(i).l_active
    until a reconfiguration elects it. *)
 let add_acceptor t =
   let i = Array.length t.accs in
-  let node = Simnet.add_node t.net (Printf.sprintf "mr-acc%d" i) in
-  let proc = Simnet.add_proc t.net node (Printf.sprintf "mr-acc%d" i) in
-  let disk =
-    match t.cfg.durability with
-    | Memory -> None
-    | Sync_disk | Async_disk ->
-        Some (Storage.Disk.create (Simnet.engine t.net) (Printf.sprintf "disk%d" i))
-  in
-  let a =
-    { x_proc = proc;
-      x_idx = i;
-      x_rnd = 0;
-      x_ring = t.cur_ring;
-      x_is_coord = false;
-      x_retired = false;
-      x_catchup = None;
-      x_votes = Hashtbl.create 4096;
-      x_decided = Hashtbl.create 4096;
-      x_durable = Hashtbl.create 4096;
-      x_held = Hashtbl.create 64;
-      x_disk = disk;
-      x_done_uids = Hashtbl.create 4096;
-      x_mem = 0;
-      x_gc_floor = 0;
-      x_max_dec = -1;
-      c_rnd = 0;
-      c_phase1_ok = false;
-      c_p1b = 0;
-      c_claimed = Hashtbl.create 64;
-      c_next_inst = 0;
-      c_outstanding = 0;
-      c_batch =
-        Batcher.create ~buffer_bytes:t.cfg.buffer_bytes ~batch_bytes:t.cfg.batch_bytes ();
-      c_insts = Retry.tracker ();
-      c_window = t.cfg.window;
-      c_decided = 0;
-      c_versions = Hashtbl.create 16;
-      c_gc_floor = 0;
-      c_seen_uids = Hashtbl.create 4096;
-      c_preq = Queue.create ();
-      c_rate_window = 0.0;
-      c_rate_bits = 0.0;
-      c_rate_timer = false;
-      c_rate_limit = t.cfg.send_rate;
-      c_rc_fill = -1 }
-  in
+  let a = new_acc t.net t.cfg i ~ring:t.cur_ring in
   t.accs <- Array.append t.accs [| a |];
-  Simnet.set_handler proc (acc_handler t a);
+  Simnet.set_handler a.x_proc (acc_handler t a);
   i
 
 (* Create an inactive learner: it joins no group and reports no version
@@ -1689,22 +1685,9 @@ let add_acceptor t =
    point it starts delivering exactly from the activation instance. *)
 let stage_learner t ~parts =
   let i = Array.length t.lrns in
-  let node = Simnet.add_node t.net (Printf.sprintf "mr-lrn%d" i) in
-  let proc = Simnet.add_proc t.net node (Printf.sprintf "mr-lrn%d" i) in
-  let l =
-    { l_proc = proc;
-      l_idx = i;
-      l_parts = parts;
-      l_od = Od.create ();
-      l_vals = Hashtbl.create 4096;
-      l_delay = 0.0;
-      l_sink = Od.sink ();
-      l_fc_sent = false;
-      l_repair = Od.repairer ();
-      l_active = false }
-  in
+  let l = new_lrn (new_proc t.net "lrn" i) i ~parts ~active:false in
   t.lrns <- Array.append t.lrns [| l |];
-  Simnet.set_handler proc (lrn_handler t l);
+  Simnet.set_handler l.l_proc (lrn_handler t l);
   version_reports t l;
   i
 
@@ -1739,3 +1722,14 @@ let reconfigure t ?(add_learners = []) ?(remove_learners = []) ?(retire = []) ~r
     invalid_arg "Mring.reconfigure: removed learner out of range";
   submit t ~proposer:0 ~parts:[ 0 ] ~size:64
     (ReconfigCmd { ring; add_lrns = add_learners; rm_lrns = remove_learners; retire })
+
+module Testing = struct
+  let mem_consistent t =
+    let recount tbl size = Hashtbl.fold (fun _ x n -> n + size x) tbl 0 in
+    Array.for_all
+      (fun a -> a.x_mem = recount a.x_votes (fun (_, v, _) -> v.Paxos.Value.size))
+      t.accs
+    && Array.for_all
+         (fun l -> l.l_val_bytes = recount l.l_vals (fun v -> v.Paxos.Value.size))
+         t.lrns
+end

@@ -180,3 +180,11 @@ val catching_up : t -> int -> bool
 
 (** Learner [i] delivers (inactive learners are staged or removed). *)
 val learner_active : t -> int -> bool
+
+(** {1 Test hooks} *)
+
+module Testing : sig
+  (** Every acceptor's and learner's running buffer counter equals a full
+      recount of the table it tracks (votes, resp. undelivered values). *)
+  val mem_consistent : t -> bool
+end

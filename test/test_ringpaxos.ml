@@ -17,11 +17,11 @@ type mring_env = {
   skips : (int, int ref) Hashtbl.t; (* learner -> count of None deliveries *)
 }
 
-let make_mring ?(config = Ringpaxos.Mring.default_config) ?speculative ?(n_proposers = 1)
-    ?(n_learners = 2) ?(learner_parts = fun _ -> [ 0 ]) ?(seed = 9) () =
+let make_mring ?(config = Ringpaxos.Mring.default_config) ?net_config ?speculative
+    ?(n_proposers = 1) ?(n_learners = 2) ?(learner_parts = fun _ -> [ 0 ]) ?(seed = 9) () =
   let engine = Sim.Engine.create () in
   let rng = Sim.Rng.create seed in
-  let net = Simnet.create engine rng in
+  let net = Simnet.create ?config:net_config engine rng in
   let seqs = Hashtbl.create 8 and skips = Hashtbl.create 8 in
   for i = 0 to n_learners - 1 do
     Hashtbl.replace seqs i (ref []);
@@ -230,6 +230,59 @@ let test_mring_gc_frees_memory () =
   (* After GC, the coordinator buffer should hold far less than the ~100 KB
      proposed. *)
   Alcotest.(check bool) "memory reclaimed" true (coord_mem < 50 * 1024)
+
+(* --- M-Ring buffer accounting -------------------------------------------- *)
+
+let test_mring_mem_counters_fall () =
+  (* The running byte counters must shrink when GC prunes votes and when a
+     learner delivers a value; a counter that only grows fails the recount. *)
+  let cfg = { Ringpaxos.Mring.default_config with gc_period = 0.02 } in
+  let env = make_mring ~config:cfg () in
+  for i = 1 to 100 do
+    ignore (Ringpaxos.Mring.submit env.mr ~proposer:0 ~size:1024 (Cmd i))
+  done;
+  Sim.Engine.run env.engine ~until:2.0;
+  Alcotest.(check int) "all delivered" 100 (List.length (seq env 0));
+  Alcotest.(check bool) "gc pruned the coordinator's votes" true
+    (Simnet.mem (Ringpaxos.Mring.coordinator_proc env.mr) < 50 * 1024);
+  Alcotest.(check bool) "counters equal a recount" true
+    (Ringpaxos.Mring.Testing.mem_consistent env.mr)
+
+(* Random runs mixing lossy multicast (learner and acceptor Retrans repair),
+   GC, and a coordinator crash that wipes its in-memory votes, then its
+   restart: after every step each counter equals a full recount. *)
+let prop_mring_mem_counters =
+  QCheck.Test.make ~name:"mring: buffer counters equal a recount" ~count:12
+    QCheck.(triple (int_range 1 10_000) (int_range 0 4) (int_range 2 10))
+    (fun (seed, loss_pct, crash_step) ->
+      let net_config =
+        { Simnet.default_config with udp_base_loss = float_of_int loss_pct /. 100.0 }
+      in
+      let config = { Ringpaxos.Mring.default_config with gc_period = 0.02 } in
+      let env = make_mring ~config ~net_config ~n_learners:3 ~seed () in
+      let mr = env.mr in
+      let crashed = ref (-1) and next = ref 0 and ok = ref true in
+      for step = 1 to 16 do
+        for _ = 1 to 8 do
+          incr next;
+          ignore
+            (Ringpaxos.Mring.submit mr ~proposer:0 ~size:(64 + (!next * 37 mod 2000)) (Cmd !next))
+        done;
+        if step = crash_step then begin
+          (* Mid-step, so the coordinator holds undecided votes that the
+             crash wipes and the next coordinator re-proposes. *)
+          Sim.Engine.run env.engine ~until:((0.1 *. float_of_int (step - 1)) +. 0.002);
+          let coord = Ringpaxos.Mring.coordinator_proc mr in
+          Array.iteri
+            (fun i p -> if p == coord then crashed := i)
+            (Ringpaxos.Mring.acceptor_procs mr);
+          Ringpaxos.Mring.crash_acceptor mr !crashed
+        end;
+        if step = crash_step + 3 then Ringpaxos.Mring.restart_acceptor mr !crashed;
+        Sim.Engine.run env.engine ~until:(0.1 *. float_of_int step);
+        ok := !ok && Ringpaxos.Mring.Testing.mem_consistent mr
+      done;
+      !ok)
 
 (* --- M-Ring dynamic membership ------------------------------------------- *)
 
@@ -512,6 +565,9 @@ let suite =
     Alcotest.test_case "mring: acceptor failover via spare" `Quick test_mring_acceptor_failover;
     Alcotest.test_case "mring: sync disk throttles" `Quick test_mring_sync_disk_slower;
     Alcotest.test_case "mring: gc frees memory" `Quick test_mring_gc_frees_memory;
+    Alcotest.test_case "mring: buffer counters fall on gc and delivery" `Quick
+      test_mring_mem_counters_fall;
+    QCheck_alcotest.to_alcotest prop_mring_mem_counters;
     Alcotest.test_case "mring: reconfigure under load" `Quick test_mring_reconfigure_under_load;
     Alcotest.test_case "mring: joiner catches up" `Quick test_mring_joiner_catches_up;
     Alcotest.test_case "mring: coordinator handoff" `Quick test_mring_coordinator_handoff;
