@@ -61,12 +61,11 @@ let run_stream ~mode ~n_workers stream =
     (fun i key ->
       let now = if i < window then 0.0 else commits.(i - window) in
       let ks = Btree.Keyset.singleton key in
-      let r =
-        Psmr.Executor.submit ex ~now ~uid:i ~reads:ks ~writes:ks
-          (Smr.Btree_service.Insert { key; value = i })
-      in
-      commits.(i) <- r.Psmr.Executor.r_commit;
-      Sim.Stats.Latency.add lat (r.Psmr.Executor.r_commit -. now))
+      Psmr.Executor.submit ex ~now ~uid:i ~reads:ks ~writes:ks
+        (Smr.Btree_service.Insert { key; value = i });
+      let commit = Psmr.Executor.last_commit ex in
+      commits.(i) <- commit;
+      Sim.Stats.Latency.add lat (commit -. now))
     stream;
   let makespan = Psmr.Executor.last_commit ex in
   { rr_makespan = makespan;

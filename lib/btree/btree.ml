@@ -11,11 +11,23 @@ and internal = {
   mutable children : node array;
 }
 
-type t = { order : int; mutable root : node; mutable size : int }
+(* [replaced]/[old] carry the overwritten value out of [insert_rec], so
+   the recursion returns only the split and an update allocates no tuple. *)
+type t = {
+  order : int;
+  mutable root : node;
+  mutable size : int;
+  mutable replaced : bool;
+  mutable old : int;
+}
 
 let create ?(order = 64) () =
   let order = Stdlib.max 4 order in
-  { order; root = Leaf { lkeys = [||]; lvals = [||]; next = None }; size = 0 }
+  { order;
+    root = Leaf { lkeys = [||]; lvals = [||]; next = None };
+    size = 0;
+    replaced = false;
+    old = 0 }
 
 (* --- array helpers ------------------------------------------------------- *)
 
@@ -97,33 +109,33 @@ let rec insert_rec t node key value =
   | Leaf l ->
       let i = lower_bound l.lkeys key in
       if i < Array.length l.lkeys && l.lkeys.(i) = key then begin
-        let old = l.lvals.(i) in
+        t.replaced <- true;
+        t.old <- l.lvals.(i);
         l.lvals.(i) <- value;
-        (Some old, NoSplit)
+        NoSplit
       end
       else begin
         l.lkeys <- arr_insert l.lkeys i key;
         l.lvals <- arr_insert l.lvals i value;
         t.size <- t.size + 1;
-        (None, split_leaf t l)
+        split_leaf t l
       end
   | Internal n -> (
       let i = child_index n.ikeys key in
-      let old, sp = insert_rec t n.children.(i) key value in
-      match sp with
-      | NoSplit -> (old, NoSplit)
+      match insert_rec t n.children.(i) key value with
+      | NoSplit -> NoSplit
       | Split (sep, right) ->
           n.ikeys <- arr_insert n.ikeys i sep;
           n.children <- arr_insert n.children (i + 1) right;
-          (old, split_internal t n))
+          split_internal t n)
 
 let insert t key value =
-  let old, sp = insert_rec t t.root key value in
-  (match sp with
+  t.replaced <- false;
+  (match insert_rec t t.root key value with
   | NoSplit -> ()
   | Split (sep, right) ->
       t.root <- Internal { ikeys = [| sep |]; children = [| t.root; right |] });
-  old
+  if t.replaced then Some t.old else None
 
 (* --- delete ------------------------------------------------------------------ *)
 
@@ -231,20 +243,21 @@ let range t ~lo ~hi =
   in
   List.rev (walk (leaf_for t.root lo) [])
 
-let range_count t ~lo ~hi =
-  let rec walk l acc =
-    let n = Array.length l.lkeys in
-    let rec scan i acc =
-      if i >= n then
-        match l.next with
-        | Some nx when n = 0 || l.lkeys.(n - 1) <= hi -> walk nx acc
-        | _ -> acc
-      else if l.lkeys.(i) > hi then acc
-      else scan (i + 1) (acc + 1)
-    in
-    scan (lower_bound l.lkeys lo) acc
-  in
-  walk (leaf_for t.root lo) 0
+(* [range_count]'s leaf walk as top-level functions with explicit
+   arguments: without flambda a local [let rec] that captures [lo]/[hi]
+   is a heap closure allocated on every call. *)
+let rec count_leaf l ~lo ~hi acc = count_scan l (lower_bound l.lkeys lo) ~lo ~hi acc
+
+and count_scan l i ~lo ~hi acc =
+  let n = Array.length l.lkeys in
+  if i >= n then
+    match l.next with
+    | Some nx when n = 0 || l.lkeys.(n - 1) <= hi -> count_leaf nx ~lo ~hi acc
+    | _ -> acc
+  else if l.lkeys.(i) > hi then acc
+  else count_scan l (i + 1) ~lo ~hi (acc + 1)
+
+let range_count t ~lo ~hi = count_leaf (leaf_for t.root lo) ~lo ~hi 0
 
 let size t = t.size
 
@@ -369,33 +382,31 @@ module Keyset = struct
         acc := (!lo, !hi) :: !acc;
         Array.of_list (List.rev !acc)
 
-  let overlaps (a : t) (b : t) =
-    let na = Array.length a and nb = Array.length b in
-    let rec go i j =
-      if i >= na || j >= nb then false
-      else
-        let alo, ahi = a.(i) and blo, bhi = b.(j) in
-        if ahi < blo then go (i + 1) j
-        else if bhi < alo then go i (j + 1)
-        else true
-    in
-    go 0 0
+  (* The merge-walks are top-level so a check allocates no closure: the
+     executor runs [conflict] against every in-flight command. *)
+  let rec overlaps_from (a : t) (b : t) i j =
+    if i >= Array.length a || j >= Array.length b then false
+    else
+      let alo, ahi = a.(i) and blo, bhi = b.(j) in
+      if ahi < blo then overlaps_from a b (i + 1) j
+      else if bhi < alo then overlaps_from a b i (j + 1)
+      else true
+
+  let overlaps a b = overlaps_from a b 0 0
 
   (* [subset a b]: every key of [a] lies in [b].  Since both sides are
      sorted and disjoint, each range of [a] must fit inside a single range
      of [b] (a range spanning a gap of [b] covers keys outside it), so one
      merge-walk suffices.  The empty set is a subset of everything. *)
-  let subset (a : t) (b : t) =
-    let na = Array.length a and nb = Array.length b in
-    let rec go i j =
-      if i >= na then true
-      else if j >= nb then false
-      else
-        let alo, ahi = a.(i) and blo, bhi = b.(j) in
-        if bhi < alo then go i (j + 1)
-        else blo <= alo && ahi <= bhi && go (i + 1) j
-    in
-    go 0 0
+  let rec subset_from (a : t) (b : t) i j =
+    if i >= Array.length a then true
+    else if j >= Array.length b then false
+    else
+      let alo, ahi = a.(i) and blo, bhi = b.(j) in
+      if bhi < alo then subset_from a b i (j + 1)
+      else blo <= alo && ahi <= bhi && subset_from a b (i + 1) j
+
+  let subset a b = subset_from a b 0 0
 
   (* Two commands conflict when one's writes intersect the other's reads or
      writes (read-read sharing is always safe). *)

@@ -225,7 +225,8 @@ let apply_op t rep (it : Paxos.Value.item) ~op ~reads ~writes =
       | _ -> None
     else None
   in
-  let r = Psmr.Executor.submit (exec_of rep) ~now ~uid ~reads ~writes op in
+  let ex = exec_of rep in
+  Psmr.Executor.submit ex ~now ~uid ~reads ~writes op;
   if t.cfg.record_history && wrote && not (Hashtbl.mem t.applied uid) then
     Hashtbl.replace t.applied uid ();
   (* A non-responder holding a conflicting lease acks the write once it has
@@ -236,7 +237,7 @@ let apply_op t rep (it : Paxos.Value.item) ~op ~reads ~writes =
      && List.mem_assoc rep.r_idx !holders
   then
     ignore
-      (Sim.Engine.at (Simnet.engine t.net) ~time:r.Psmr.Executor.r_commit
+      (Sim.Engine.at (Simnet.engine t.net) ~time:(Psmr.Executor.last_commit ex)
          (fun () ->
            Simnet.send t.net ~src:(learner_proc t rep.r_idx)
              ~dst:(learner_proc t responder) ~size:64
@@ -245,7 +246,7 @@ let apply_op t rep (it : Paxos.Value.item) ~op ~reads ~writes =
     let client = Paxos.Value.uid_origin uid - 1 in
     if client >= 0 && client < t.n_clients then begin
       let size = resp_size_of op in
-      let commit = r.Psmr.Executor.r_commit in
+      let commit = Psmr.Executor.last_commit ex in
       let need = List.filter (fun (j, _) -> j <> rep.r_idx) !holders in
       let acked =
         match Hashtbl.find_opt t.early_acks uid with

@@ -44,12 +44,15 @@ type report = {
   r_rollbacks : int;  (** re-executions this command needed *)
 }
 
-type inflight = {
-  i_writes : Btree.Keyset.t;
-  i_reads : Btree.Keyset.t;
-  i_fin : float;
-  i_commit : float;
-}
+(* The float scalars live in [fl] rather than in mutable record fields: in
+   a mixed record every write to a mutable float field boxes, and [submit]
+   writes several per command.  Slots: the latest submission time seen,
+   the latest commit, and the current command's ready/start/fin. *)
+let clock_i = 0
+let commit_i = 1
+let ready_i = 2
+let start_i = 3
+let fin_i = 4
 
 type t = {
   mode : mode;
@@ -58,140 +61,226 @@ type t = {
   busy : Sim.Stats.Busy.t;
   tracer : Trace.t option;
   pid : int;
-  mutable active : inflight list;  (* commands whose execution may still be in flight *)
-  mutable clock : float;  (* latest submission time seen *)
-  mutable last_commit : float;
+  fl : float array;
+  (* The active set — commands whose execution may still be in flight —
+     as parallel arrays: entry [k < n_active] read [reads.(k)], wrote
+     [writes.(k)] and finished executing at [fin.(k)]. *)
+  mutable reads : Btree.Keyset.t array;
+  mutable writes : Btree.Keyset.t array;
+  mutable fin : float array;
+  mutable n_active : int;
   mutable executed : int;
   mutable rollbacks : int;
   mutable conflicts : int;
+  mutable last_rollbacks : int;
 }
 
 let create ?tracer ?(pid = -1) ~mode ~n_workers service =
+  let cap = 16 in
   { mode;
     service;
     workers = Array.make (Stdlib.max 1 n_workers) 0.0;
     busy = Sim.Stats.Busy.create ();
     tracer;
     pid;
-    active = [];
-    clock = 0.0;
-    last_commit = 0.0;
+    fl = Array.make 5 0.0;
+    reads = Array.make cap Btree.Keyset.empty;
+    writes = Array.make cap Btree.Keyset.empty;
+    fin = Array.make cap 0.0;
+    n_active = 0;
     executed = 0;
     rollbacks = 0;
-    conflicts = 0 }
+    conflicts = 0;
+    last_rollbacks = 0 }
 
-let span t ~id ~cat ~name ~ts ~dur =
-  match t.tracer with
-  | Some tr when dur > 0.0 -> Trace.span tr ~id ~pid:t.pid ~cat ~name ~ts ~dur
-  | _ -> ()
+(* Monomorphic float [max]/[min] with [Stdlib]'s tie rule: the polymorphic
+   ones box both arguments on every call. *)
+let fmax (a : float) b = if a >= b then a else b [@@inline]
+let fmin (a : float) b = if a <= b then a else b [@@inline]
 
-let min_free t = Array.fold_left Stdlib.min t.workers.(0) t.workers
+(* Callers build span arguments only when a tracer is installed. *)
+let span t tr ~id ~cat ~name ~ts ~dur =
+  if dur > 0.0 then Trace.span tr ~id ~pid:t.pid ~cat ~name ~ts ~dur
 
 let argmin_free t =
   let w = ref 0 in
-  Array.iteri (fun i f -> if f < t.workers.(!w) then w := i) t.workers;
+  for i = 1 to Array.length t.workers - 1 do
+    if t.workers.(i) < t.workers.(!w) then w := i
+  done;
   !w
 
 (* An active entry can no longer delay anyone once its execution finished
    before every worker is free again: any later submission starts at or
-   after [max clock min_free], so entries below that watermark are dead. *)
+   after [max clock min_free], so entries below that watermark are dead.
+   Survivors are compacted to the front in place, keeping their order;
+   vacated key-set slots are cleared so they retain nothing.  The
+   minimum is computed inline: a float returned from a function boxes. *)
 let prune t =
-  let wm = Stdlib.max t.clock (min_free t) in
-  t.active <- List.filter (fun e -> e.i_fin > wm) t.active
+  let min_free = ref t.workers.(0) in
+  for i = 1 to Array.length t.workers - 1 do
+    min_free := fmin !min_free t.workers.(i)
+  done;
+  let wm = fmax t.fl.(clock_i) !min_free in
+  let n = t.n_active in
+  let live = ref 0 in
+  for k = 0 to n - 1 do
+    let f = t.fin.(k) in
+    if f > wm then begin
+      let j = !live in
+      if j < k then begin
+        t.reads.(j) <- t.reads.(k);
+        t.writes.(j) <- t.writes.(k);
+        t.fin.(j) <- f
+      end;
+      live := j + 1
+    end
+  done;
+  for k = !live to n - 1 do
+    t.reads.(k) <- Btree.Keyset.empty;
+    t.writes.(k) <- Btree.Keyset.empty
+  done;
+  t.n_active <- !live
 
-let commit_in_order t fin =
-  let commit = Stdlib.max fin t.last_commit in
-  t.last_commit <- commit;
-  commit
+let push_active t ~reads ~writes =
+  let k = t.n_active in
+  if k = Array.length t.fin then begin
+    let grow a x =
+      let a' = Array.make (2 * k) x in
+      Array.blit a 0 a' 0 k;
+      a'
+    in
+    t.reads <- grow t.reads Btree.Keyset.empty;
+    t.writes <- grow t.writes Btree.Keyset.empty;
+    t.fin <- grow t.fin 0.0
+  end;
+  t.reads.(k) <- reads;
+  t.writes.(k) <- writes;
+  t.fin.(k) <- t.fl.(fin_i);
+  t.n_active <- k + 1
+
+(* In-order commit of the command that finished at [fl.(fin_i)]. *)
+let commit_in_order t = t.fl.(commit_i) <- fmax t.fl.(fin_i) t.fl.(commit_i)
+
+let submit_pessimistic t ~uid ~reads ~writes op =
+  (* Dispatch once every conflicting predecessor has finished. *)
+  let now = t.fl.(clock_i) in
+  let ready = ref now in
+  for k = 0 to t.n_active - 1 do
+    let f = t.fin.(k) in
+    if f > !ready
+       && Btree.Keyset.conflict ~r1:reads ~w1:writes ~r2:t.reads.(k)
+            ~w2:t.writes.(k)
+    then ready := f
+  done;
+  let ready = !ready in
+  let w = argmin_free t in
+  let start = fmax ready t.workers.(w) in
+  let o = t.service.execute op in
+  let fin = start +. o.cost in
+  t.workers.(w) <- fin;
+  Sim.Stats.Busy.add_at t.busy ~now:start o.cost;
+  t.fl.(ready_i) <- ready;
+  t.fl.(start_i) <- start;
+  t.fl.(fin_i) <- fin;
+  commit_in_order t;
+  t.last_rollbacks <- 0;
+  match t.tracer with
+  | None -> ()
+  | Some tr ->
+      let commit = t.fl.(commit_i) in
+      span t tr ~id:uid ~cat:"queue" ~name:"dep-wait" ~ts:now ~dur:(ready -. now);
+      span t tr ~id:uid ~cat:"dispatch" ~name:"worker-wait" ~ts:ready
+        ~dur:(start -. ready);
+      span t tr ~id:uid ~cat:"execute" ~name:"execute" ~ts:start ~dur:o.cost;
+      span t tr ~id:uid ~cat:"commit" ~name:"commit-wait" ~ts:fin ~dur:(commit -. fin)
+
+(* Execute speculatively on the first free worker; validate at commit and
+   roll back if a conflicting predecessor was still running when we
+   started.  Re-execution can detect a later conflict, so the check loops
+   until the command ran against settled state. *)
+let submit_optimistic t ~uid ~reads op =
+  let now = t.fl.(clock_i) in
+  let w = argmin_free t in
+  let start0 = fmax now t.workers.(w) in
+  let rb = t.service.rollback_cost in
+  let o0 = t.service.execute op in
+  Sim.Stats.Busy.add_at t.busy ~now:start0 o0.cost;
+  (match t.tracer with
+  | None -> ()
+  | Some tr ->
+      span t tr ~id:uid ~cat:"dispatch" ~name:"worker-wait" ~ts:now ~dur:(start0 -. now);
+      span t tr ~id:uid ~cat:"execute" ~name:"execute" ~ts:start0 ~dur:o0.cost);
+  t.fl.(start_i) <- start0;
+  t.fl.(fin_i) <- start0 +. o0.cost;
+  let o = ref o0 and n_roll = ref 0 and retry = ref true in
+  while !retry do
+    let start = t.fl.(start_i) in
+    (* Latest finish among predecessors whose writes this execution may
+       have read before they were done (0 if none). *)
+    let stale = ref false and latest = ref 0.0 in
+    for k = 0 to t.n_active - 1 do
+      let f = t.fin.(k) in
+      if f > start && Btree.Keyset.overlaps t.writes.(k) reads then begin
+        stale := true;
+        latest := fmax !latest f
+      end
+    done;
+    if not !stale then retry := false
+    else begin
+      let fin = t.fl.(fin_i) in
+      t.conflicts <- t.conflicts + 1;
+      t.rollbacks <- t.rollbacks + 1;
+      (match !o.undo with Some u -> u () | None -> ());
+      Sim.Stats.Busy.add_at t.busy ~now:fin rb;
+      let start' = fmax !latest (fin +. rb) in
+      let o' = t.service.execute op in
+      Sim.Stats.Busy.add_at t.busy ~now:start' o'.cost;
+      (match t.tracer with
+      | None -> ()
+      | Some tr ->
+          span t tr ~id:uid ~cat:"rollback" ~name:"rollback" ~ts:fin ~dur:rb;
+          span t tr ~id:uid ~cat:"execute" ~name:"re-execute" ~ts:start' ~dur:o'.cost);
+      t.fl.(start_i) <- start';
+      t.fl.(fin_i) <- start' +. o'.cost;
+      o := o';
+      incr n_roll
+    end
+  done;
+  let fin = t.fl.(fin_i) in
+  t.workers.(w) <- fin;
+  t.fl.(ready_i) <- now;
+  t.fl.(start_i) <- start0;
+  commit_in_order t;
+  t.last_rollbacks <- !n_roll;
+  match t.tracer with
+  | None -> ()
+  | Some tr ->
+      span t tr ~id:uid ~cat:"commit" ~name:"commit-wait" ~ts:fin
+        ~dur:(t.fl.(commit_i) -. fin)
 
 let submit t ~now ~uid ~reads ~writes op =
-  t.clock <- Stdlib.max t.clock now;
-  let now = t.clock in
+  t.fl.(clock_i) <- fmax t.fl.(clock_i) now;
   prune t;
-  let report =
-    match t.mode with
-    | Pessimistic ->
-        (* Dispatch once every conflicting predecessor has finished. *)
-        let ready =
-          List.fold_left
-            (fun acc e ->
-              if
-                e.i_fin > acc
-                && Btree.Keyset.conflict ~r1:reads ~w1:writes ~r2:e.i_reads
-                     ~w2:e.i_writes
-              then e.i_fin
-              else acc)
-            now t.active
-        in
-        let w = argmin_free t in
-        let start = Stdlib.max ready t.workers.(w) in
-        let o = t.service.execute op in
-        let fin = start +. o.cost in
-        t.workers.(w) <- fin;
-        Sim.Stats.Busy.add ~at:start t.busy o.cost;
-        let commit = commit_in_order t fin in
-        span t ~id:uid ~cat:"queue" ~name:"dep-wait" ~ts:now ~dur:(ready -. now);
-        span t ~id:uid ~cat:"dispatch" ~name:"worker-wait" ~ts:ready ~dur:(start -. ready);
-        span t ~id:uid ~cat:"execute" ~name:"execute" ~ts:start ~dur:o.cost;
-        span t ~id:uid ~cat:"commit" ~name:"commit-wait" ~ts:fin ~dur:(commit -. fin);
-        { r_ready = ready; r_start = start; r_fin = fin; r_commit = commit;
-          r_rollbacks = 0 }
-    | Optimistic ->
-        (* Execute speculatively on the first free worker; validate at
-           commit and roll back if a conflicting predecessor was still
-           running when we started. *)
-        let w = argmin_free t in
-        let start0 = Stdlib.max now t.workers.(w) in
-        let rb = t.service.rollback_cost in
-        let rec attempt start (o : Smr.Service.outcome) n_roll =
-          let fin = start +. o.cost in
-          let stale =
-            List.filter
-              (fun e -> e.i_fin > start && Btree.Keyset.overlaps e.i_writes reads)
-              t.active
-          in
-          if stale = [] then (start, fin, o, n_roll)
-          else begin
-            t.conflicts <- t.conflicts + 1;
-            t.rollbacks <- t.rollbacks + 1;
-            (match o.undo with Some u -> u () | None -> ());
-            Sim.Stats.Busy.add ~at:fin t.busy rb;
-            span t ~id:uid ~cat:"rollback" ~name:"rollback" ~ts:fin ~dur:rb;
-            let settled =
-              List.fold_left (fun a e -> Stdlib.max a e.i_fin) 0.0 stale
-            in
-            let start' = Stdlib.max settled (fin +. rb) in
-            let o' = t.service.execute op in
-            Sim.Stats.Busy.add ~at:start' t.busy o'.cost;
-            span t ~id:uid ~cat:"execute" ~name:"re-execute" ~ts:start' ~dur:o'.cost;
-            attempt start' o' (n_roll + 1)
-          end
-        in
-        let o0 = t.service.execute op in
-        Sim.Stats.Busy.add ~at:start0 t.busy o0.cost;
-        span t ~id:uid ~cat:"dispatch" ~name:"worker-wait" ~ts:now ~dur:(start0 -. now);
-        span t ~id:uid ~cat:"execute" ~name:"execute" ~ts:start0
-          ~dur:o0.Smr.Service.cost;
-        let _, fin, _, n_roll = attempt start0 o0 0 in
-        t.workers.(w) <- fin;
-        let commit = commit_in_order t fin in
-        span t ~id:uid ~cat:"commit" ~name:"commit-wait" ~ts:fin ~dur:(commit -. fin);
-        { r_ready = now; r_start = start0; r_fin = fin; r_commit = commit;
-          r_rollbacks = n_roll }
-  in
+  (match t.mode with
+  | Pessimistic -> submit_pessimistic t ~uid ~reads ~writes op
+  | Optimistic -> submit_optimistic t ~uid ~reads op);
   t.executed <- t.executed + 1;
-  t.active <-
-    { i_reads = reads; i_writes = writes; i_fin = report.r_fin;
-      i_commit = report.r_commit }
-    :: t.active;
-  report
+  push_active t ~reads ~writes
+
+let last_report t =
+  { r_ready = t.fl.(ready_i);
+    r_start = t.fl.(start_i);
+    r_fin = t.fl.(fin_i);
+    r_commit = t.fl.(commit_i);
+    r_rollbacks = t.last_rollbacks }
 
 let executed t = t.executed
 let rollbacks t = t.rollbacks
+let last_rollbacks t = t.last_rollbacks
 let conflicts t = t.conflicts
-let last_commit t = t.last_commit
+let last_commit t = t.fl.(commit_i)
 let n_workers t = Array.length t.workers
-let inflight t = List.length t.active
+let inflight t = t.n_active
 
 let conflict_rate t =
   if t.executed = 0 then 0.0

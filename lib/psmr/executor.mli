@@ -33,7 +33,9 @@ val create :
 
 (** [submit t ~now ~uid ~reads ~writes op] schedules, executes and commits
     one decided command.  [now] must be monotone across calls (an earlier
-    value is clamped to the latest seen). *)
+    value is clamped to the latest seen).  The command's timeline is read
+    back with {!last_commit}, {!last_rollbacks} or {!last_report}: returning
+    it would allocate a record per command. *)
 val submit :
   t ->
   now:float ->
@@ -41,7 +43,14 @@ val submit :
   reads:Btree.Keyset.t ->
   writes:Btree.Keyset.t ->
   Simnet.payload ->
-  report
+  unit
+
+(** The timeline of the latest submitted command (all zeros before the
+    first submission). *)
+val last_report : t -> report
+
+(** Re-executions the latest submitted command needed. *)
+val last_rollbacks : t -> int
 
 val executed : t -> int
 
@@ -55,7 +64,8 @@ val conflicts : t -> int
 (** [conflicts / executed]. *)
 val conflict_rate : t -> float
 
-(** Commit time of the latest committed command. *)
+(** Commit time of the latest committed command (commits are in log order,
+    so this is also the latest submitted command's commit time). *)
 val last_commit : t -> float
 
 val n_workers : t -> int

@@ -141,7 +141,7 @@ let rec complete_barrier t rep ~uid b =
           let start = Stdlib.max arrived rep.workers.(i) in
           let fin = start +. t.cfg.exec_cost in
           rep.workers.(i) <- fin;
-          Sim.Stats.Busy.add ~at:start rep.busy t.cfg.exec_cost;
+          Sim.Stats.Busy.add_at rep.busy ~now:start t.cfg.exec_cost;
           rep.exec_count <- rep.exec_count + 1;
           respond t rep ~learner:((rep.rep_idx * t.cfg.n_workers) + i)
             ~uid:it'.Paxos.Value.uid ~at:fin;
@@ -159,7 +159,7 @@ let rec complete_barrier t rep ~uid b =
   for i = 0 to t.cfg.n_workers - 1 do
     rep.workers.(i) <- fin
   done;
-  Sim.Stats.Busy.add ~at:!ready rep.busy t.cfg.exec_cost;
+  Sim.Stats.Busy.add_at rep.busy ~now:!ready t.cfg.exec_cost;
   rep.exec_count <- rep.exec_count + 1;
   rep.barrier_count <- rep.barrier_count + 1;
   Hashtbl.remove rep.barriers uid;
@@ -178,7 +178,7 @@ and pump t rep w =
         let start = Stdlib.max arrived rep.workers.(w) in
         let fin = start +. t.cfg.exec_cost in
         rep.workers.(w) <- fin;
-        Sim.Stats.Busy.add ~at:start rep.busy t.cfg.exec_cost;
+        Sim.Stats.Busy.add_at rep.busy ~now:start t.cfg.exec_cost;
         rep.exec_count <- rep.exec_count + 1;
         respond t rep ~learner:((rep.rep_idx * t.cfg.n_workers) + w)
           ~uid:it.Paxos.Value.uid ~at:fin;
@@ -209,15 +209,14 @@ let kv_deliver t ~learner (it : Paxos.Value.item) =
   match it.app with
   | PKv { op; reads; writes } ->
       let ex = match rep.exec with Some e -> e | None -> assert false in
-      let r =
-        Executor.submit ex ~now:(Simnet.now t.net) ~uid:it.uid ~reads ~writes op
-      in
+      Executor.submit ex ~now:(Simnet.now t.net) ~uid:it.uid ~reads ~writes op;
       rep.exec_count <- rep.exec_count + 1;
-      if r.Executor.r_rollbacks > 0 then begin
-        Smr.Metrics.note_rollbacks t.metrics r.Executor.r_rollbacks;
-        Smr.Metrics.note_conflicts t.metrics r.Executor.r_rollbacks
+      let rollbacks = Executor.last_rollbacks ex in
+      if rollbacks > 0 then begin
+        Smr.Metrics.note_rollbacks t.metrics rollbacks;
+        Smr.Metrics.note_conflicts t.metrics rollbacks
       end;
-      respond t rep ~learner ~uid:it.uid ~at:r.Executor.r_commit
+      respond t rep ~learner ~uid:it.uid ~at:(Executor.last_commit ex)
   | _ -> ()
 
 (* --- single-stream approaches -------------------------------------------------- *)
@@ -252,7 +251,7 @@ let sdpe_deliver t ~learner (it : Paxos.Value.item) =
           fin
         end
       in
-      Sim.Stats.Busy.add ~at:(fin -. t.cfg.exec_cost) rep.busy t.cfg.exec_cost;
+      Sim.Stats.Busy.add_at rep.busy ~now:(fin -. t.cfg.exec_cost) t.cfg.exec_cost;
       rep.exec_count <- rep.exec_count + 1;
       respond t rep ~learner ~uid:it.uid ~at:fin
   | _ -> ())
@@ -264,7 +263,7 @@ let serial_deliver t ~learner (it : Paxos.Value.item) =
   let start = Stdlib.max now rep.workers.(0) in
   let fin = start +. t.cfg.exec_cost in
   rep.workers.(0) <- fin;
-  Sim.Stats.Busy.add ~at:start rep.busy t.cfg.exec_cost;
+  Sim.Stats.Busy.add_at rep.busy ~now:start t.cfg.exec_cost;
   rep.exec_count <- rep.exec_count + 1;
   respond t rep ~learner ~uid:it.Paxos.Value.uid ~at:fin
 

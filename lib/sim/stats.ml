@@ -309,32 +309,12 @@ module Busy = struct
 
   (* Record the busy interval [fl.(4), fl.(4) +. fl.(5)), split exactly
      across the buckets it spans.  The interval arrives through the
-     scratch slots of [fl] so no boxed float crosses the call. *)
+     scratch slots of [fl] so no boxed float crosses the call; [Ring.bucket]
+     is inlined by hand and the compares are monomorphic, because
+     [Stdlib.max]/[min] box both arguments through the polymorphic call.
+     Runs once per resource acquisition on the packet path, so it must
+     not allocate. *)
   let record_span t =
-    let start = Array.unsafe_get t.fl span_start_i in
-    let dur = Array.unsafe_get t.fl span_dur_i in
-    let fin = start +. dur in
-    let b0 = Ring.bucket t.ring start in
-    let b1 = Ring.bucket t.ring fin in
-    for b = b0 to b1 do
-      let bs = float_of_int b *. t.ring.Ring.width in
-      let be = bs +. t.ring.Ring.width in
-      let lo = Stdlib.max start bs and hi = Stdlib.min fin be in
-      if hi > lo then begin
-        let s = Ring.locate_i t.ring b ~clear:t.clear in
-        if s >= 0 then t.per_bucket.(s) <- t.per_bucket.(s) +. (hi -. lo)
-      end
-    done
-
-  (* [record_span] for the tick path, with [Ring.bucket] inlined by hand
-     and monomorphic float compares: a float argument crossing a function
-     boundary is boxed without flambda, and [Stdlib.max]/[min] box both
-     arguments through the polymorphic call.  Runs once per resource
-     acquisition on the packet path, so it must not allocate.  The float
-     [record_span] above stays as-is: it serves the boxed reference mode
-     and the unquantized [charge_cpu]/[exec] bookings, and computes
-     identical bucket sums. *)
-  let record_span_tk t =
     let start = Array.unsafe_get t.fl span_start_i in
     let dur = Array.unsafe_get t.fl span_dur_i in
     let fin = start +. dur in
@@ -354,39 +334,38 @@ module Busy = struct
       end
     done
 
-  let add ?at t dur =
-    t.fl.(total_i) <- t.fl.(total_i) +. dur;
-    t.fl.(wbusy_i) <- t.fl.(wbusy_i) +. dur;
-    if dur > 0.0 then begin
-      let start = match at with Some s -> s | None -> t.fl.(cursor_i) in
-      t.fl.(span_start_i) <- start;
-      t.fl.(span_dur_i) <- dur;
-      record_span t;
-      let fin = start +. dur in
-      if fin > t.fl.(cursor_i) then t.fl.(cursor_i) <- fin
-    end
-
-  let add_at t ~now dur = add ~at:now t dur
-
-  (* Tick-grid variant with an int-only signature: identical accounting
-     to [add ~at:(start_tk / tps) (dur_tk / tps)], with every float a
-     local or an array slot, so resource acquisition on the packet path
-     records busy time with zero allocation. *)
-  let ticks_per_second_f = float_of_int Wheel.ticks_per_second
-
-  let add_tk t ~start_tk ~dur_tk =
-    let start = float_of_int start_tk /. ticks_per_second_f in
-    let dur = float_of_int dur_tk /. ticks_per_second_f in
+  (* Every float is a local or an array slot.  [@@inline] keeps [add] and
+     [add_tk] allocation-free; a caller in another compilation unit boxes
+     [now] (2 words) unless it has cross-module inlining (dune's dev
+     profile builds with -opaque), against 4 for [add ~at]'s [Some] and
+     box. *)
+  let add_at t ~now dur =
     let fl = t.fl in
     Array.unsafe_set fl total_i (Array.unsafe_get fl total_i +. dur);
     Array.unsafe_set fl wbusy_i (Array.unsafe_get fl wbusy_i +. dur);
     if dur > 0.0 then begin
-      Array.unsafe_set fl span_start_i start;
+      Array.unsafe_set fl span_start_i now;
       Array.unsafe_set fl span_dur_i dur;
-      record_span_tk t;
-      let fin = start +. dur in
+      record_span t;
+      let fin = now +. dur in
       if fin > Array.unsafe_get fl cursor_i then Array.unsafe_set fl cursor_i fin
     end
+  [@@inline]
+
+  let add ?at t dur =
+    let now = match at with Some s -> s | None -> t.fl.(cursor_i) in
+    add_at t ~now dur
+
+  (* Tick-grid variant with an int-only signature: identical accounting
+     to [add_at ~now:(start_tk / tps) (dur_tk / tps)], so resource
+     acquisition on the packet path records busy time with zero
+     allocation. *)
+  let ticks_per_second_f = float_of_int Wheel.ticks_per_second
+
+  let add_tk t ~start_tk ~dur_tk =
+    add_at t
+      ~now:(float_of_int start_tk /. ticks_per_second_f)
+      (float_of_int dur_tk /. ticks_per_second_f)
 
   let total t = t.fl.(total_i)
 

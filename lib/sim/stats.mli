@@ -103,7 +103,9 @@ module Busy : sig
       callers meaningful; timestamped attribution is strictly better. *)
   val add : ?at:float -> t -> float -> unit
 
-  (** [add_at t ~now dur] is [add ~at:now t dur]. *)
+  (** [add_at t ~now dur] is [add ~at:now t dur] without the optional
+      argument: at most the box of [now] is allocated, none where the call
+      is inlined.  Prefer it wherever the start time is known. *)
   val add_at : t -> now:float -> float -> unit
 
   (** [add_tk t ~start_tk ~dur_tk] accounts the busy interval starting at

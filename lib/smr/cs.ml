@@ -24,7 +24,7 @@ let book t cost =
   let start = Stdlib.max now t.threads.(!best) in
   let fin = start +. cost in
   t.threads.(!best) <- fin;
-  Sim.Stats.Busy.add ~at:start t.busy cost;
+  Sim.Stats.Busy.add_at t.busy ~now:start cost;
   fin
 
 let rec submit_next t client_idx =

@@ -9,5 +9,7 @@ type t = {
   rollback_cost : float;
 }
 
+(* Every call answers the same immutable outcome, allocated once. *)
 let dummy ?(cost = 0.0) ?(resp_size = 64) () =
-  { execute = (fun _ -> { resp_size; cost; undo = None }); rollback_cost = 0.0 }
+  let outcome = { resp_size; cost; undo = None } in
+  { execute = (fun _ -> outcome); rollback_cost = 0.0 }

@@ -91,7 +91,7 @@ let book t r cost =
   let start = if now > r.rp_exec_free then now else r.rp_exec_free in
   let fin = start +. cost in
   r.rp_exec_free <- fin;
-  Sim.Stats.Busy.add ~at:start r.rp_exec_busy cost;
+  Sim.Stats.Busy.add_at r.rp_exec_busy ~now:start cost;
   trace t (fun tr ->
       if cost > 0.0 then
         Trace.span tr ~pid:(Simnet.pid (Ringpaxos.Mring.learner_proc (the_mr t) r.rp_lrn))

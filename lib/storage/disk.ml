@@ -47,7 +47,7 @@ let rec pump t =
     let start = if now > t.free_at then now else t.free_at in
     let finish = start +. dur in
     t.free_at <- finish;
-    Sim.Stats.Busy.add ~at:start t.busy dur;
+    Sim.Stats.Busy.add_at t.busy ~now:start dur;
     t.written <- t.written + bytes;
     let ks = List.rev !callbacks in
     ignore

@@ -231,3 +231,43 @@ let suite =
       QCheck_alcotest.to_alcotest prop_keyset_overlaps_oracle;
       QCheck_alcotest.to_alcotest prop_keyset_subset_oracle;
       QCheck_alcotest.to_alcotest prop_keyset_normalised ]
+
+(* --- allocation bounds ------------------------------------------------------- *)
+
+(* Minor words per call of [f] over [n] calls, after a warm-up call. *)
+let words_per_call ?(n = 10_000) f =
+  f 0;
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    f i
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let test_apply_path_allocation () =
+  let t = B.create () in
+  for k = 0 to 999 do
+    ignore (B.insert t k k)
+  done;
+  (* Overwriting an existing key allocates only the [Some] it returns. *)
+  let update = words_per_call (fun i -> ignore (B.insert t (i mod 1000) i)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "update of an existing key: %.2f words (<= 3)" update)
+    true (update <= 3.0);
+  let point =
+    words_per_call (fun i ->
+        let k = i mod 1000 in
+        ignore (B.range_count t ~lo:k ~hi:k))
+  in
+  Alcotest.(check (float 0.0)) "point range_count allocates nothing" 0.0 point;
+  (* Disjoint sets, so each of the three overlap walks runs to the end. *)
+  let a = KS.of_ranges [ (1, 5); (20, 30) ] and b = KS.of_ranges [ (7, 9); (40, 50) ] in
+  let c = KS.of_ranges [ (10, 12); (60, 70) ] and d = KS.singleton 100 in
+  let conflict =
+    words_per_call (fun _ ->
+        ignore (Sys.opaque_identity (KS.conflict ~r1:a ~w1:b ~r2:c ~w2:d)))
+  in
+  Alcotest.(check (float 0.0)) "Keyset.conflict allocates nothing" 0.0 conflict
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "apply-path allocation bounds" `Quick test_apply_path_allocation ]

@@ -255,10 +255,9 @@ let exec_stream ?(n_workers = 4) ?(window = 32) ~mode keys =
       (fun i key ->
         let now = if i < window then 0.0 else commits.(i - window) in
         let ks = Btree.Keyset.singleton key in
-        let r =
-          Ex.submit ex ~now ~uid:i ~reads:ks ~writes:ks
-            (Smr.Btree_service.Insert { key; value = i })
-        in
+        Ex.submit ex ~now ~uid:i ~reads:ks ~writes:ks
+          (Smr.Btree_service.Insert { key; value = i });
+        let r = Ex.last_report ex in
         commits.(i) <- r.Ex.r_commit;
         r)
       keys
@@ -350,6 +349,175 @@ let prop_executor_modes_agree =
       Smr.Btree_service.fingerprint p = seq
       && Smr.Btree_service.fingerprint o = seq)
 
+(* --- executor against a reference model ---------------------------------------- *)
+
+(* The executor's scheduling algorithm in its plain list-based form: the
+   active set is a list filtered on every submission, and every fold is a
+   closure.  The flat executor must reproduce it float for float. *)
+module Model = struct
+  type entry = { reads : Btree.Keyset.t; writes : Btree.Keyset.t; fin : float }
+
+  type t = {
+    svc : Smr.Service.t;
+    workers : float array;
+    mutable active : entry list;
+    mutable clock : float;
+    mutable last_commit : float;
+    mutable executed : int;
+    mutable rollbacks : int;
+    mutable conflicts : int;
+  }
+
+  let create ~n_workers svc =
+    { svc; workers = Array.make n_workers 0.0; active = []; clock = 0.0;
+      last_commit = 0.0; executed = 0; rollbacks = 0; conflicts = 0 }
+
+  let argmin_free m =
+    let w = ref 0 in
+    Array.iteri (fun i f -> if f < m.workers.(!w) then w := i) m.workers;
+    !w
+
+  let submit m ~mode ~now ~reads ~writes op =
+    m.clock <- Stdlib.max m.clock now;
+    let now = m.clock in
+    let wm = Stdlib.max now (Array.fold_left Stdlib.min m.workers.(0) m.workers) in
+    m.active <- List.filter (fun e -> e.fin > wm) m.active;
+    let w = argmin_free m in
+    let ready, start, fin, rolls =
+      match mode with
+      | Ex.Pessimistic ->
+          let ready =
+            List.fold_left
+              (fun acc e ->
+                if e.fin > acc
+                   && Btree.Keyset.conflict ~r1:reads ~w1:writes ~r2:e.reads ~w2:e.writes
+                then e.fin
+                else acc)
+              now m.active
+          in
+          let start = Stdlib.max ready m.workers.(w) in
+          (ready, start, start +. (m.svc.execute op).cost, 0)
+      | Ex.Optimistic ->
+          let rec attempt start (o : Smr.Service.outcome) n =
+            let fin = start +. o.cost in
+            let stale =
+              List.filter
+                (fun e -> e.fin > start && Btree.Keyset.overlaps e.writes reads)
+                m.active
+            in
+            if stale = [] then (fin, n)
+            else begin
+              m.conflicts <- m.conflicts + 1;
+              m.rollbacks <- m.rollbacks + 1;
+              Option.iter (fun u -> u ()) o.undo;
+              let settled = List.fold_left (fun a e -> Stdlib.max a e.fin) 0.0 stale in
+              let start' = Stdlib.max settled (fin +. m.svc.rollback_cost) in
+              attempt start' (m.svc.execute op) (n + 1)
+            end
+          in
+          let start0 = Stdlib.max now m.workers.(w) in
+          let fin, n = attempt start0 (m.svc.execute op) 0 in
+          (now, start0, fin, n)
+    in
+    m.workers.(w) <- fin;
+    let commit = Stdlib.max fin m.last_commit in
+    m.last_commit <- commit;
+    m.executed <- m.executed + 1;
+    m.active <- { reads; writes; fin } :: m.active;
+    { Ex.r_ready = ready; r_start = start; r_fin = fin; r_commit = commit;
+      r_rollbacks = rolls }
+end
+
+(* A command: time step in microseconds (negative steps move [now]
+   backwards), kind (0 read, 1 write, 2 read-write), first key and range
+   width (0 is a point key-set). *)
+let gen_cmd =
+  QCheck.Gen.(quad (int_range (-3) 12) (int_range 0 2) (int_range 1 24) (int_range 0 3))
+
+let prop_executor_matches_model =
+  QCheck.Test.make ~name:"executor: flat state matches the list-based model" ~count:300
+    QCheck.(
+      make
+        ~print:
+          Print.(
+            triple int bool
+              (list (fun (dt, k, lo, wd) -> Printf.sprintf "(%d,%d,%d,%d)" dt k lo wd)))
+        Gen.(triple (int_range 1 4) bool (list_size (int_range 1 120) gen_cmd)))
+    (fun (n_workers, optimistic, cmds) ->
+      let mode = if optimistic then Ex.Optimistic else Ex.Pessimistic in
+      let svc () = Smr.Btree_service.create ~initial_keys:16 ~key_range:32 ~seed:3 () in
+      let s1 = svc () and s2 = svc () in
+      let ex = Ex.create ~mode ~n_workers s1.Smr.Btree_service.service in
+      let m = Model.create ~n_workers s2.Smr.Btree_service.service in
+      let now = ref 0.0 in
+      List.iteri
+        (fun i (dt, kind, lo, width) ->
+          now := !now +. (float_of_int dt *. 1e-6);
+          let ks =
+            if width = 0 then Btree.Keyset.singleton lo
+            else Btree.Keyset.range ~lo ~hi:(lo + width)
+          in
+          let reads = if kind = 1 then Btree.Keyset.empty else ks in
+          let writes = if kind = 0 then Btree.Keyset.empty else ks in
+          let op =
+            if kind = 0 then Smr.Btree_service.Query { lo; hi = lo + width }
+            else Smr.Btree_service.Insert { key = lo; value = i }
+          in
+          Ex.submit ex ~now:!now ~uid:i ~reads ~writes op;
+          let want = Model.submit m ~mode ~now:!now ~reads ~writes op in
+          let got = Ex.last_report ex in
+          let same what a b =
+            if not (a = b) then
+              QCheck.Test.fail_reportf "command %d: %s %h <> model %h" i what a b
+          in
+          same "ready" got.r_ready want.r_ready;
+          same "start" got.r_start want.r_start;
+          same "fin" got.r_fin want.r_fin;
+          same "commit" got.r_commit want.r_commit;
+          same "last_commit" (Ex.last_commit ex) m.last_commit;
+          let count what a b =
+            if a <> b then QCheck.Test.fail_reportf "command %d: %s %d <> model %d" i what a b
+          in
+          count "report rollbacks" got.r_rollbacks want.r_rollbacks;
+          count "last_rollbacks" (Ex.last_rollbacks ex) want.r_rollbacks;
+          count "executed" (Ex.executed ex) m.executed;
+          count "rollbacks" (Ex.rollbacks ex) m.rollbacks;
+          count "conflicts" (Ex.conflicts ex) m.conflicts;
+          count "inflight" (Ex.inflight ex) (List.length m.active))
+        cmds;
+      Smr.Btree_service.fingerprint s1 = Smr.Btree_service.fingerprint s2)
+
+(* --- allocation bounds on the apply path --------------------------------------- *)
+
+let test_executor_submit_allocation () =
+  (* Steady-state pessimistic submission over a constant-outcome service:
+     4 workers with about 4 commands in flight.  The active set is flat
+     arrays compacted in place, so the only allocation left is the boxed
+     [~now] this loop passes. *)
+  let cost = 1.0e-6 in
+  let ex =
+    Ex.create ~mode:Ex.Pessimistic ~n_workers:4 (Smr.Service.dummy ~cost ())
+  in
+  let keys = Array.init 64 Btree.Keyset.singleton in
+  let step i =
+    let ks = keys.(i land 63) in
+    Ex.submit ex ~now:(float_of_int i *. (cost /. 4.0)) ~uid:i ~reads:ks ~writes:ks
+      Simnet.Noop
+  in
+  for i = 0 to 999 do
+    step i
+  done;
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1_000 to 1_000 + n - 1 do
+    step i
+  done;
+  let per_cmd = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check bool) "commands stay in flight" true (Ex.inflight ex >= 3);
+  Alcotest.(check bool)
+    (Printf.sprintf "submit allocates %.2f words/command (<= 4)" per_cmd)
+    true (per_cmd <= 4.0)
+
 (* --- executor approaches end to end ------------------------------------------- *)
 
 let test_executor_approaches_end_to_end () =
@@ -406,6 +574,9 @@ let suite =
       Alcotest.test_case "executor: rollback determinism" `Quick
         test_executor_rollback_determinism;
       QCheck_alcotest.to_alcotest prop_executor_modes_agree;
+      QCheck_alcotest.to_alcotest prop_executor_matches_model;
+      Alcotest.test_case "executor: submit allocation" `Quick
+        test_executor_submit_allocation;
       Alcotest.test_case "executor approaches end to end" `Quick
         test_executor_approaches_end_to_end;
       Alcotest.test_case "open-loop drive" `Quick test_open_loop_drive ]
