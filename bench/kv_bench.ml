@@ -4,18 +4,21 @@
    Three slices:
 
    1. a preset sweep (YCSB A-E) quoting per-class p50/p99/p999;
-   2. a leases x workers grid on YCSB-A (update-heavy) and YCSB-C
-      (read-only), the headline local-read comparison;
-   3. a sustained-throughput ladder on YCSB-C, leases on vs off: the
-      offered rate doubles until a rung breaks the read-p99 budget, then
-      the last bracket is bisected; the first failing rung is recorded, so
-      the sustained rate is a ceiling, not the top of a fixed ladder.
+   2. a leases on/off grid on YCSB-A (update-heavy) and YCSB-C
+      (read-only) at 2 workers, the headline local-read comparison;
+   3. sustained-throughput ladders on YCSB-C: leases on at 1, 2 and 4
+      executor workers, and leases off at 2.  The offered rate doubles
+      until a rung breaks the read-p99 budget, then the last bracket is
+      bisected; the first failing rung is recorded, so the sustained rate
+      is a ceiling, not the top of a fixed ladder.  At a flat low rate
+      every worker count reads the same; only a ladder shows what the
+      worker pool buys.
 
    A final verify slice replays a small history-recording run through the
    linearizability checker.  Results go to stdout and BENCH_kv.json; CI
-   gates on the local-to-ordered read p99 ratio on YCSB-C, both ladders
-   finding a failing rung, the linearizability verdict and throughput
-   floors. *)
+   gates on the local-to-ordered read p99 ratio on YCSB-C, every ladder
+   finding a failing rung, the linearizability verdict, throughput
+   floors and the 2-to-1-worker ladder ratio. *)
 
 let out_file = "BENCH_kv.json"
 let grid_rate = 2_000.0
@@ -25,6 +28,8 @@ let p99_budget_ms = 5.0
 let ladder_from = 1_000.0
 let ladder_cap = 4_096_000.0  (* a rung this high that still holds is a bug *)
 let bisections = 4
+let grid_workers = 2
+let ladder_workers = [ 1; 2; 4 ]
 
 type run = {
   preset : Kv.Ycsb.preset;
@@ -105,7 +110,9 @@ let preset_sweep () =
     Kv.Ycsb.all
 
 let grid () =
-  Util.header "Lease tier on/off x executor workers (YCSB-A and YCSB-C)";
+  Util.header
+    (Printf.sprintf "Lease tier on/off (YCSB-A and YCSB-C, %d workers)"
+       grid_workers);
   Printf.printf "%-7s %-6s %7s %12s %10s %10s %10s %10s\n" "preset" "leases"
     "workers" "ops/s" "local" "nacks" "p99(ms)" "p999(ms)";
   let cells = ref [] in
@@ -113,20 +120,18 @@ let grid () =
     (fun preset ->
       List.iter
         (fun leases ->
-          List.iter
-            (fun workers ->
-              let r = run_once ~preset ~leases ~workers ~rate:grid_rate () in
-              Printf.printf "%-7s %-6b %7d %12.0f %10d %10d %10.3f %10.3f\n"
-                (Kv.Ycsb.name r.preset) r.leases r.workers r.ops_per_sec
-                r.local_reads r.local_nacks r.read_p99 r.read_p999;
-              Util.snap
-                (Printf.sprintf "kv/grid/%s/%s/%dw" (Kv.Ycsb.name preset)
-                   (if leases then "leases" else "ordered")
-                   workers)
-                ~events_per_sec:r.ops_per_sec
-                ~counters:[ ("local_reads", r.local_reads) ];
-              cells := r :: !cells)
-            [ 1; 2; 4 ])
+          let workers = grid_workers in
+          let r = run_once ~preset ~leases ~workers ~rate:grid_rate () in
+          Printf.printf "%-7s %-6b %7d %12.0f %10d %10d %10.3f %10.3f\n"
+            (Kv.Ycsb.name r.preset) r.leases r.workers r.ops_per_sec
+            r.local_reads r.local_nacks r.read_p99 r.read_p999;
+          Util.snap
+            (Printf.sprintf "kv/grid/%s/%s/%dw" (Kv.Ycsb.name preset)
+               (if leases then "leases" else "ordered")
+               workers)
+            ~events_per_sec:r.ops_per_sec
+            ~counters:[ ("local_reads", r.local_reads) ];
+          cells := r :: !cells)
         [ true; false ])
     [ Kv.Ycsb.A; Kv.Ycsb.C ];
   List.rev !cells
@@ -140,13 +145,13 @@ let holds r = r.read_p99 <= p99_budget_ms && r.completed = r.generated
    bisect the last bracket [bisections] times.  Returns the highest rate
    that held (0 if none), the lowest that failed (None if the cap held),
    and every rung in the order probed. *)
-let ladder leases =
+let ladder ~leases ~workers =
   let probed = ref [] in
   let probe rate =
-    let r = run_once ~preset:Kv.Ycsb.C ~leases ~workers:2 ~rate () in
-    Printf.printf "%-7s %12.0f %12.0f %10.3f %10d %6s\n"
+    let r = run_once ~preset:Kv.Ycsb.C ~leases ~workers ~rate () in
+    Printf.printf "%-7s %7d %12.0f %12.0f %10.3f %10d %6s\n"
       (if leases then "leases" else "ordered")
-      rate r.ops_per_sec r.read_p99 r.drops
+      workers rate r.ops_per_sec r.read_p99 r.drops
       (if holds r then "holds" else "fails");
     probed := r :: !probed;
     holds r
@@ -228,24 +233,35 @@ let run () =
   Util.header
     (Printf.sprintf "Sustained YCSB-C throughput at read p99 <= %.1f ms"
        p99_budget_ms);
-  Printf.printf "%-7s %12s %12s %10s %10s %6s\n" "tier" "offered" "ops/s"
-    "p99(ms)" "drops" "rung";
-  let sustained_on, failing_on, ladder_on = ladder true in
-  let sustained_off, failing_off, ladder_off = ladder false in
+  Printf.printf "%-7s %7s %12s %12s %10s %10s %6s\n" "tier" "workers"
+    "offered" "ops/s" "p99(ms)" "drops" "rung";
+  let ladders_on =
+    List.map (fun workers -> (workers, ladder ~leases:true ~workers)) ladder_workers
+  in
+  let sustained_on, failing_on, _ = List.assoc grid_workers ladders_on in
+  let sustained_off, failing_off, ladder_off =
+    ladder ~leases:false ~workers:grid_workers
+  in
   let rate_opt = function Some r -> Printf.sprintf "%.0f" r | None -> "null" in
+  List.iter
+    (fun (workers, (sustained, failing, _)) ->
+      Printf.printf "leases on, %d workers: sustained %.0f ops/s (fails at %s)\n"
+        workers sustained (rate_opt failing))
+    ladders_on;
   Printf.printf
-    "sustained at budget: leases on %.0f ops/s (fails at %s), leases off \
-     %.0f ops/s (fails at %s)\n"
-    sustained_on (rate_opt failing_on) sustained_off (rate_opt failing_off);
+    "sustained at budget (%d workers): leases on %.0f ops/s (fails at %s), \
+     leases off %.0f ops/s (fails at %s)\n"
+    grid_workers sustained_on (rate_opt failing_on) sustained_off
+    (rate_opt failing_off);
   let lin, agree = verify_slice () in
   let find ~preset ~leases ~workers =
     List.find
       (fun r -> r.preset = preset && r.leases = leases && r.workers = workers)
       cells
   in
-  let c_on = find ~preset:Kv.Ycsb.C ~leases:true ~workers:2 in
-  let c_off = find ~preset:Kv.Ycsb.C ~leases:false ~workers:2 in
-  let a_on = find ~preset:Kv.Ycsb.A ~leases:true ~workers:2 in
+  let c_on = find ~preset:Kv.Ycsb.C ~leases:true ~workers:grid_workers in
+  let c_off = find ~preset:Kv.Ycsb.C ~leases:false ~workers:grid_workers in
+  let a_on = find ~preset:Kv.Ycsb.A ~leases:true ~workers:grid_workers in
   (* The lease-served class alone, free of the startup transient (the few
      reads issued before the first grants land go ordered and would
      otherwise dominate the leases-on p99). *)
@@ -260,6 +276,10 @@ let run () =
     (100.0
     *. float_of_int c_on.local_reads
     /. float_of_int (max 1 c_on.completed));
+  let by_workers f =
+    String.concat ","
+      (List.map (fun (w, l) -> Printf.sprintf "\"%d\":%s" w (f l)) ladders_on)
+  in
   let oc = open_out out_file in
   Printf.fprintf oc
     "{\n\
@@ -278,15 +298,23 @@ let run () =
      \"sustained_ops_leases_off\":%.0f,\
      \"failing_rate_leases_on\":%s,\
      \"failing_rate_leases_off\":%s,\
+     \"sustained_ops_leases_on_by_workers\":{%s},\
+     \"failing_rate_leases_on_by_workers\":{%s},\
      \"linearizable\":%b,\"replicas_agree\":%b}\n\
      }\n"
     grid_rate p99_budget_ms
     (String.concat ",\n" (List.map json_of_run presets))
     (String.concat ",\n" (List.map json_of_run cells))
-    (String.concat ",\n" (List.map json_of_run (ladder_on @ ladder_off)))
+    (String.concat ",\n"
+       (List.map json_of_run
+          (List.concat_map (fun (_, (_, _, rungs)) -> rungs) ladders_on
+          @ ladder_off)))
     c_on.read_p99 c_off.read_p99 local_p99
     (float_of_int c_on.local_reads /. float_of_int (max 1 c_on.completed))
     a_on.ops_per_sec sustained_on sustained_off (rate_opt failing_on)
-    (rate_opt failing_off) lin agree;
+    (rate_opt failing_off)
+    (by_workers (fun (s, _, _) -> Printf.sprintf "%.0f" s))
+    (by_workers (fun (_, f, _) -> rate_opt f))
+    lin agree;
   close_out oc;
   Printf.printf "wrote %s\n%!" out_file

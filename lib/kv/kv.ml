@@ -185,7 +185,12 @@ let apply_grant t rep ~replica ~keys ~until =
 let apply_op t rep (it : Paxos.Value.item) ~op ~reads ~writes =
   let uid = it.Paxos.Value.uid in
   let now = Simnet.now t.net in
-  let wrote = not (Btree.Keyset.is_empty writes) in
+  (* Only a state-changing command touches leases: non-responders skip
+     read-only commands, so counting a read's declared writes here would
+     let the replicas' lease tables drift apart. *)
+  let wrote =
+    (not (Btree.Keyset.is_empty writes)) && not (Smr.Btree_service.read_only op)
+  in
   let responder = responder_replica t uid in
   let mine = responder = rep.r_idx in
   (* Replicas whose lease covers this write at its apply point — computed
@@ -302,7 +307,15 @@ let deliver t ~learner ~group:_ (it : Paxos.Value.item) =
   | None -> ());
   match it.Paxos.Value.app with
   | KGrant { replica; keys; until } -> apply_grant t rep ~replica ~keys ~until
-  | KOp { op; reads; writes } -> apply_op t rep it ~op ~reads ~writes
+  | KOp { op; reads; writes } ->
+      (* A read-only command changes no state and only its responder
+         replies, so it runs once: at its log position, on the responder.
+         Read-only is the command's own property, never its declared
+         key-sets — an update declared with no writes still runs
+         everywhere, or the replicas would diverge. *)
+      if learner = responder_replica t it.Paxos.Value.uid
+         || not (Smr.Btree_service.read_only op)
+      then apply_op t rep it ~op ~reads ~writes
   | _ -> ()
 
 (* --- client side ----------------------------------------------------------------- *)
@@ -407,9 +420,8 @@ let serve_read t rep ~rid ~client ~key =
   let now = Simnet.now t.net in
   let proc = learner_proc t rep.r_idx in
   let valid = t.broken_leases || now < e.ls_until in
-  let covered =
-    Btree.Keyset.subset (Btree.Keyset.range ~lo:key ~hi:key) e.ls_keys
-  in
+  let keys = Btree.Keyset.range ~lo:key ~hi:key in
+  let covered = Btree.Keyset.subset keys e.ls_keys in
   if t.cfg.leases && valid && covered then begin
     Protocol.Counters.incr t.ctrs "kv_local_reads";
     (* The service owns the CPU cost; the reply carries one value. *)
@@ -418,21 +430,34 @@ let serve_read t rep ~rid ~client ~key =
          (Smr.Btree_service.Query { lo = key; hi = key }))
         .Smr.Service.cost
     in
-    (* The observed value only feeds the linearizability history. *)
+    (* The observed value only feeds the linearizability history.  It is
+       the tree at [now], while the lease is valid: the read's
+       linearization point, however long it then waits for a worker. *)
     let obs =
       if t.cfg.record_history then
         Btree.find rep.r_svc.Smr.Btree_service.tree key
       else None
     in
+    (* The read runs on the replica's worker pool, beside the ordered
+       commands, not on the learner's CPU. *)
+    let ex = exec_of rep in
+    Psmr.Executor.read ex ~now ~reads:keys ~cost;
+    let fin = Psmr.Executor.last_read_fin ex in
     (match Simnet.tracer t.net with
     | Some tr ->
-        Trace.span tr ~pid:(Simnet.pid proc) ~cat:"lease" ~name:"local-read"
-          ~ts:now ~dur:cost
+        let start = Psmr.Executor.last_read_start ex in
+        let pid = Simnet.pid proc in
+        if start > now then
+          Trace.span tr ~pid ~cat:"lease" ~name:"local-read-wait" ~ts:now
+            ~dur:(start -. now);
+        Trace.span tr ~pid ~cat:"lease" ~name:"local-read" ~ts:start ~dur:cost
     | None -> ());
-    Simnet.exec t.net proc ~dur:cost (fun () ->
-        Simnet.send t.net ~src:proc ~dst:(client_proc t client)
-          ~size:point_resp
-          (KReadResp { rid; ok = true; obs }))
+    ignore
+      (Sim.Engine.at (Simnet.engine t.net) ~time:fin (fun () ->
+           if Simnet.is_alive proc then
+             Simnet.send t.net ~src:proc ~dst:(client_proc t client)
+               ~size:point_resp
+               (KReadResp { rid; ok = true; obs })))
   end
   else begin
     Protocol.Counters.incr t.ctrs "kv_local_nacks";
@@ -692,4 +717,5 @@ let check_history t =
 
 module Testing = struct
   let break_leases t = t.broken_leases <- true
+  let issue = issue
 end

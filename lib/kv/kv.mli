@@ -9,7 +9,10 @@
       every log position;
     - a lease holder answers single-key reads {e locally}, without a
       consensus round, while its own lease is valid and covers the keys
-      ({!Btree.Keyset.subset});
+      ({!Btree.Keyset.subset}); the read runs on the replica's executor
+      workers ({!Psmr.Executor.read});
+    - an ordered read-only command ({!Smr.Btree_service.read_only}) runs
+      only at its responder replica, the one that answers it;
     - a conflicting write {e invalidates} overlapping leases when applied
       (the lease epoch bumps), and the write's client response is held
       until every other replica holding a covering lease has acknowledged
@@ -100,7 +103,9 @@ val pending_writes : t -> int
 
 val pending_local_reads : t -> int
 
-(** Commands executed, summed across replicas. *)
+(** Ordered commands executed, summed across replicas: an update counts
+    once per replica, a read-only command once (at its responder).
+    Lease-served reads are not counted. *)
 val executed : t -> int
 
 (** Fingerprint of replica [r]'s btree (replicas must agree). *)
@@ -125,10 +130,15 @@ val history : t -> Smr.Linearizability.Kv.op list
     pre-run tree contents. *)
 val check_history : t -> bool
 
-(** White-box hooks for the broken-lease regression test. *)
+(** White-box hooks for regression tests. *)
 module Testing : sig
   (** Make every replica keep serving local reads even when its lease has
       expired or been invalidated — the bug the linearizability checker
       must catch. *)
   val break_leases : t -> unit
+
+  (** Issue one arrival now, as {!start_open} does at its due time: tests
+      use it to send commands no generator produces (e.g. an update
+      declared with an empty write set). *)
+  val issue : t -> Smr.Workload.Open_loop.arrival -> unit
 end

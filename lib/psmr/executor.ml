@@ -30,9 +30,16 @@
    are undone before anything else executes, so they are never observable
    (see CORRECTNESS.md).
 
+   A read-only command served outside the log (a lease read) goes through
+   [read]: it has no log position and so no commit; it waits only for
+   in-flight writes it overlaps, occupies a worker like any command, and
+   joins the active set so that a later overlapping write waits for it.
+
    Per-stage spans — queue (dependency wait), dispatch (worker wait),
    execute, rollback, commit (in-order commit wait) — feed the lib/trace
-   latency decomposition when a tracer is installed. *)
+   latency decomposition when a tracer is installed.  [read] emits none:
+   its caller owns its spans, so these stages describe ordered commands
+   only. *)
 
 type mode = Pessimistic | Optimistic
 
@@ -47,12 +54,15 @@ type report = {
 (* The float scalars live in [fl] rather than in mutable record fields: in
    a mixed record every write to a mutable float field boxes, and [submit]
    writes several per command.  Slots: the latest submission time seen,
-   the latest commit, and the current command's ready/start/fin. *)
+   the latest commit, the current command's ready/start/fin, and the
+   latest [read]'s start/fin. *)
 let clock_i = 0
 let commit_i = 1
 let ready_i = 2
 let start_i = 3
 let fin_i = 4
+let read_start_i = 5
+let read_fin_i = 6
 
 type t = {
   mode : mode;
@@ -83,7 +93,7 @@ let create ?tracer ?(pid = -1) ~mode ~n_workers service =
     busy = Sim.Stats.Busy.create ();
     tracer;
     pid;
-    fl = Array.make 5 0.0;
+    fl = Array.make 7 0.0;
     reads = Array.make cap Btree.Keyset.empty;
     writes = Array.make cap Btree.Keyset.empty;
     fin = Array.make cap 0.0;
@@ -141,7 +151,8 @@ let prune t =
   done;
   t.n_active <- !live
 
-let push_active t ~reads ~writes =
+(* Enter a command that finishes at [fl.(fin_slot)] into the active set. *)
+let push_active t ~reads ~writes fin_slot =
   let k = t.n_active in
   if k = Array.length t.fin then begin
     let grow a x =
@@ -155,7 +166,7 @@ let push_active t ~reads ~writes =
   end;
   t.reads.(k) <- reads;
   t.writes.(k) <- writes;
-  t.fin.(k) <- t.fl.(fin_i);
+  t.fin.(k) <- t.fl.(fin_slot);
   t.n_active <- k + 1
 
 (* In-order commit of the command that finished at [fl.(fin_i)]. *)
@@ -265,7 +276,32 @@ let submit t ~now ~uid ~reads ~writes op =
   | Pessimistic -> submit_pessimistic t ~uid ~reads ~writes op
   | Optimistic -> submit_optimistic t ~uid ~reads op);
   t.executed <- t.executed + 1;
-  push_active t ~reads ~writes
+  push_active t ~reads ~writes fin_i
+
+(* Wait for every in-flight write the read overlaps, then take the first
+   free worker.  Nothing commits, so the ordered command's timeline
+   ([ready]/[start]/[fin]/[commit] slots, [executed], [last_rollbacks])
+   is left as it was. *)
+let read t ~now ~reads ~cost =
+  let now = fmax t.fl.(clock_i) now in
+  t.fl.(clock_i) <- now;
+  prune t;
+  let ready = ref now in
+  for k = 0 to t.n_active - 1 do
+    let f = t.fin.(k) in
+    if f > !ready && Btree.Keyset.overlaps t.writes.(k) reads then ready := f
+  done;
+  let w = argmin_free t in
+  let start = fmax !ready t.workers.(w) in
+  let fin = start +. cost in
+  t.workers.(w) <- fin;
+  Sim.Stats.Busy.add_at t.busy ~now:start cost;
+  t.fl.(read_start_i) <- start;
+  t.fl.(read_fin_i) <- fin;
+  push_active t ~reads ~writes:Btree.Keyset.empty read_fin_i
+
+let last_read_start t = t.fl.(read_start_i)
+let last_read_fin t = t.fl.(read_fin_i)
 
 let last_report t =
   { r_ready = t.fl.(ready_i);

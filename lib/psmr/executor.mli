@@ -45,6 +45,24 @@ val submit :
   Simnet.payload ->
   unit
 
+(** [read t ~now ~reads ~cost] runs a read-only command that has no log
+    position (a lease-served read): it waits for the in-flight commands
+    whose writes overlap [reads], then occupies the first free worker for
+    [cost] seconds.  It joins the dependency tracker, so a later
+    conflicting write waits for it (in [Pessimistic] mode), but it does
+    not commit: {!last_commit}, {!last_report}, {!last_rollbacks} and
+    {!executed} still describe the latest submitted command.  Its start and
+    finish are read back with {!last_read_start} and {!last_read_fin}.
+    [now] is clamped like {!submit}'s.  No stage spans are emitted; the
+    caller traces the read. *)
+val read : t -> now:float -> reads:Btree.Keyset.t -> cost:float -> unit
+
+(** Worker start of the latest {!read} (0 before the first). *)
+val last_read_start : t -> float
+
+(** Finish of the latest {!read} (0 before the first). *)
+val last_read_fin : t -> float
+
 (** The timeline of the latest submitted command (all zeros before the
     first submission). *)
 val last_report : t -> report

@@ -4,6 +4,8 @@ type Simnet.payload +=
   | Query of { lo : int; hi : int }
   | Batch of Simnet.payload list
 
+let read_only = function Query _ -> true | _ -> false
+
 type cost_model = {
   update_cost : float;
   query_base : float;

@@ -15,6 +15,11 @@ type Simnet.payload +=
   | Query of { lo : int; hi : int }
   | Batch of Simnet.payload list  (** Ins/Del (batch): several updates *)
 
+(** [read_only op] — [op] changes no state: it is a [Query].  Decided by
+    the command itself, never by the key-sets a client declares for it,
+    so a mis-declared update still runs at every replica. *)
+val read_only : Simnet.payload -> bool
+
 type cost_model = {
   update_cost : float;  (** one insert/delete, seconds *)
   query_base : float;

@@ -115,15 +115,18 @@ let test_kv_writes_invalidate_leases () =
   Alcotest.(check bool) "epochs bumped" true
     (Kv.lease_epoch sys ~replica:0 > 0)
 
-let test_kv_replicas_agree () =
-  let sys, _ = drive ~config:verify_config ~rate:500.0 () in
+let check_replicas_agree sys ~n =
   let f0 = Kv.state_fingerprint_at sys 0 in
-  for r = 1 to 2 do
+  for r = 1 to n - 1 do
     Alcotest.(check int)
       (Printf.sprintf "replica %d fingerprint" r)
       f0
       (Kv.state_fingerprint_at sys r)
   done
+
+let test_kv_replicas_agree () =
+  let sys, _ = drive ~config:verify_config ~rate:500.0 () in
+  check_replicas_agree sys ~n:verify_config.Kv.n_replicas
 
 let test_kv_linearizable () =
   let sys, _ = drive ~config:verify_config ~rate:300.0 () in
@@ -190,6 +193,71 @@ let test_kv_lease_expiry_protects () =
     (Kv.counter sys "kv_local_nacks" > 0);
   Alcotest.(check bool) "linearizable" true (Kv.check_history sys)
 
+(* --- read-only commands run once ------------------------------------------------ *)
+
+let count_of sys cls = (Kv.Slo.row_of (Kv.slo sys) cls).Kv.Slo.count
+
+(* Leases off, so every read is ordered.  A read changes no state and only
+   its responder replies: it runs at one replica, a write at every one. *)
+let test_kv_ordered_read_runs_once () =
+  let config = { verify_config with leases = false; record_history = false } in
+  let sys, _ = drive ~config ~rate:500.0 () in
+  let reads = count_of sys "read" and writes = count_of sys "update" in
+  Alcotest.(check bool) "reads and writes ran" true (reads > 100 && writes > 100);
+  Alcotest.(check int) "every command completed" 0 (Kv.inflight_count sys);
+  Alcotest.(check int) "nothing dropped" 0 (Kv.drops sys);
+  Alcotest.(check int) "executed = replicas x writes + reads"
+    ((config.Kv.n_replicas * writes) + reads)
+    (Kv.executed sys);
+  check_replicas_agree sys ~n:config.Kv.n_replicas
+
+let test_kv_ordered_read_runs_once_linearizable () =
+  let config = { verify_config with leases = false } in
+  let sys, _ = drive ~config ~rate:300.0 () in
+  Alcotest.(check bool) "ordered reads recorded" true (count_of sys "read" > 100);
+  Alcotest.(check bool) "linearizable" true (Kv.check_history sys)
+
+(* Read-only is the command's own property: an insert whose client
+   declared no writes still changes state, so it must run everywhere. *)
+let test_kv_undeclared_insert_runs_everywhere () =
+  let config = { verify_config with leases = false; record_history = false } in
+  let engine, _net, sys = mk ~config () in
+  let n = 40 in
+  for i = 0 to n - 1 do
+    let at = 0.001 *. float_of_int (i + 1) in
+    ignore
+      (Sim.Engine.at engine ~time:at (fun () ->
+           Kv.Testing.issue sys
+             { OL.at;
+               op = Smr.Btree_service.Insert { key = i mod 8; value = 1_000 + i };
+               reads = Btree.Keyset.empty;
+               writes = Btree.Keyset.empty;
+               size = 64 }))
+  done;
+  Sim.Engine.run engine ~until:0.5;
+  Alcotest.(check int) "every insert answered" n (count_of sys "update");
+  Alcotest.(check int) "every replica ran every insert"
+    (config.Kv.n_replicas * n) (Kv.executed sys);
+  check_replicas_agree sys ~n:config.Kv.n_replicas
+
+(* Lease reads run on the replicas' worker pools.  Served on the learner's
+   single CPU instead, a read-only YCSB-C load at 120 kops/s saturates it:
+   the lease-served tail grows without bound and reads time out. *)
+let test_kv_lease_read_capacity () =
+  let config = { Kv.default_config with n_workers = 2 } in
+  let engine, _net, sys = mk ~config () in
+  let wl =
+    Kv.Ycsb.workload Kv.Ycsb.C (Sim.Rng.create 8) ~rate:(OL.Constant 120_000.0)
+  in
+  Kv.start_open sys wl ~until:0.3;
+  Sim.Engine.run engine ~until:0.6;
+  let local = Kv.Slo.row_of (Kv.slo sys) "read-local" in
+  Alcotest.(check bool) "lease reads served" true (local.Kv.Slo.count > 10_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "read-local p99 %.3f ms <= 1 ms" local.Kv.Slo.p99_ms)
+    true (local.Kv.Slo.p99_ms <= 1.0);
+  Alcotest.(check int) "no local-read timeouts" 0 (Kv.counter sys "kv_read_timeouts")
+
 let test_ycsb_presets_wellformed () =
   List.iter
     (fun p ->
@@ -235,6 +303,14 @@ let suite =
       test_kv_broken_lease_caught;
     Alcotest.test_case "kv lease expiry protects reads" `Quick
       test_kv_lease_expiry_protects;
+    Alcotest.test_case "kv ordered read runs once" `Quick
+      test_kv_ordered_read_runs_once;
+    Alcotest.test_case "kv ordered read runs once, linearizable" `Quick
+      test_kv_ordered_read_runs_once_linearizable;
+    Alcotest.test_case "kv undeclared insert runs everywhere" `Quick
+      test_kv_undeclared_insert_runs_everywhere;
+    Alcotest.test_case "kv lease reads on the worker pool at 120 kops/s" `Quick
+      test_kv_lease_read_capacity;
     Alcotest.test_case "ycsb presets well-formed" `Quick
       test_ycsb_presets_wellformed;
     Alcotest.test_case "ycsb D latest-key" `Quick test_ycsb_d_uses_latest;

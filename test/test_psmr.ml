@@ -426,13 +426,34 @@ module Model = struct
     m.active <- { reads; writes; fin } :: m.active;
     { Ex.r_ready = ready; r_start = start; r_fin = fin; r_commit = commit;
       r_rollbacks = rolls }
+
+  (* A read outside the log: wait for overlapping writes, take the first
+     free worker, join the active set, commit nothing. *)
+  let read m ~now ~reads ~cost =
+    m.clock <- Stdlib.max m.clock now;
+    let now = m.clock in
+    let wm = Stdlib.max now (Array.fold_left Stdlib.min m.workers.(0) m.workers) in
+    m.active <- List.filter (fun e -> e.fin > wm) m.active;
+    let ready =
+      List.fold_left
+        (fun acc e ->
+          if e.fin > acc && Btree.Keyset.overlaps e.writes reads then e.fin else acc)
+        now m.active
+    in
+    let w = argmin_free m in
+    let start = Stdlib.max ready m.workers.(w) in
+    let fin = start +. cost in
+    m.workers.(w) <- fin;
+    m.active <- { reads; writes = Btree.Keyset.empty; fin } :: m.active;
+    (start, fin)
 end
 
 (* A command: time step in microseconds (negative steps move [now]
-   backwards), kind (0 read, 1 write, 2 read-write), first key and range
-   width (0 is a point key-set). *)
+   backwards), kind (0 read, 1 write, 2 read-write, 3 a read outside the
+   log through [Ex.read]), first key and range width (0 is a point
+   key-set). *)
 let gen_cmd =
-  QCheck.Gen.(quad (int_range (-3) 12) (int_range 0 2) (int_range 1 24) (int_range 0 3))
+  QCheck.Gen.(quad (int_range (-3) 12) (int_range 0 3) (int_range 1 24) (int_range 0 3))
 
 let prop_executor_matches_model =
   QCheck.Test.make ~name:"executor: flat state matches the list-based model" ~count:300
@@ -450,6 +471,10 @@ let prop_executor_matches_model =
       let ex = Ex.create ~mode ~n_workers s1.Smr.Btree_service.service in
       let m = Model.create ~n_workers s2.Smr.Btree_service.service in
       let now = ref 0.0 in
+      (* The latest ordered command's report: a read must leave it be. *)
+      let want =
+        ref { Ex.r_ready = 0.0; r_start = 0.0; r_fin = 0.0; r_commit = 0.0; r_rollbacks = 0 }
+      in
       List.iteri
         (fun i (dt, kind, lo, width) ->
           now := !now +. (float_of_int dt *. 1e-6);
@@ -457,19 +482,29 @@ let prop_executor_matches_model =
             if width = 0 then Btree.Keyset.singleton lo
             else Btree.Keyset.range ~lo ~hi:(lo + width)
           in
-          let reads = if kind = 1 then Btree.Keyset.empty else ks in
-          let writes = if kind = 0 then Btree.Keyset.empty else ks in
-          let op =
-            if kind = 0 then Smr.Btree_service.Query { lo; hi = lo + width }
-            else Smr.Btree_service.Insert { key = lo; value = i }
-          in
-          Ex.submit ex ~now:!now ~uid:i ~reads ~writes op;
-          let want = Model.submit m ~mode ~now:!now ~reads ~writes op in
-          let got = Ex.last_report ex in
           let same what a b =
             if not (a = b) then
               QCheck.Test.fail_reportf "command %d: %s %h <> model %h" i what a b
           in
+          if kind = 3 then begin
+            let cost = float_of_int (1 + width) *. 1e-6 in
+            Ex.read ex ~now:!now ~reads:ks ~cost;
+            let start, fin = Model.read m ~now:!now ~reads:ks ~cost in
+            same "read start" (Ex.last_read_start ex) start;
+            same "read fin" (Ex.last_read_fin ex) fin
+          end
+          else begin
+            let reads = if kind = 1 then Btree.Keyset.empty else ks in
+            let writes = if kind = 0 then Btree.Keyset.empty else ks in
+            let op =
+              if kind = 0 then Smr.Btree_service.Query { lo; hi = lo + width }
+              else Smr.Btree_service.Insert { key = lo; value = i }
+            in
+            Ex.submit ex ~now:!now ~uid:i ~reads ~writes op;
+            want := Model.submit m ~mode ~now:!now ~reads ~writes op
+          end;
+          let want = !want in
+          let got = Ex.last_report ex in
           same "ready" got.r_ready want.r_ready;
           same "start" got.r_start want.r_start;
           same "fin" got.r_fin want.r_fin;
@@ -517,6 +552,89 @@ let test_executor_submit_allocation () =
   Alcotest.(check bool)
     (Printf.sprintf "submit allocates %.2f words/command (<= 4)" per_cmd)
     true (per_cmd <= 4.0)
+
+let test_executor_read_allocation () =
+  (* Steady-state reads interleaved with writes, as the lease tier issues
+     them: the read's finish comes back through the float slots, so the
+     only allocation left is the boxed [~now] and [~cost] this loop
+     passes. *)
+  let cost = 1.0e-6 in
+  let ex =
+    Ex.create ~mode:Ex.Pessimistic ~n_workers:4 (Smr.Service.dummy ~cost ())
+  in
+  let keys = Array.init 64 Btree.Keyset.singleton in
+  let step i =
+    let ks = keys.(i land 63) and now = float_of_int i *. (cost /. 4.0) in
+    if i land 1 = 0 then Ex.submit ex ~now ~uid:i ~reads:ks ~writes:ks Simnet.Noop
+    else Ex.read ex ~now ~reads:ks ~cost
+  in
+  for i = 0 to 999 do
+    step i
+  done;
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1_000 to 1_000 + n - 1 do
+    if i land 1 = 1 then step i
+  done;
+  let per_read = (Gc.minor_words () -. w0) /. float_of_int (n / 2) in
+  Alcotest.(check bool) "commands stay in flight" true (Ex.inflight ex >= 2);
+  Alcotest.(check bool)
+    (Printf.sprintf "read allocates %.2f words/read (<= 4)" per_read)
+    true (per_read <= 4.0)
+
+(* --- reads outside the log ------------------------------------------------------- *)
+
+(* Two workers, commands of cost [c]: an ordered write of key 5 from t = 0
+   is in flight on worker 0 until [c]. *)
+let read_fixture () =
+  let c = 1.0e-5 in
+  let ex = Ex.create ~mode:Ex.Pessimistic ~n_workers:2 (Smr.Service.dummy ~cost:c ()) in
+  let k5 = Btree.Keyset.singleton 5 in
+  Ex.submit ex ~now:0.0 ~uid:1 ~reads:k5 ~writes:k5 Simnet.Noop;
+  (ex, c, k5)
+
+let test_executor_read_waits_for_write () =
+  let ex, c, k5 = read_fixture () in
+  Ex.read ex ~now:0.0 ~reads:k5 ~cost:c;
+  Alcotest.(check (float 0.0)) "starts when the write finishes" c (Ex.last_read_start ex);
+  Alcotest.(check (float 0.0)) "finishes one cost later" (2.0 *. c) (Ex.last_read_fin ex)
+
+let test_executor_disjoint_read_starts_at_once () =
+  let ex, c, _ = read_fixture () in
+  Ex.read ex ~now:0.0 ~reads:(Btree.Keyset.singleton 6) ~cost:c;
+  Alcotest.(check (float 0.0)) "starts at once on the free worker" 0.0
+    (Ex.last_read_start ex);
+  Alcotest.(check (float 0.0)) "finishes one cost later" c (Ex.last_read_fin ex);
+  (* Both workers are now busy until [c]: the next read waits for one. *)
+  Ex.read ex ~now:0.0 ~reads:(Btree.Keyset.singleton 7) ~cost:c;
+  Alcotest.(check (float 0.0)) "waits for a free worker" c (Ex.last_read_start ex)
+
+let test_executor_write_waits_for_read () =
+  let ex, c, _ = read_fixture () in
+  let k6 = Btree.Keyset.singleton 6 in
+  Ex.read ex ~now:0.0 ~reads:k6 ~cost:(3.0 *. c);
+  Alcotest.(check (float 0.0)) "read runs until 3c" (3.0 *. c) (Ex.last_read_fin ex);
+  Ex.submit ex ~now:0.0 ~uid:2 ~reads:k6 ~writes:k6 Simnet.Noop;
+  let r = Ex.last_report ex in
+  Alcotest.(check (float 0.0)) "overlapping write ready after the read" (3.0 *. c) r.Ex.r_ready;
+  (* A disjoint write does not wait for the read. *)
+  let k7 = Btree.Keyset.singleton 7 in
+  Ex.submit ex ~now:0.0 ~uid:3 ~reads:k7 ~writes:k7 Simnet.Noop;
+  Alcotest.(check (float 0.0)) "disjoint write ready at once" 0.0
+    (Ex.last_report ex).Ex.r_ready
+
+let test_executor_read_leaves_commit_alone () =
+  let ex, c, k5 = read_fixture () in
+  let before = Ex.last_report ex in
+  let commit = Ex.last_commit ex and executed = Ex.executed ex in
+  Ex.read ex ~now:0.0 ~reads:k5 ~cost:(5.0 *. c);
+  Ex.read ex ~now:c ~reads:(Btree.Keyset.singleton 9) ~cost:c;
+  Alcotest.(check (float 0.0)) "last_commit" commit (Ex.last_commit ex);
+  Alcotest.(check int) "executed" executed (Ex.executed ex);
+  Alcotest.(check int) "last_rollbacks" 0 (Ex.last_rollbacks ex);
+  Alcotest.(check bool) "last_report" true (Ex.last_report ex = before);
+  (* Every worker is free of the write by [c], so only the reads remain. *)
+  Alcotest.(check int) "reads join the tracker" 2 (Ex.inflight ex)
 
 (* --- executor approaches end to end ------------------------------------------- *)
 
@@ -577,6 +695,16 @@ let suite =
       QCheck_alcotest.to_alcotest prop_executor_matches_model;
       Alcotest.test_case "executor: submit allocation" `Quick
         test_executor_submit_allocation;
+      Alcotest.test_case "executor: read allocation" `Quick
+        test_executor_read_allocation;
+      Alcotest.test_case "executor: read waits for an overlapping write" `Quick
+        test_executor_read_waits_for_write;
+      Alcotest.test_case "executor: disjoint read starts on a free worker" `Quick
+        test_executor_disjoint_read_starts_at_once;
+      Alcotest.test_case "executor: overlapping write waits for a read" `Quick
+        test_executor_write_waits_for_read;
+      Alcotest.test_case "executor: read leaves the commit timeline alone" `Quick
+        test_executor_read_leaves_commit_alone;
       Alcotest.test_case "executor approaches end to end" `Quick
         test_executor_approaches_end_to_end;
       Alcotest.test_case "open-loop drive" `Quick test_open_loop_drive ]
