@@ -1,16 +1,15 @@
-(* `-- engine`: microbench of the discrete-event core, wheel vs heap
-   backend, on the three patterns that dominate real experiment runs:
-   schedule-heavy (every fired event re-arms), cancel-heavy (the
-   failure-detector / Retry cancel-on-ack pattern) and a mixed
-   simnet-like blend.  A fourth workload drives the integer-tick
-   scheduling path and asserts the zero-allocation claim.  Results go to
+(* `engine`: microbench of the discrete-event core on the three patterns
+   that dominate real experiment runs: schedule-heavy (every fired event
+   re-arms), cancel-heavy (the failure-detector / Retry cancel-on-ack
+   pattern) and a mixed simnet-like blend.  A fourth workload drives the
+   integer-tick scheduling path and asserts the zero-allocation claim,
+   and four simnet workloads measure the message path.  Results go to
    stdout and BENCH_engine.json so CI records the trajectory. *)
 
 let out_file = "BENCH_engine.json"
 
 type sample = {
   workload : string;
-  backend : string;
   events : int;
   elapsed_s : float;
   events_per_sec : float;
@@ -21,18 +20,14 @@ type sample = {
    draw must stay in int registers). *)
 let lcg state = ((state * 0x2545F4914F6CDD1D) + 0x3779B97F4A7C15) land max_int
 
-let backend_name = function `Wheel -> "wheel" | `Heap -> "heap"
-
-let measure ~workload ~backend ~events f =
+let measure ~workload f =
   let w0 = Gc.minor_words () in
   let t0 = Sys.time () in
   let fired = f () in
   let elapsed = Sys.time () -. t0 in
   let words = Gc.minor_words () -. w0 in
   let elapsed = if elapsed <= 0.0 then 1e-9 else elapsed in
-  ignore events;
   { workload;
-    backend = backend_name backend;
     events = fired;
     elapsed_s = elapsed;
     events_per_sec = float_of_int fired /. elapsed;
@@ -40,8 +35,8 @@ let measure ~workload ~backend ~events f =
 
 (* Every fired event re-arms itself at a pseudo-random short delay:
    the pure schedule+fire path, one shared closure per timer chain. *)
-let schedule_heavy backend =
-  let e = Sim.Engine.create ~backend () in
+let schedule_heavy () =
+  let e = Sim.Engine.create () in
   let target = 1_500_000 in
   let fires = ref 0 in
   let rng = ref 0x12345 in
@@ -56,7 +51,7 @@ let schedule_heavy backend =
   for i = 1 to 2048 do
     ignore (Sim.Engine.schedule e ~delay:(float_of_int i *. 1e-6) arm)
   done;
-  measure ~workload:"schedule-heavy" ~backend ~events:target (fun () ->
+  measure ~workload:"schedule-heavy" (fun () ->
       Sim.Engine.run_all e;
       !fires)
 
@@ -64,8 +59,8 @@ let schedule_heavy backend =
    long timeout, arms a fresh one (which will in turn be cancelled) and
    re-arms itself — 2 schedules + 1 cancel per fired event, with ~half
    the queue cancelled at any time. *)
-let cancel_heavy backend =
-  let e = Sim.Engine.create ~backend () in
+let cancel_heavy () =
+  let e = Sim.Engine.create () in
   let target = 1_000_000 in
   let monitors = 1024 in
   let fires = ref 0 in
@@ -90,7 +85,7 @@ let cancel_heavy backend =
     handles.(i) <- Sim.Engine.schedule e ~delay:0.5 noop;
     ignore (Sim.Engine.schedule e ~delay:(float_of_int (i + 1) *. 1e-6) (monitor i))
   done;
-  measure ~workload:"cancel-heavy" ~backend ~events:target (fun () ->
+  measure ~workload:"cancel-heavy" (fun () ->
       Sim.Engine.run_all e;
       !fires)
 
@@ -98,8 +93,8 @@ let cancel_heavy backend =
    wheel level), a retry armed every 8th fire and cancelled (acked) on
    the next fire of the same chain, and a far-future (overflow-level)
    watchdog per chain. *)
-let mixed backend =
-  let e = Sim.Engine.create ~backend () in
+let mixed () =
+  let e = Sim.Engine.create () in
   let target = 1_200_000 in
   let chains = 256 in
   let fires = ref 0 in
@@ -130,15 +125,15 @@ let mixed backend =
     ignore (Sim.Engine.schedule e ~delay:2.0e3 noop)
   done;
   ignore (Sim.Engine.schedule e ~delay:0.1 heartbeat);
-  measure ~workload:"mixed-simnet" ~backend ~events:target (fun () ->
+  measure ~workload:"mixed-simnet" (fun () ->
       Sim.Engine.run_all e;
       !fires)
 
 (* Integer-tick scheduling: after a warm-up pass grows the pool and the
    slot arrays, a steady-state schedule/fire cycle through
    [schedule_ticks] must allocate nothing at all on the wheel. *)
-let zero_alloc backend =
-  let e = Sim.Engine.create ~backend () in
+let zero_alloc () =
+  let e = Sim.Engine.create () in
   let fires = ref 0 in
   let limit = ref 0 in
   let rng = ref 0xFEED in
@@ -161,70 +156,37 @@ let zero_alloc backend =
   fires := 0;
   limit := 1_000_000;
   seed ();
-  measure ~workload:"zero-alloc-ticks" ~backend ~events:!limit (fun () ->
+  measure ~workload:"zero-alloc-ticks" (fun () ->
       Sim.Engine.run_all e;
       !fires)
 
-(* --- simnet message-path workloads (pooled vs boxed) --------------------
+(* --- simnet message-path workloads ---------------------------------------
 
-   Same virtual run in both modes (the modes are schedule- and
-   RNG-identical by construction), so messages/sec compares wall time for
-   identical work and minor words/message isolates the allocation shape.
    Jitter and base loss are disabled so the unicast workload exercises the
    pure zero-allocation Deliver path. *)
 
 let simnet_config =
   { Simnet.default_config with latency = 1.0e-6; latency_jitter = 0.0 }
 
-let mode_name = function `Pooled -> "pooled" | `Boxed -> "boxed"
-
-(* Build both modes of a workload up front, warm each to steady state
-   (pool, rings and wheel slots grown), then run them in alternating
-   virtual-time slices.  Interleaving means both modes sample the same
-   machine conditions — CPU frequency, cache pressure, neighbours — so
-   the pooled/boxed ratio is stable even when absolute throughput drifts
-   between runs.  Each virtual run is deterministic, so the allocation
-   counts are exact regardless of slicing. *)
-let sim_measure_pair ~workload ~warmup ~until ~slices setup =
-  let ep, fp = setup `Pooled in
-  let eb, fb = setup `Boxed in
+(* Warm a workload to steady state (pool, rings and wheel slots grown),
+   then measure [warmup, until] of virtual time.  Each virtual run is
+   deterministic, so the allocation counts are exact. *)
+let sim_measure ~workload ~warmup ~until setup =
+  let e, fires = setup () in
   Gc.compact ();
-  Sim.Engine.run ep ~until:warmup;
-  Sim.Engine.run eb ~until:warmup;
-  let f0p = !fp and f0b = !fb in
-  let tp = ref 0.0 and tb = ref 0.0 and wp = ref 0.0 and wb = ref 0.0 in
-  let step = (until -. warmup) /. float_of_int slices in
-  for k = 1 to slices do
-    let stop = warmup +. (step *. float_of_int k) in
-    let w0 = Gc.minor_words () in
-    let t0 = Sys.time () in
-    Sim.Engine.run ep ~until:stop;
-    tp := !tp +. (Sys.time () -. t0);
-    wp := !wp +. (Gc.minor_words () -. w0);
-    let w0 = Gc.minor_words () in
-    let t0 = Sys.time () in
-    Sim.Engine.run eb ~until:stop;
-    tb := !tb +. (Sys.time () -. t0);
-    wb := !wb +. (Gc.minor_words () -. w0)
-  done;
-  let sample mode n elapsed words =
-    let elapsed = if elapsed <= 0.0 then 1e-9 else elapsed in
-    { workload;
-      backend = mode_name mode;
-      events = n;
-      elapsed_s = elapsed;
-      events_per_sec = float_of_int n /. elapsed;
-      minor_words_per_event = words /. float_of_int (max 1 n) }
-  in
-  [ sample `Pooled (!fp - f0p) !tp !wp; sample `Boxed (!fb - f0b) !tb !wb ]
+  Sim.Engine.run e ~until:warmup;
+  let f0 = !fires in
+  measure ~workload (fun () ->
+      Sim.Engine.run e ~until;
+      !fires - f0)
 
 (* Steady unicast ping-pong over TCP-like connections: 8 independent
    pairs, each handler echoes the message back.  The measured interval
-   must allocate nothing in pooled mode (CI gates on it). *)
-let net_unicast (mode : Simnet.mode) =
+   must allocate nothing (CI gates on it). *)
+let net_unicast () =
   let e = Sim.Engine.create () in
   let rng = Sim.Rng.create 4242 in
-  let net = Simnet.create ~config:simnet_config ~mode e rng in
+  let net = Simnet.create ~config:simnet_config e rng in
   let fires = ref 0 in
   for i = 0 to 7 do
     let na = Simnet.add_node net (Printf.sprintf "a%d" i) in
@@ -243,10 +205,10 @@ let net_unicast (mode : Simnet.mode) =
 
 (* Switch fan-out: one multicast round of 8 deliveries at a time; the
    last receiver of a round fires the next round. *)
-let net_fanout (mode : Simnet.mode) =
+let net_fanout () =
   let e = Sim.Engine.create () in
   let rng = Sim.Rng.create 4243 in
-  let net = Simnet.create ~config:simnet_config ~mode e rng in
+  let net = Simnet.create ~config:simnet_config e rng in
   let fires = ref 0 in
   let ns = Simnet.add_node net "sender" in
   let ps = Simnet.add_proc net ns "ps" in
@@ -270,12 +232,11 @@ let net_fanout (mode : Simnet.mode) =
 
 (* Window-limited flow: a 4 KB receive window against 1 KB messages keeps
    a ~64-message backlog parked on the connection, so every delivery goes
-   through a backlog push + drain (ring in pooled mode, tuple queue in
-   boxed mode). *)
-let net_backlog (mode : Simnet.mode) =
+   through a backlog push + drain on the connection's ring. *)
+let net_backlog () =
   let e = Sim.Engine.create () in
   let rng = Sim.Rng.create 4244 in
-  let net = Simnet.create ~config:simnet_config ~mode e rng in
+  let net = Simnet.create ~config:simnet_config e rng in
   let fires = ref 0 in
   let na = Simnet.add_node net "src" in
   let nb = Simnet.add_node net "dst" in
@@ -290,18 +251,15 @@ let net_backlog (mode : Simnet.mode) =
   done;
   (e, fires)
 
-(* The blend the acceptance criterion gates on: ping-pong pairs,
-   deeply backlogged window-limited flows and a periodic multicast
-   fan-out sharing one network.  The window flows keep thousands of
-   messages parked on connections the way an SMR sender parks a deep
-   proposal window: in boxed mode every parked message survives minor
-   collections and is promoted, so the major heap churns at the message
-   rate; in pooled mode the parked population lives in preallocated
-   slots and the GC never sees it. *)
-let net_mixed (mode : Simnet.mode) =
+(* Ping-pong pairs, deeply backlogged window-limited flows and a
+   periodic multicast fan-out sharing one network.  The window flows keep
+   thousands of messages parked on connections the way an SMR sender
+   parks a deep proposal window; the parked population lives in
+   preallocated ring and pool slots, so the GC never sees it. *)
+let net_mixed () =
   let e = Sim.Engine.create () in
   let rng = Sim.Rng.create 4245 in
-  let net = Simnet.create ~config:simnet_config ~mode e rng in
+  let net = Simnet.create ~config:simnet_config e rng in
   let fires = ref 0 in
   let g = Simnet.new_group net "all" in
   for i = 0 to 1 do
@@ -326,7 +284,7 @@ let net_mixed (mode : Simnet.mode) =
     let pd = Simnet.add_proc net nd "pd" in
     (* 1 MB window over 1 KB messages: ~1024 message records in flight
        per flow, each alive for the whole window's worth of service
-       time — long enough to survive minor collections in boxed mode. *)
+       time. *)
     Simnet.set_rcvbuf pd (1024 * 1024);
     Simnet.set_handler pd (fun m ->
         incr fires;
@@ -346,67 +304,39 @@ let net_mixed (mode : Simnet.mode) =
 
 let json_of_sample s =
   Printf.sprintf
-    "{\"workload\":%S,\"backend\":%S,\"events\":%d,\"elapsed_s\":%.6f,\"events_per_sec\":%.1f,\"minor_words_per_event\":%.4f}"
-    s.workload s.backend s.events s.elapsed_s s.events_per_sec
-    s.minor_words_per_event
+    "{\"workload\":%S,\"events\":%d,\"elapsed_s\":%.6f,\"events_per_sec\":%.1f,\"minor_words_per_event\":%.4f}"
+    s.workload s.events s.elapsed_s s.events_per_sec s.minor_words_per_event
+
+let print_samples ~unit_name ~per samples =
+  Printf.printf "%-18s %12s %14s %10s\n" "workload" unit_name (unit_name ^ "/sec") per;
+  List.iter
+    (fun s ->
+      Printf.printf "%-18s %12d %14.0f %10.4f\n" s.workload s.events s.events_per_sec
+        s.minor_words_per_event)
+    samples
 
 let run () =
   Util.header "Engine microbench (events/sec, minor words/event)";
-  let workloads = [ schedule_heavy; cancel_heavy; mixed; zero_alloc ] in
-  let samples =
-    List.concat_map (fun w -> [ w `Wheel; w `Heap ]) workloads
+  let samples = List.map (fun w -> w ()) [ schedule_heavy; cancel_heavy; mixed; zero_alloc ] in
+  print_samples ~unit_name:"events" ~per:"words/ev" samples;
+  let zero_alloc_words =
+    (List.find (fun s -> s.workload = "zero-alloc-ticks") samples).minor_words_per_event
   in
-  Printf.printf "%-18s %-6s %12s %14s %10s\n" "workload" "engine" "events"
-    "events/sec" "words/ev";
-  List.iter
-    (fun s ->
-      Printf.printf "%-18s %-6s %12d %14.0f %10.4f\n" s.workload s.backend
-        s.events s.events_per_sec s.minor_words_per_event)
-    samples;
-  let find w b =
-    List.find (fun s -> s.workload = w && s.backend = backend_name b) samples
-  in
-  let speedup w =
-    (find w `Wheel).events_per_sec /. (find w `Heap).events_per_sec
-  in
-  let mixed_speedup = speedup "mixed-simnet" in
-  Printf.printf "\nwheel/heap speedup: schedule %.2fx, cancel %.2fx, mixed %.2fx\n"
-    (speedup "schedule-heavy") (speedup "cancel-heavy") mixed_speedup;
-  Printf.printf "zero-alloc path (wheel): %.4f minor words/event\n"
-    (find "zero-alloc-ticks" `Wheel).minor_words_per_event;
+  Printf.printf "\nzero-alloc path: %.4f minor words/event\n" zero_alloc_words;
   Util.header "Simnet message path (messages/sec, minor words/message)";
-  let net_workloads =
-    [ ("net-unicast", net_unicast, 0.5, 8.5);
-      ("net-fanout", net_fanout, 0.5, 6.5);
-      ("net-backlog", net_backlog, 0.5, 6.5);
-      ("net-mixed", net_mixed, 0.25, 2.75) ]
-  in
   let net_samples =
-    List.concat_map
-      (fun (workload, setup, warmup, until) ->
-        sim_measure_pair ~workload ~warmup ~until ~slices:16 setup)
-      net_workloads
+    List.map
+      (fun (workload, setup, warmup, until) -> sim_measure ~workload ~warmup ~until setup)
+      [ ("net-unicast", net_unicast, 0.5, 8.5);
+        ("net-fanout", net_fanout, 0.5, 6.5);
+        ("net-backlog", net_backlog, 0.5, 6.5);
+        ("net-mixed", net_mixed, 0.25, 2.75) ]
   in
-  Printf.printf "%-18s %-6s %12s %14s %10s\n" "workload" "simnet" "messages"
-    "msgs/sec" "words/msg";
-  List.iter
-    (fun s ->
-      Printf.printf "%-18s %-6s %12d %14.0f %10.4f\n" s.workload s.backend
-        s.events s.events_per_sec s.minor_words_per_event)
-    net_samples;
-  let nfind w m =
-    List.find (fun s -> s.workload = w && s.backend = mode_name m) net_samples
+  print_samples ~unit_name:"msgs" ~per:"words/msg" net_samples;
+  let unicast_words =
+    (List.find (fun s -> s.workload = "net-unicast") net_samples).minor_words_per_event
   in
-  let nspeedup w =
-    (nfind w `Pooled).events_per_sec /. (nfind w `Boxed).events_per_sec
-  in
-  let unicast_words = (nfind "net-unicast" `Pooled).minor_words_per_event in
-  Printf.printf
-    "\npooled/boxed speedup: unicast %.2fx, fanout %.2fx, backlog %.2fx, mixed %.2fx\n"
-    (nspeedup "net-unicast") (nspeedup "net-fanout") (nspeedup "net-backlog")
-    (nspeedup "net-mixed");
-  Printf.printf "pooled unicast Deliver path: %.4f minor words/message\n"
-    unicast_words;
+  Printf.printf "\nunicast Deliver path: %.4f minor words/message\n" unicast_words;
   let oc = open_out out_file in
   Printf.fprintf oc
     "{\n\
@@ -418,13 +348,11 @@ let run () =
      \"simnet_samples\":[\n\
      %s\n\
      ],\n\
-     \"summary\":{\"schedule_speedup\":%.3f,\"cancel_speedup\":%.3f,\"mixed_speedup_wheel_over_heap\":%.3f,\"zero_alloc_minor_words_per_event\":%.4f,\"simnet_unicast_minor_words_per_msg\":%.4f,\"simnet_mixed_speedup_pooled_over_boxed\":%.3f}\n\
+     \"summary\":{\"zero_alloc_minor_words_per_event\":%.4f,\"simnet_unicast_minor_words_per_msg\":%.4f}\n\
      }\n"
     Sim.Engine.ticks_per_second
     (String.concat ",\n" (List.map json_of_sample samples))
     (String.concat ",\n" (List.map json_of_sample net_samples))
-    (speedup "schedule-heavy") (speedup "cancel-heavy") mixed_speedup
-    (find "zero-alloc-ticks" `Wheel).minor_words_per_event
-    unicast_words (nspeedup "net-mixed");
+    zero_alloc_words unicast_words;
   close_out oc;
   Printf.printf "wrote %s\n%!" out_file

@@ -51,7 +51,8 @@ let experiments : (string * string * (unit -> unit)) list =
     ("fig7.6", "Libpaxos under failures", Fig7.fig7_6);
     ("fig7.7", "Libpaxos+ under failures", Fig7.fig7_7);
     ("micro", "bechamel micro-benchmarks", Micro.run);
-    ("engine", "event-engine microbench, wheel vs heap (emits BENCH_engine.json)",
+    ("engine",
+     "event-engine and message-path microbench (emits BENCH_engine.json)",
      Engine_bench.run);
     ("psmr",
      "parallel-executor sweep, conflict rate x workers (emits BENCH_psmr.json)",
@@ -77,10 +78,9 @@ let chapters =
   [ ("ch3", Fig3.all); ("ch4", Fig4.all); ("ch5", Fig5.all); ("ch6", Fig6.all);
     ("ch7", Fig7.all) ]
 
-(* Strip `--json <path>` (machine-readable metrics dump), `--trace <path>`
-   (Chrome trace_event capture), `--engine <wheel|heap>` (event-queue
-   backend selection) and `--simnet <pooled|boxed>` (message-path mode)
-   from the argument list before experiment dispatch. *)
+(* Strip `--json <path>` (machine-readable metrics dump) and `--trace
+   <path>` (Chrome trace_event capture) from the argument list before
+   experiment dispatch. *)
 let rec extract_output_flags = function
   | [] -> []
   | [ "--json" ] ->
@@ -94,18 +94,6 @@ let rec extract_output_flags = function
       exit 1
   | "--trace" :: path :: rest ->
       Util.set_trace_output path;
-      extract_output_flags rest
-  | [ "--engine" ] ->
-      prerr_endline "--engine requires a backend (wheel|heap)";
-      exit 1
-  | "--engine" :: b :: rest ->
-      Sim.Engine.set_default_backend (Sim.Engine.backend_of_string b);
-      extract_output_flags rest
-  | [ "--simnet" ] ->
-      prerr_endline "--simnet requires a mode (pooled|boxed)";
-      exit 1
-  | "--simnet" :: m :: rest ->
-      Simnet.set_default_mode (Simnet.mode_of_string m);
       extract_output_flags rest
   | a :: rest -> a :: extract_output_flags rest
 

@@ -33,17 +33,6 @@ let btree_range =
   Test.make ~name:"btree.range(1000 keys)"
     (Staged.stage (fun () -> ignore (Btree.range_count t ~lo:40_000 ~hi:41_000)))
 
-let heap_ops =
-  Test.make ~name:"heap.push+pop(1000)"
-    (Staged.stage (fun () ->
-         let h = Sim.Heap.create compare in
-         for i = 999 downto 0 do
-           Sim.Heap.push h i
-         done;
-         while not (Sim.Heap.is_empty h) do
-           ignore (Sim.Heap.pop h)
-         done))
-
 let rng_draws =
   let r = Sim.Rng.create 1 in
   Test.make ~name:"rng.int(1000 draws)"
@@ -90,7 +79,7 @@ let lin_check =
 
 let benchmarks =
   Test.make_grouped ~name:"micro"
-    [ btree_insert; btree_mixed; btree_range; heap_ops; rng_draws; zipf_draws;
+    [ btree_insert; btree_mixed; btree_range; rng_draws; zipf_draws;
       consensus_instance; lin_check ]
 
 let run () =

@@ -36,10 +36,8 @@ type node = {
 }
 
 (* The message record is pooled: [m_i] carries the pooling/routing state
-   (slot, generation, refcount, per-hop continuations) while the public
-   fields are rewritten in place on every reuse.  In boxed mode each send
-   allocates a fresh record (slot = -1) and the pool is bypassed — the
-   reference implementation the benchmarks compare against. *)
+   (generation, refcount, per-hop continuations) while the public fields
+   are rewritten in place on every reuse. *)
 type msg = {
   mutable src : int;
   mutable dst : int;
@@ -51,7 +49,6 @@ type msg = {
 }
 
 and minternal = {
-  slot : int; (* pool registry index; -1 = boxed (not pooled) *)
   mutable gen : int; (* bumped on recycle: stale refs are detectable *)
   mutable rc : int; (* 1 while in flight; [retain] adds references *)
   mutable udp : bool;
@@ -92,10 +89,9 @@ and proc = {
 
 (* Per-(src,dst) reliable-connection state: [in_flight] counts bytes accepted
    by the network but not yet consumed by the receiver's handler; sends that
-   would exceed the receiver window wait in the backlog.  Pooled mode keeps
-   the backlog in a grow-only ring of parallel arrays (no allocation per
-   deferred send once the ring has grown); boxed mode uses the legacy queue
-   of tuples. *)
+   would exceed the receiver window wait in the backlog, a grow-only ring
+   of parallel arrays (no allocation per deferred send once the ring has
+   grown). *)
 and conn = {
   mutable in_flight : int;
   (* Bumped when [kill] resets the connection: window credits from
@@ -109,7 +105,6 @@ and conn = {
   mutable b_pay : payload array;
   mutable b_head : int;
   mutable b_len : int;
-  b_queue : (int * payload * int * int) Queue.t; (* boxed-mode backlog *)
 }
 
 type group = {
@@ -159,29 +154,10 @@ let default_config =
 (* Verdict of the fault tap for one (message, destination) pair. *)
 type fault = Deliver | Drop | Delay of float | Duplicate of float
 
-(* Two implementations of the message path share every computation that
-   affects timing, randomness, statistics and tracing, so a seeded run is
-   byte-identical across modes.  They differ only in allocation shape:
-   [`Pooled] (default) recycles message records, schedules hops through
-   per-record preallocated closures and parks backlogged sends in a ring;
-   [`Boxed] allocates a fresh record and fresh hop closures per message —
-   the pre-pooling reference used by equivalence tests and benchmarks. *)
-type mode = [ `Pooled | `Boxed ]
-
-let default_mode : mode ref = ref `Pooled
-let set_default_mode m = default_mode := m
-let get_default_mode () = !default_mode
-
-let mode_of_string = function
-  | "pooled" -> `Pooled
-  | "boxed" -> `Boxed
-  | s -> invalid_arg ("Simnet.mode_of_string: " ^ s)
-
 type t = {
   engine : Sim.Engine.t;
   rng : Sim.Rng.t;
   cfg : config;
-  pooled : bool;
   cell : float array; (* the engine clock cell; reads don't box *)
   mutable nodes : node list;
   procs : (int, proc) Hashtbl.t;
@@ -196,9 +172,8 @@ type t = {
   mutable next_tid : int;
   dummy_proc : proc;
   dummy_conn : conn;
-  (* Message pool: [all] registers every record ever born (for audits),
-     [free] is the recycle stack. *)
-  mutable all : msg array;
+  (* Message pool: [n_all] counts every record ever born, [free] is the
+     recycle stack. *)
   mutable n_all : int;
   mutable free : msg array;
   mutable n_free : int;
@@ -212,11 +187,9 @@ let new_conn () =
     b_tid = Array.make 8 0;
     b_pay = Array.make 8 Noop;
     b_head = 0;
-    b_len = 0;
-    b_queue = Queue.create () }
+    b_len = 0 }
 
-let create ?(config = default_config) ?mode engine rng =
-  let mode = match mode with Some m -> m | None -> !default_mode in
+let create ?(config = default_config) engine rng =
   let dummy_node =
     { node_id = -1;
       nname = "<none>";
@@ -244,7 +217,6 @@ let create ?(config = default_config) ?mode engine rng =
   { engine;
     rng;
     cfg = config;
-    pooled = (mode = `Pooled);
     cell = Sim.Engine.now_cell engine;
     nodes = [];
     procs = Hashtbl.create 64;
@@ -259,7 +231,6 @@ let create ?(config = default_config) ?mode engine rng =
     next_tid = 0;
     dummy_proc;
     dummy_conn = new_conn ();
-    all = [||];
     n_all = 0;
     free = [||];
     n_free = 0 }
@@ -267,7 +238,6 @@ let create ?(config = default_config) ?mode engine rng =
 let engine t = t.engine
 let config t = t.cfg
 let now t = Sim.Engine.now t.engine
-let mode t : mode = if t.pooled then `Pooled else `Boxed
 
 (* Current tick, truncating like [Sim.Engine.ticks_of_time]: events fired
    on the grid read their own tick back exactly. *)
@@ -374,8 +344,7 @@ let[@inline] trans_tk t size =
 
 (* Propagation delay in ticks.  The jitter draw is skipped when the config
    disables jitter, which keeps the zero-jitter fast path free of the boxed
-   float [Rng.float] returns; both message-path modes share this function,
-   so their RNG streams stay identical. *)
+   float [Rng.float] returns. *)
 let[@inline] prop_tk t src dst =
   let base = t.cfg.latency *. 0.5 *. (src.p_node.lat_factor +. dst.p_node.lat_factor) in
   let d =
@@ -441,11 +410,10 @@ let clear_backlog conn =
     conn.b_pay.((conn.b_head + i) land mask) <- Noop
   done;
   conn.b_head <- 0;
-  conn.b_len <- 0;
-  Queue.clear conn.b_queue
+  conn.b_len <- 0
 
-(* Wire-propagation span, emitted at send time in both modes (also for
-   messages a fault tap later drops or delays, like the pre-tap model). *)
+(* Wire-propagation span, emitted at send time (also for messages a fault
+   tap later drops or delays, like the pre-tap model). *)
 let trace_prop t ~tid src ~tx_done_tk ~arr_tk =
   match t.tracer with
   | None -> ()
@@ -458,8 +426,7 @@ let trace_prop t ~tid src ~tx_done_tk ~arr_tk =
    last bit leaves the sender NIC.  Each resource acquisition splits into
    queueing (start - request) and service time; the tracer records both.
    The first wait span is measured from the true (possibly off-grid) clock
-   so trace output is identical across modes and unchanged by quantization
-   of later hops. *)
+   so trace output is unchanged by quantization of later hops. *)
 let sender_side_tk t ~tid src size =
   let c = src.p_costs in
   let now_f = Array.unsafe_get t.cell 0 in
@@ -469,36 +436,12 @@ let sender_side_tk t ~tid src size =
     let x = (d *. tick_scale) +. 0.5 in
     if x <= 0.0 then 0 else int_of_float x
   in
-  (* Boxed mode books the identical slot through the legacy float
-     [Resource.acquire]: every input is an exact grid float, so the booking
-     and busy accounting match [acquire_tk] bit for bit — only the tuple
-     and boxed floats it allocates differ, which is the reference cost the
-     benchmarks measure. *)
-  let cpu_done_tk, cpu_start_tk =
-    if t.pooled then begin
-      let f = Resource.acquire_tk src.p_node.cpu ~at_tk ~dur_tk:cpu_tk in
-      (f, Resource.last_start_tk src.p_node.cpu)
-    end
-    else begin
-      let s, f = Resource.acquire src.p_node.cpu ~at:(tf at_tk) ~dur:(tf cpu_tk) in
-      (int_of_float (f *. tick_scale), int_of_float (s *. tick_scale))
-    end
-  in
+  let cpu_done_tk = Resource.acquire_tk src.p_node.cpu ~at_tk ~dur_tk:cpu_tk in
+  let cpu_start_tk = Resource.last_start_tk src.p_node.cpu in
   let tx_tk = trans_tk t size in
-  let tx_done_tk, tx_start_tk =
-    if t.pooled then begin
-      let f = Resource.acquire_tk src.p_node.nic_out ~at_tk:cpu_done_tk ~dur_tk:tx_tk in
-      (f, Resource.last_start_tk src.p_node.nic_out)
-    end
-    else begin
-      let s, f = Resource.acquire src.p_node.nic_out ~at:(tf cpu_done_tk) ~dur:(tf tx_tk) in
-      (int_of_float (f *. tick_scale), int_of_float (s *. tick_scale))
-    end
-  in
-  (* identical accounting either way; the boxed reference keeps the
-     legacy float entry point (the [~now] argument boxes at the call) *)
-  if t.pooled then Sim.Stats.Rate.add_cell src.p_sent ~now_cell:t.cell ~bytes:size
-  else Sim.Stats.Rate.add src.p_sent ~now:(Array.unsafe_get t.cell 0) ~bytes:size;
+  let tx_done_tk = Resource.acquire_tk src.p_node.nic_out ~at_tk:cpu_done_tk ~dur_tk:tx_tk in
+  let tx_start_tk = Resource.last_start_tk src.p_node.nic_out in
+  Sim.Stats.Rate.add_cell src.p_sent ~now_cell:t.cell ~bytes:size;
   (match t.tracer with
   | None -> ()
   | Some tr when Trace.enabled tr ->
@@ -518,12 +461,8 @@ let sender_side_tk t ~tid src size =
   tx_done_tk
 
 (* ------------------------------------------------------------------ *)
-(* The message path.  One pipeline, two scheduling disciplines:       *)
-(* pooled mode arms the record's preallocated continuations with      *)
-(* [Engine.at_ticks]; boxed mode builds a fresh closure per hop and   *)
-(* schedules it at the same absolute grid time with [Engine.at].      *)
-(* Both make identical engine insertions (times, order), consume the  *)
-(* RNG identically and emit identical trace records.                  *)
+(* The message path: each hop arms the record's preallocated          *)
+(* continuation at an absolute grid tick with [Engine.at_ticks].      *)
 (* ------------------------------------------------------------------ *)
 
 let rec stage_arrival t m =
@@ -536,16 +475,8 @@ let rec stage_arrival t m =
   else begin
     let at_tk = now_tk t in
     let rx_tk = trans_tk t m.size in
-    let rx_done_tk, rx_start_tk =
-      if t.pooled then begin
-        let f = Resource.acquire_tk dst.p_node.nic_in ~at_tk ~dur_tk:rx_tk in
-        (f, Resource.last_start_tk dst.p_node.nic_in)
-      end
-      else begin
-        let s, f = Resource.acquire dst.p_node.nic_in ~at:(tf at_tk) ~dur:(tf rx_tk) in
-        (int_of_float (f *. tick_scale), int_of_float (s *. tick_scale))
-      end
-    in
+    let rx_done_tk = Resource.acquire_tk dst.p_node.nic_in ~at_tk ~dur_tk:rx_tk in
+    let rx_start_tk = Resource.last_start_tk dst.p_node.nic_in in
     (match t.tracer with
     | None -> ()
     | Some tr when Trace.enabled tr ->
@@ -557,8 +488,7 @@ let rec stage_arrival t m =
             ~dur:(rx_start -. arrival);
         Trace.span tr ~id:m.tid ~pid ~cat:"wire" ~name:"nic-in" ~ts:rx_start ~dur:(tf rx_tk)
     | Some _ -> ());
-    if t.pooled then ignore (Sim.Engine.at_ticks t.engine ~tick:rx_done_tk i.k2)
-    else ignore (Sim.Engine.at t.engine ~time:(tf rx_done_tk) (fun () -> stage_rxdone t m))
+    ignore (Sim.Engine.at_ticks t.engine ~tick:rx_done_tk i.k2)
   end
 
 and stage_rxdone t m =
@@ -595,16 +525,8 @@ and stage_rxdone t m =
       let x = (d *. tick_scale) +. 0.5 in
       if x <= 0.0 then 0 else int_of_float x
     in
-    let served_tk, cpu_start_tk =
-      if t.pooled then begin
-        let f = Resource.acquire_tk dst.p_node.cpu ~at_tk ~dur_tk:cpu_tk in
-        (f, Resource.last_start_tk dst.p_node.cpu)
-      end
-      else begin
-        let s, f = Resource.acquire dst.p_node.cpu ~at:(tf at_tk) ~dur:(tf cpu_tk) in
-        (int_of_float (f *. tick_scale), int_of_float (s *. tick_scale))
-      end
-    in
+    let served_tk = Resource.acquire_tk dst.p_node.cpu ~at_tk ~dur_tk:cpu_tk in
+    let cpu_start_tk = Resource.last_start_tk dst.p_node.cpu in
     (match t.tracer with
     | None -> ()
     | Some tr when Trace.enabled tr ->
@@ -616,8 +538,7 @@ and stage_rxdone t m =
             ~dur:(cpu_start -. rx_done);
         Trace.span tr ~id:m.tid ~pid ~cat:"cpu" ~name:"recv-cpu" ~ts:cpu_start ~dur:(tf cpu_tk)
     | Some _ -> ());
-    if t.pooled then ignore (Sim.Engine.at_ticks t.engine ~tick:served_tk i.k3)
-    else ignore (Sim.Engine.at t.engine ~time:(tf served_tk) (fun () -> stage_served t m))
+    ignore (Sim.Engine.at_ticks t.engine ~tick:served_tk i.k3)
   end
 
 and stage_served t m =
@@ -625,8 +546,7 @@ and stage_served t m =
   let dst = i.dstp in
   if dst.rcvbuf_epoch = i.bufep then dst.rcvbuf_used <- dst.rcvbuf_used - m.size;
   if dst.alive then begin
-    if t.pooled then Sim.Stats.Rate.add_cell dst.p_recv ~now_cell:t.cell ~bytes:m.size
-    else Sim.Stats.Rate.add dst.p_recv ~now:(Array.unsafe_get t.cell 0) ~bytes:m.size;
+    Sim.Stats.Rate.add_cell dst.p_recv ~now_cell:t.cell ~bytes:m.size;
     dst.handler m
   end
   else dst.p_drops <- dst.p_drops + 1;
@@ -651,17 +571,15 @@ and finish_msg t m =
 
 and release_msg t m =
   let i = m.m_i in
-  if i.slot >= 0 then begin
-    if i.rc <= 0 then invalid_arg "Simnet: message released twice";
-    i.rc <- i.rc - 1;
-    if i.rc = 0 then begin
-      i.gen <- i.gen + 1;
-      m.payload <- Noop;
-      i.srcp <- t.dummy_proc;
-      i.dstp <- t.dummy_proc;
-      i.cn <- t.dummy_conn;
-      push_free t m
-    end
+  if i.rc <= 0 then invalid_arg "Simnet: message released twice";
+  i.rc <- i.rc - 1;
+  if i.rc = 0 then begin
+    i.gen <- i.gen + 1;
+    m.payload <- Noop;
+    i.srcp <- t.dummy_proc;
+    i.dstp <- t.dummy_proc;
+    i.cn <- t.dummy_conn;
+    push_free t m
   end
 
 and push_free t m =
@@ -674,22 +592,11 @@ and push_free t m =
   Array.unsafe_set t.free t.n_free m;
   t.n_free <- t.n_free + 1
 
-and register_msg t m =
-  let cap = Array.length t.all in
-  if t.n_all = cap then begin
-    let na = Array.make (if cap = 0 then 64 else cap * 2) m in
-    Array.blit t.all 0 na 0 t.n_all;
-    t.all <- na
-  end;
-  t.all.(t.n_all) <- m;
-  t.n_all <- t.n_all + 1
-
 (* Birth of a pooled record: the hop continuations capture the record once
    and are reused for its whole life across recycles. *)
 and birth t =
   let i =
-    { slot = t.n_all;
-      gen = 0;
+    { gen = 0;
       rc = 0;
       udp = false;
       credit = false;
@@ -709,40 +616,15 @@ and birth t =
   i.k2 <- (fun () -> stage_rxdone t m);
   i.k3 <- (fun () -> stage_served t m);
   i.kc <- (fun () -> finish_msg t m);
-  register_msg t m;
+  t.n_all <- t.n_all + 1;
   m
 
 and acquire_msg t =
-  if not t.pooled then begin
-    (* Boxed reference mode: a fresh record per message, reclaimed by the
-       GC; the hop continuations stay [nop] (fresh closures are built at
-       each scheduling point instead, reproducing the legacy shape). *)
-    let i =
-      { slot = -1;
-        gen = 0;
-        rc = 1;
-        udp = false;
-        credit = false;
-        srcp = t.dummy_proc;
-        dstp = t.dummy_proc;
-        cn = t.dummy_conn;
-        cepoch = 0;
-        bufep = 0;
-        arr_tk = 0;
-        k1 = nop;
-        k2 = nop;
-        k3 = nop;
-        kc = nop }
-    in
-    { src = 0; dst = 0; size = 0; payload = Noop; sent_tk = 0; tid = 0; m_i = i }
-  end
-  else begin
-    if t.n_free = 0 then push_free t (birth t);
-    t.n_free <- t.n_free - 1;
-    let m = Array.unsafe_get t.free t.n_free in
-    m.m_i.rc <- 1;
-    m
-  end
+  if t.n_free = 0 then push_free t (birth t);
+  t.n_free <- t.n_free - 1;
+  let m = Array.unsafe_get t.free t.n_free in
+  m.m_i.rc <- 1;
+  m
 
 (* Fault-tap dispatch for one (message, destination) pair, then scheduling
    of the arrival hop.  A [Drop] still runs the consume hop at the would-be
@@ -763,8 +645,7 @@ and transmit t m ~arrival_tk =
       | Drop ->
           t.fault_drops <- t.fault_drops + 1;
           i.dstp.p_drops <- i.dstp.p_drops + 1;
-          if t.pooled then ignore (Sim.Engine.at_ticks t.engine ~tick:arrival_tk i.kc)
-          else ignore (Sim.Engine.at t.engine ~time:(tf arrival_tk) (fun () -> finish_msg t m))
+          ignore (Sim.Engine.at_ticks t.engine ~tick:arrival_tk i.kc)
       | Delay d ->
           i.arr_tk <- arrival_tk + tk_of_dur (Float.max 0.0 d);
           sched_arrival t m
@@ -789,9 +670,7 @@ and transmit t m ~arrival_tk =
           sched_arrival t dup)
 
 and sched_arrival t m =
-  let i = m.m_i in
-  if t.pooled then ignore (Sim.Engine.at_ticks t.engine ~tick:i.arr_tk i.k1)
-  else ignore (Sim.Engine.at t.engine ~time:(tf i.arr_tk) (fun () -> stage_arrival t m))
+  ignore (Sim.Engine.at_ticks t.engine ~tick:m.m_i.arr_tk m.m_i.k1)
 
 and tcp_transmit t srcp dstp cn size payload sent_tk tid =
   let tx_done_tk = sender_side_tk t ~tid srcp size in
@@ -815,52 +694,36 @@ and tcp_transmit t srcp dstp cn size payload sent_tk tid =
 
 and tcp_drain t srcp dstp cn =
   let window = dstp.rcvbuf_cap in
-  if t.pooled then begin
-    let continue = ref true in
-    while !continue && cn.b_len > 0 do
-      let head = cn.b_head in
-      let size = Array.unsafe_get cn.b_size head in
-      if cn.in_flight + size <= window || cn.in_flight = 0 then begin
-        let payload = cn.b_pay.(head) in
-        let sent_tk = Array.unsafe_get cn.b_sent head in
-        let tid = Array.unsafe_get cn.b_tid head in
-        cn.b_pay.(head) <- Noop;
-        cn.b_head <- (head + 1) land (Array.length cn.b_size - 1);
-        cn.b_len <- cn.b_len - 1;
-        cn.in_flight <- cn.in_flight + size;
-        tcp_transmit t srcp dstp cn size payload sent_tk tid
-      end
-      else continue := false
-    done
-  end
-  else begin
-    let continue = ref true in
-    while !continue do
-      match Queue.peek_opt cn.b_queue with
-      | Some (size, _, _, _) when cn.in_flight + size <= window || cn.in_flight = 0 ->
-          let size, payload, sent_tk, tid = Queue.pop cn.b_queue in
-          cn.in_flight <- cn.in_flight + size;
-          tcp_transmit t srcp dstp cn size payload sent_tk tid
-      | _ -> continue := false
-    done
-  end
+  let continue = ref true in
+  while !continue && cn.b_len > 0 do
+    let head = cn.b_head in
+    let size = Array.unsafe_get cn.b_size head in
+    if cn.in_flight + size <= window || cn.in_flight = 0 then begin
+      let payload = cn.b_pay.(head) in
+      let sent_tk = Array.unsafe_get cn.b_sent head in
+      let tid = Array.unsafe_get cn.b_tid head in
+      cn.b_pay.(head) <- Noop;
+      cn.b_head <- (head + 1) land (Array.length cn.b_size - 1);
+      cn.b_len <- cn.b_len - 1;
+      cn.in_flight <- cn.in_flight + size;
+      tcp_transmit t srcp dstp cn size payload sent_tk tid
+    end
+    else continue := false
+  done
 
 let send ?tid t ~src ~dst ~size payload =
   let tid = match tid with Some x -> x | None -> alloc_tid t in
   let cn = conn_of t src dst in
   let window = dst.rcvbuf_cap in
-  let backlog_empty = if t.pooled then cn.b_len = 0 else Queue.is_empty cn.b_queue in
-  if backlog_empty && (cn.in_flight + size <= window || cn.in_flight = 0) then begin
+  if cn.b_len = 0 && (cn.in_flight + size <= window || cn.in_flight = 0) then begin
     cn.in_flight <- cn.in_flight + size;
     tcp_transmit t src dst cn size payload (now_tk t) tid
   end
-  else if t.pooled then ring_push cn ~size ~payload ~sent_tk:(now_tk t) ~tid
-  else Queue.push (size, payload, now_tk t, tid) cn.b_queue
+  else ring_push cn ~size ~payload ~sent_tk:(now_tk t) ~tid
 
 let udp ?tid t ~src ~dst ~size payload =
   let tid = match tid with Some x -> x | None -> alloc_tid t in
-  (* The base-loss draw is skipped when the config disables it (shared by
-     both modes, so RNG streams stay identical). *)
+  (* The base-loss draw is skipped when the config disables it. *)
   if t.cfg.udp_base_loss > 0.0 && Sim.Rng.bool t.rng t.cfg.udp_base_loss then
     dst.p_drops <- dst.p_drops + 1
   else begin
@@ -947,8 +810,8 @@ let mcast ?(loopback = false) ?tid t ~src g ~size payload =
   let tx_done_tk = sender_side_tk t ~tid src size in
   (* The switch sees the packet when the NIC has finished serialising it, so
      back-to-back bursts are paced at line rate before the loss model runs.
-     The switch closure is per-call in both modes (fan-out is not the
-     zero-allocation path; the per-destination records still pool). *)
+     The switch closure is per-call (fan-out is not the zero-allocation
+     path; the per-destination records still pool). *)
   ignore
     (Sim.Engine.at_ticks t.engine ~tick:tx_done_tk (fun () ->
          t.mc_packets <- t.mc_packets + 1;
@@ -995,9 +858,7 @@ let mcast ?(loopback = false) ?tid t ~src g ~size payload =
 
 (* {1 Message-pool public API} *)
 
-let retain _t m =
-  let i = m.m_i in
-  if i.slot >= 0 then i.rc <- i.rc + 1
+let retain _t m = m.m_i.rc <- m.m_i.rc + 1
 
 let release t m = release_msg t m
 let msg_generation m = m.m_i.gen

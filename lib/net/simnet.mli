@@ -14,7 +14,7 @@
 
     {2 Message lifetime}
 
-    Message records are pooled (in the default {!mode}): the record passed
+    Message records are pooled: the record passed
     to a handler is {e borrowed} — it is valid until the handler returns,
     after which the network reclaims and reuses it.  A protocol that needs
     the record beyond the handler must {!retain} it (and {!release} it
@@ -77,32 +77,7 @@ type config = {
 
 val default_config : config
 
-(** {1 Message-path modes}
-
-    Two implementations of the message path share every computation that
-    affects timing, randomness, statistics and tracing, so a seeded run is
-    byte-identical across modes.  [`Pooled] (the default) recycles message
-    records through a freelist, schedules each hop through continuations
-    preallocated at record birth and parks window-limited sends in a ring
-    of parallel arrays — the steady-state unicast path allocates nothing.
-    [`Boxed] allocates a fresh record and fresh hop closures per message
-    and queues backlogged sends as tuples: the pre-pooling reference that
-    equivalence tests and benchmarks compare against. *)
-
-type mode = [ `Pooled | `Boxed ]
-
-(** Process-wide default mode for subsequent {!create} calls (the
-    experiment harness sets this from [--simnet <pooled|boxed>]). *)
-val set_default_mode : mode -> unit
-
-val get_default_mode : unit -> mode
-
-(** @raise Invalid_argument on anything but ["pooled"] or ["boxed"]. *)
-val mode_of_string : string -> mode
-
-val mode : t -> mode
-
-val create : ?config:config -> ?mode:mode -> Sim.Engine.t -> Sim.Rng.t -> t
+val create : ?config:config -> Sim.Engine.t -> Sim.Rng.t -> t
 
 val engine : t -> Sim.Engine.t
 val config : t -> config
@@ -160,15 +135,15 @@ val members : group -> proc list
 val mcast :
   ?loopback:bool -> ?tid:int -> t -> src:proc -> group -> size:int -> payload -> unit
 
-(** {1 Message pool}
+(** {1 Message pool} *)
 
-    No-ops in [`Boxed] mode (records are ordinary GC values there). *)
-
-(** [retain t m] extends [m]'s lifetime past the handler return; the
-    record stays valid until a matching {!release}. *)
+(** [retain t m] extends [m]'s lifetime past the handler return by adding
+    a reference; the record stays valid until a matching {!release}. *)
 val retain : t -> msg -> unit
 
-(** [release t m] returns a retained record to the pool.
+(** [release t m] drops a reference taken by {!retain}; the record goes
+    back to the pool (and its generation is bumped) when the last one
+    is dropped.
     @raise Invalid_argument on a double release (refcount already zero). *)
 val release : t -> msg -> unit
 

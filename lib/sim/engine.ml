@@ -1,53 +1,18 @@
-(* Discrete-event engine over a pluggable queue: the timing wheel
-   (default, zero-allocation steady state) or the original boxed-event
-   binary heap, kept as the reference backend for equivalence tests and
-   benchmarks.  Both fire events in (time, order) order, so a seeded run
-   is byte-identical across backends. *)
-
-type backend = [ `Wheel | `Heap ]
-
-let default = ref `Wheel
-let set_default_backend b = default := b
-let get_default_backend () = !default
-
-let backend_of_string = function
-  | "wheel" -> `Wheel
-  | "heap" -> `Heap
-  | s -> invalid_arg (Printf.sprintf "Engine.backend_of_string: %S" s)
-
-(* Reference backend: one boxed record per event; cancellation marks the
-   record through a handle table keyed by sequence number. *)
-type hev = { ht : float; horder : int; mutable hcancelled : bool; haction : unit -> unit }
-
-type hstate = { heap : hev Heap.t; tbl : (int, hev) Hashtbl.t; mutable hlive : int }
-
-type queue = Qwheel of Wheel.t | Qheap of hstate
+(* Discrete-event engine over the timing wheel: events fire in (time,
+   order) order, and the steady-state schedule/fire path allocates
+   nothing. *)
 
 type t = {
   mutable seq : int;
   (* The clock lives in a float array so the wheel's firing loop can
      update it without boxing. *)
   now_cell : float array;
-  q : queue;
+  w : Wheel.t;
 }
 
 type handle = int
 
-let compare_hev a b =
-  let c = Float.compare a.ht b.ht in
-  if c <> 0 then c else Int.compare a.horder b.horder
-
-let create ?backend () =
-  let b = match backend with Some b -> b | None -> !default in
-  { seq = 0;
-    now_cell = Array.make 1 0.0;
-    q =
-      (match b with
-      | `Wheel -> Qwheel (Wheel.create ())
-      | `Heap ->
-          Qheap { heap = Heap.create compare_hev; tbl = Hashtbl.create 64; hlive = 0 }) }
-
-let backend t = match t.q with Qwheel _ -> `Wheel | Qheap _ -> `Heap
+let create () = { seq = 0; now_cell = Array.make 1 0.0; w = Wheel.create () }
 
 let now t = t.now_cell.(0)
 
@@ -73,20 +38,11 @@ let ticks_of_time ts = if ts <= 0.0 then 0 else int_of_float (ts *. tick_scale)
 
 let time_of_ticks tk = float_of_int tk *. tick_width
 
-let heap_add hs ~time ~order f =
-  let ev = { ht = time; horder = order; hcancelled = false; haction = f } in
-  Heap.push hs.heap ev;
-  Hashtbl.replace hs.tbl order ev;
-  hs.hlive <- hs.hlive + 1;
-  order
-
 let at t ~time f =
   let nw = Array.unsafe_get t.now_cell 0 in
   let time = if time < nw then nw else time in
   t.seq <- t.seq + 1;
-  match t.q with
-  | Qwheel w -> Wheel.add w ~time ~order:t.seq f
-  | Qheap hs -> heap_add hs ~time ~order:t.seq f
+  Wheel.add t.w ~time ~order:t.seq f
 
 let schedule t ~delay f =
   let delay = if delay < 0.0 then 0.0 else delay in
@@ -95,71 +51,21 @@ let schedule t ~delay f =
 let schedule_ticks t ~ticks f =
   let ticks = if ticks < 0 then 0 else ticks in
   t.seq <- t.seq + 1;
-  match t.q with
-  | Qwheel w -> Wheel.add_ticks w ~now:t.now_cell ~ticks ~order:t.seq f
-  | Qheap hs ->
-      let time =
-        Array.unsafe_get t.now_cell 0
-        +. (float_of_int ticks /. float_of_int ticks_per_second)
-      in
-      heap_add hs ~time ~order:t.seq f
+  Wheel.add_ticks t.w ~now:t.now_cell ~ticks ~order:t.seq f
 
 let at_ticks t ~tick f =
   t.seq <- t.seq + 1;
-  match t.q with
-  | Qwheel w -> Wheel.add_abs w ~now:t.now_cell ~tick ~order:t.seq f
-  | Qheap hs ->
-      let nw = Array.unsafe_get t.now_cell 0 in
-      let time = float_of_int tick *. tick_width in
-      let time = if time < nw then nw else time in
-      heap_add hs ~time ~order:t.seq f
+  Wheel.add_abs t.w ~now:t.now_cell ~tick ~order:t.seq f
 
-let cancel t h =
-  match t.q with
-  | Qwheel w -> ignore (Wheel.cancel w h)
-  | Qheap hs -> (
-      match Hashtbl.find_opt hs.tbl h with
-      | Some ev when not ev.hcancelled ->
-          ev.hcancelled <- true;
-          Hashtbl.remove hs.tbl h;
-          hs.hlive <- hs.hlive - 1
-      | _ -> ())
+let cancel t h = ignore (Wheel.cancel t.w h)
 
-let pending t =
-  match t.q with Qwheel w -> Wheel.live w | Qheap hs -> hs.hlive
+let pending t = Wheel.live t.w
 
 let default_max = 200_000_000
 
-(* Reference-backend firing loop, with the same budget semantics as the
-   wheel: cancelled records drain for free, at most [max_events] live
-   events fire, and the guard trips only when a fireable event remains. *)
-let heap_run hs t ~until ~max_events ~who =
-  let fired = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match Heap.peek hs.heap with
-    | None -> continue := false
-    | Some ev when ev.ht > until -> continue := false
-    | Some ev ->
-        if ev.hcancelled then ignore (Heap.pop hs.heap)
-        else begin
-          if !fired >= max_events then
-            failwith (who ^ ": event budget exhausted");
-          ignore (Heap.pop hs.heap);
-          Hashtbl.remove hs.tbl ev.horder;
-          hs.hlive <- hs.hlive - 1;
-          t.now_cell.(0) <- ev.ht;
-          ev.haction ();
-          incr fired
-        end
-  done
-
 let run_until t ~until ~max_events ~who =
-  match t.q with
-  | Qwheel w -> (
-      try ignore (Wheel.run w ~now:t.now_cell ~until ~max_events)
-      with Wheel.Budget -> failwith (who ^ ": event budget exhausted"))
-  | Qheap hs -> heap_run hs t ~until ~max_events ~who
+  try ignore (Wheel.run t.w ~now:t.now_cell ~until ~max_events)
+  with Wheel.Budget -> failwith (who ^ ": event budget exhausted")
 
 let run ?(max_events = default_max) t ~until =
   run_until t ~until ~max_events ~who:"Engine.run";

@@ -4,11 +4,8 @@
     in scheduling order (a monotonically increasing sequence number breaks
     ties), which keeps runs deterministic.
 
-    Two queue backends implement that contract identically: the default
-    hierarchical {!Wheel} (pooled event records, zero allocation on the
-    steady-state schedule/fire path) and the original binary heap of boxed
-    events, kept as the reference for equivalence tests and benchmarks.  A
-    seeded run is byte-identical across backends. *)
+    The queue is the hierarchical {!Wheel}: pooled event records, zero
+    allocation on the steady-state schedule/fire path. *)
 
 type t
 
@@ -16,22 +13,8 @@ type t
     immediate integer, so scheduling allocates nothing. *)
 type handle
 
-type backend = [ `Wheel | `Heap ]
-
-(** [create ()] is a fresh engine with the clock at [0.0], using the
-    [backend] given here or else the process-wide default. *)
-val create : ?backend:backend -> unit -> t
-
-(** Process-wide default backend for subsequent {!create} calls (the
-    experiment harness sets this from [--engine <wheel|heap>]). *)
-val set_default_backend : backend -> unit
-
-val get_default_backend : unit -> backend
-
-(** @raise Invalid_argument on anything but ["wheel"] or ["heap"]. *)
-val backend_of_string : string -> backend
-
-val backend : t -> backend
+(** [create ()] is a fresh engine with the clock at [0.0]. *)
+val create : unit -> t
 
 (** [now t] is the current simulation time in seconds. *)
 val now : t -> float
@@ -54,8 +37,7 @@ val schedule_ticks : t -> ticks:int -> (unit -> unit) -> handle
     ([tick /. ticks_per_second] seconds, clamped to [now t] when past).
     Zero-allocation like {!schedule_ticks}, but the event lands exactly
     on the tick grid even when the clock currently sits off-grid — the
-    simnet hot path schedules every hop this way so both its
-    implementations produce identical event times. *)
+    simnet hot path schedules every hop this way. *)
 val at_ticks : t -> tick:int -> (unit -> unit) -> handle
 
 (** [ticks_of_duration d] is [d] seconds in engine ticks, rounded to

@@ -12,8 +12,8 @@
     Determinism contract (same as the engine's): events fire in
     [(time, order)] order, so same-instant events fire in scheduling
     order.  Within a tick the firing heap orders by the exact [float]
-    time, which keeps the schedule byte-identical to a plain binary-heap
-    queue over the same events.
+    time, which keeps the schedule identical to a plain sorted queue on
+    [(time, order)] over the same events.
 
     Cancelled events are purged lazily: [cancel] only marks the record,
     and a sweep reclaims marked records once they are at least half of

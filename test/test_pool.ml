@@ -1,16 +1,16 @@
 (* Tests for the pooled message path (lib/net): record lifecycle
    (borrow / retain / release, generation stamps), pool-epoch safety
-   across kill/recover, bounded backlog-ring memory, allocation-free
-   steady state, and byte-identical behaviour between the pooled and
-   boxed scheduling modes. *)
+   across kill/recover, the backlog ring against a queue model, bounded
+   backlog-ring memory, allocation-free steady state, and a golden digest
+   of a traced run. *)
 
 type Simnet.payload += Ping of int
 
 let quiet = { Simnet.default_config with latency_jitter = 0.0 }
 
-let make ?(config = quiet) ?(mode = `Pooled) ?(seed = 1) () =
+let make ?(config = quiet) ?(seed = 1) () =
   let engine = Sim.Engine.create () in
-  let net = Simnet.create ~config ~mode engine (Sim.Rng.create seed) in
+  let net = Simnet.create ~config engine (Sim.Rng.create seed) in
   (engine, net)
 
 let pair net =
@@ -158,7 +158,52 @@ let prop_random_lifecycle =
       Sim.Engine.run_all engine;
       Simnet.pool_allocated net = Simnet.pool_free net)
 
-(* --- satellite 2: backlog ring stays bounded --------------------------- *)
+(* --- backlog ring against a queue model ------------------------------- *)
+
+(* Random sends of random sizes into a small receive window park most of
+   them in the connection's backlog ring, forcing it to grow and, with
+   partial drains in between, to wrap.  The model is the queue of sends
+   accepted while the receiver is up and not yet delivered: each delivery
+   must be its head (exactly once, in send order) and at quiescence it
+   must be empty.  A crash of the receiver loses whatever it still owed
+   (in-flight messages and the parked backlog), so the model is cleared;
+   the receiver recovers only once the network is quiet, so a backlog
+   that survived the crash would surface as a stale delivery or wedge the
+   connection. *)
+let prop_backlog_ring_matches_queue =
+  QCheck.Test.make ~name:"backlog ring delivers like a FIFO queue" ~count:100
+    QCheck.(list_of_size Gen.(int_range 1 200) (pair (int_bound 9) (int_range 1 3000)))
+    (fun program ->
+      let engine, net = make () in
+      let a, b = pair net in
+      Simnet.set_rcvbuf b 2048;
+      let model = Queue.create () in
+      let ok = ref true in
+      Simnet.set_handler b (fun m ->
+          let expected = Queue.take_opt model in
+          match m.payload with Ping id when expected = Some id -> () | _ -> ok := false);
+      let next = ref 0 in
+      List.iter
+        (fun (op, n) ->
+          if op < 8 then begin
+            incr next;
+            Queue.push !next model;
+            Simnet.send net ~src:a ~dst:b ~size:n (Ping !next)
+          end
+          else if op = 8 then
+            Sim.Engine.run engine ~until:(Sim.Engine.now engine +. (float_of_int n *. 1.0e-7))
+          else begin
+            Simnet.kill net b;
+            Queue.clear model;
+            Sim.Engine.run_all engine;
+            Simnet.recover net b
+          end)
+        program;
+      Sim.Engine.run_all engine;
+      !ok && Queue.is_empty model
+      && Simnet.pool_allocated net = Simnet.pool_free net)
+
+(* --- backlog ring stays bounded ----------------------------------------- *)
 
 let test_backlog_ring_memory_bounded () =
   let engine, net = make () in
@@ -185,7 +230,7 @@ let test_backlog_ring_memory_bounded () =
     true
     (after <= baseline + 512)
 
-(* --- satellite 4: allocation-free steady state, trace equivalence ------ *)
+(* --- allocation-free steady state, golden trace ------------------------- *)
 
 let test_steady_unicast_allocates_nothing () =
   let engine, net = make () in
@@ -222,10 +267,12 @@ let test_disabled_tracer_allocates_nothing () =
   let words = Gc.minor_words () -. w0 in
   Alcotest.(check (float 0.0)) "disabled tracer stays allocation-free" 0.0 words
 
-(* A seeded run with a tracer attached, parameterized by mode; used to
-   check the two scheduling disciplines are observationally identical. *)
-let traced_run mode =
-  let engine, net = make ~mode ~seed:77 () in
+(* A seeded run with a tracer attached: window-limited sends, a receiver
+   crash with messages in flight and parked, recovery, more sends.  The
+   Chrome export embeds every hop's timing, so its digest pins the
+   message path's schedule. *)
+let test_traced_run_golden () =
+  let engine, net = make ~seed:77 () in
   let a, b = pair net in
   Simnet.set_rcvbuf b 4096;
   let tr = Trace.create () in
@@ -248,15 +295,9 @@ let traced_run mode =
            Simnet.send net ~src:a ~dst:b ~size:512 (Ping i)
          done));
   Sim.Engine.run engine ~until:0.05;
-  (!fires, Trace.to_chrome_json tr)
-
-let test_modes_byte_identical_trace () =
-  let fp, jp = traced_run `Pooled in
-  let fb, jb = traced_run `Boxed in
-  Alcotest.(check bool) "the run did something" true (fp > 10);
-  Alcotest.(check int) "same deliveries in both modes" fp fb;
-  Alcotest.(check bool) "trace is non-trivial" true (String.length jp > 1024);
-  Alcotest.(check string) "byte-identical trace across modes" jp jb
+  Alcotest.(check int) "deliveries" 5039 !fires;
+  Alcotest.(check string) "trace export digest" "e841ffdd32d296c78383556e74c4ba62"
+    (Digest.to_hex (Digest.string (Trace.to_chrome_json tr)))
 
 let suite =
   [ Alcotest.test_case "handler borrow is reclaimed" `Quick
@@ -269,11 +310,12 @@ let suite =
     Alcotest.test_case "pool consistent across kill/recover" `Quick
       test_pool_consistent_across_kill_recover;
     QCheck_alcotest.to_alcotest prop_random_lifecycle;
+    QCheck_alcotest.to_alcotest prop_backlog_ring_matches_queue;
     Alcotest.test_case "backlog ring memory bounded" `Quick
       test_backlog_ring_memory_bounded;
     Alcotest.test_case "steady unicast allocates nothing" `Quick
       test_steady_unicast_allocates_nothing;
     Alcotest.test_case "disabled tracer allocates nothing" `Quick
       test_disabled_tracer_allocates_nothing;
-    Alcotest.test_case "pooled and boxed traces byte-identical" `Quick
-      test_modes_byte_identical_trace ]
+    Alcotest.test_case "traced kill/recover run matches golden digest" `Quick
+      test_traced_run_golden ]

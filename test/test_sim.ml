@@ -2,34 +2,6 @@
 
 open Sim
 
-let test_heap_order () =
-  let h = Heap.create compare in
-  List.iter (Heap.push h) [ 5; 3; 8; 1; 9; 2; 7 ];
-  let out = List.init (Heap.length h) (fun _ -> Heap.pop h) in
-  Alcotest.(check (list int)) "sorted ascending" [ 1; 2; 3; 5; 7; 8; 9 ] out
-
-let test_heap_empty () =
-  let h = Heap.create compare in
-  Alcotest.(check bool) "is_empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "peek empty" None (Heap.peek h);
-  Alcotest.check_raises "pop empty" (Invalid_argument "Heap.pop: empty heap") (fun () ->
-      ignore (Heap.pop h))
-
-let test_heap_clear () =
-  let h = Heap.create compare in
-  List.iter (Heap.push h) [ 3; 1; 2 ];
-  Heap.clear h;
-  Alcotest.(check int) "length after clear" 0 (Heap.length h)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap pops in sorted order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create compare in
-      List.iter (Heap.push h) xs;
-      let out = List.init (List.length xs) (fun _ -> Heap.pop h) in
-      out = List.sort compare xs)
-
 let test_engine_order () =
   let e = Engine.create () in
   let log = ref [] in
@@ -251,24 +223,6 @@ let test_rate_bounded_memory () =
   Alcotest.(check bool) "memory is O(buckets), not O(samples)" true
     (Obj.reachable_words (Obj.repr r) < 50_000)
 
-let test_heap_releases_popped () =
-  let h = Heap.create (fun (a, _) (b, _) -> Stdlib.compare a b) in
-  Heap.push h (0, Bytes.create 8);
-  for i = 1 to 50 do
-    Heap.push h (i, Bytes.create 100_000)
-  done;
-  for _ = 1 to 40 do
-    ignore (Heap.pop h)
-  done;
-  (* 11 big elements remain (~138k words); stale slots would pin ~500k more. *)
-  Alcotest.(check bool) "popped elements are collectable" true
-    (Obj.reachable_words (Obj.repr h) < 200_000);
-  for _ = 1 to 11 do
-    ignore (Heap.pop h)
-  done;
-  Alcotest.(check bool) "empty heap releases storage" true
-    (Obj.reachable_words (Obj.repr h) < 100)
-
 let test_engine_pending_cancel () =
   let e = Engine.create () in
   let h1 = Engine.schedule e ~delay:1.0 (fun () -> ()) in
@@ -285,47 +239,41 @@ let test_engine_pending_cancel () =
    so max_events + 1 events fired before the guard tripped.  Exactly
    [max_events] may fire; one more live event must trip it. *)
 let test_engine_budget_boundary () =
-  List.iter
-    (fun backend ->
-      let e = Engine.create ~backend () in
-      let fired = ref 0 in
-      for i = 1 to 5 do
-        ignore (Engine.schedule e ~delay:(float_of_int i) (fun () -> incr fired))
-      done;
-      Engine.run_all ~max_events:5 e;
-      Alcotest.(check int) "exact budget fires all" 5 !fired;
-      let e = Engine.create ~backend () in
-      let fired = ref 0 in
-      for i = 1 to 6 do
-        ignore (Engine.schedule e ~delay:(float_of_int i) (fun () -> incr fired))
-      done;
-      Alcotest.check_raises "budget + 1 trips"
-        (Failure "Engine.run_all: event budget exhausted") (fun () ->
-          Engine.run_all ~max_events:5 e);
-      Alcotest.(check int) "budget events fired before the trip" 5 !fired)
-    [ `Wheel; `Heap ]
+  let e = Engine.create () in
+  let fired = ref 0 in
+  for i = 1 to 5 do
+    ignore (Engine.schedule e ~delay:(float_of_int i) (fun () -> incr fired))
+  done;
+  Engine.run_all ~max_events:5 e;
+  Alcotest.(check int) "exact budget fires all" 5 !fired;
+  let e = Engine.create () in
+  let fired = ref 0 in
+  for i = 1 to 6 do
+    ignore (Engine.schedule e ~delay:(float_of_int i) (fun () -> incr fired))
+  done;
+  Alcotest.check_raises "budget + 1 trips"
+    (Failure "Engine.run_all: event budget exhausted") (fun () ->
+      Engine.run_all ~max_events:5 e);
+  Alcotest.(check int) "budget events fired before the trip" 5 !fired
 
 (* Cancelled records drain for free: they used to be charged against the
    run budget, making long failure-detector runs trip spuriously. *)
 let test_engine_budget_ignores_cancelled () =
-  List.iter
-    (fun backend ->
-      let e = Engine.create ~backend () in
-      let fired = ref 0 in
-      for i = 1 to 10 do
-        let d = 0.1 *. float_of_int i in
-        let h = Engine.schedule e ~delay:d (fun () -> ()) in
-        ignore (Engine.schedule e ~delay:d (fun () -> incr fired));
-        Engine.cancel e h
-      done;
-      Engine.run_all ~max_events:10 e;
-      Alcotest.(check int) "live events all fired within budget" 10 !fired)
-    [ `Wheel; `Heap ]
+  let e = Engine.create () in
+  let fired = ref 0 in
+  for i = 1 to 10 do
+    let d = 0.1 *. float_of_int i in
+    let h = Engine.schedule e ~delay:d (fun () -> ()) in
+    ignore (Engine.schedule e ~delay:d (fun () -> incr fired));
+    Engine.cancel e h
+  done;
+  Engine.run_all ~max_events:10 e;
+  Alcotest.(check int) "live events all fired within budget" 10 !fired
 
 (* Cancel-without-fire workloads must not accumulate dead records: the
    wheel sweeps them once they are half the queue. *)
 let test_engine_cancel_memory_bound () =
-  let e = Engine.create ~backend:`Wheel () in
+  let e = Engine.create () in
   for _ = 1 to 200_000 do
     let h = Engine.schedule e ~delay:1.0 (fun () -> ()) in
     Engine.cancel e h
@@ -334,38 +282,30 @@ let test_engine_cancel_memory_bound () =
   Alcotest.(check bool) "cancelled records are swept" true
     (Obj.reachable_words (Obj.repr e) < 100_000)
 
-(* A heap that ping-pongs between empty and one element must keep its
-   backing storage: the old [pop] released it on every transient empty. *)
-let test_heap_pingpong_capacity () =
-  let h = Heap.create compare in
-  for i = 1 to 64 do
-    Heap.push h i
-  done;
-  for _ = 1 to 64 do
-    ignore (Heap.pop h)
-  done;
-  let w0 = Gc.minor_words () in
-  for i = 1 to 10_000 do
-    Heap.push h i;
-    ignore (Heap.pop h)
-  done;
-  let words = Gc.minor_words () -. w0 in
-  Alcotest.(check bool) "no allocation across transient empties" true (words < 1000.0)
-
 (* [run ~until] can park the wheel cursor far ahead of the clock; a
    later schedule "in the past" relative to the cursor must still fire,
-   and in time order. *)
+   and in time order, exactly as on the reference queue — including an
+   event armed from a callback between events of one far-level window,
+   and a same-time pair in scheduling order. *)
 let test_engine_past_schedule_after_jump () =
-  List.iter
-    (fun backend ->
-      let e = Engine.create ~backend () in
-      let log = ref [] in
-      ignore (Engine.schedule e ~delay:100.0 (fun () -> log := 100 :: !log));
-      Engine.run e ~until:2.0;
-      ignore (Engine.schedule e ~delay:1.0 (fun () -> log := 3 :: !log));
-      Engine.run_all e;
-      Alcotest.(check (list int)) "late schedule fires first" [ 3; 100 ] (List.rev !log))
-    [ `Wheel; `Heap ]
+  let program (q : Test_engine_equiv.ops) =
+    let log = ref [] in
+    let record id () = log := (id, q.now ()) :: !log in
+    ignore
+      (q.schedule ~delay:100.0 (fun () ->
+           record 100 ();
+           ignore (q.schedule ~delay:0.25 (record 101))));
+    ignore (q.schedule ~delay:100.5 (record 102));
+    ignore (q.schedule ~delay:100.5 (record 103));
+    q.run ~until:2.0;
+    ignore (q.schedule ~delay:1.0 (record 3));
+    q.run_all ();
+    List.rev !log
+  in
+  let w, r = Test_engine_equiv.both program in
+  Alcotest.(check (list (pair int (float 0.0)))) "late schedule fires first"
+    [ (3, 3.0); (100, 100.0); (101, 100.25); (102, 100.5); (103, 100.5) ] w;
+  Alcotest.(check (list (pair int (float 0.0)))) "wheel matches the reference" r w
 
 let test_snapshot_json () =
   let r = Stats.Rate.create () in
@@ -385,11 +325,7 @@ let test_snapshot_json () =
     [ {|"label":"t"|}; {|"events":1|}; {|"bytes":125000|}; {|"lat_count":1|}; {|"cpu_pct":20|} ]
 
 let suite =
-  [ Alcotest.test_case "heap: pops sorted" `Quick test_heap_order;
-    Alcotest.test_case "heap: empty behaviour" `Quick test_heap_empty;
-    Alcotest.test_case "heap: clear" `Quick test_heap_clear;
-    QCheck_alcotest.to_alcotest prop_heap_sorts;
-    Alcotest.test_case "engine: time order" `Quick test_engine_order;
+  [     Alcotest.test_case "engine: time order" `Quick test_engine_order;
     Alcotest.test_case "engine: FIFO at equal times" `Quick test_engine_same_time_fifo;
     Alcotest.test_case "engine: cancel" `Quick test_engine_cancel;
     Alcotest.test_case "engine: run until horizon" `Quick test_engine_until;
@@ -413,14 +349,12 @@ let suite =
     Alcotest.test_case "stats: latency reservoir" `Quick test_latency_reservoir;
     Alcotest.test_case "stats: rate bucket boundary" `Quick test_rate_bucket_boundary;
     Alcotest.test_case "stats: rate bounded memory" `Quick test_rate_bounded_memory;
-    Alcotest.test_case "heap: releases popped elements" `Quick test_heap_releases_popped;
     Alcotest.test_case "engine: pending tracks cancel" `Quick test_engine_pending_cancel;
     Alcotest.test_case "engine: budget boundary is exact" `Quick test_engine_budget_boundary;
     Alcotest.test_case "engine: budget ignores cancelled" `Quick
       test_engine_budget_ignores_cancelled;
     Alcotest.test_case "engine: cancelled records are swept" `Quick
       test_engine_cancel_memory_bound;
-    Alcotest.test_case "heap: ping-pong keeps capacity" `Quick test_heap_pingpong_capacity;
     Alcotest.test_case "engine: past schedule after clock jump" `Quick
       test_engine_past_schedule_after_jump;
     Alcotest.test_case "stats: snapshot json" `Quick test_snapshot_json ]
