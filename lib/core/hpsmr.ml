@@ -1,4 +1,5 @@
 module Sim = Sim
+module Trace = Trace
 module Simnet = Simnet
 module Storage = Storage
 module Paxos = Paxos
@@ -8,7 +9,9 @@ module Btree = Btree
 module Smr = Smr
 module Multiring = Multiring
 module Psmr = Psmr
+module Kv = Kv
 module Cloud = Cloud
+module Fault = Fault
 
 module Env = struct
   type t = { engine : Sim.Engine.t; net : Simnet.t; rng : Sim.Rng.t }
@@ -21,79 +24,4 @@ module Env = struct
 
   let run t ~for_ = Sim.Engine.run t.engine ~until:(Sim.Engine.now t.engine +. for_)
   let now t = Sim.Engine.now t.engine
-end
-
-module Replicated_kv = struct
-  type Simnet.payload +=
-    | Put of { key : int; value : int }
-    | Get of { key : int }
-    | KvResp of { uid : int; value : int option }
-
-  type t = {
-    env : Env.t;
-    mutable mr : Ringpaxos.Mring.t option;
-    stores : (int, int) Hashtbl.t array;
-    pending : (int, int option -> unit) Hashtbl.t;  (* uid -> continuation *)
-    mutable completed : int;
-  }
-
-  let the_mr t = match t.mr with Some m -> m | None -> assert false
-
-  let create env ~replicas =
-    let stores = Array.init (Stdlib.max 1 replicas) (fun _ -> Hashtbl.create 1024) in
-    let t = { env; mr = None; stores; pending = Hashtbl.create 256; completed = 0 } in
-    let deliver ~learner ~inst:_ v =
-      match v with
-      | None -> ()
-      | Some (v : Paxos.Value.t) ->
-          List.iter
-            (fun (it : Paxos.Value.item) ->
-              let store = stores.(learner) in
-              let result =
-                match it.app with
-                | Put { key; value } ->
-                    Hashtbl.replace store key value;
-                    None
-                | Get { key } -> Hashtbl.find_opt store key
-                | _ -> None
-              in
-              (* Replica 0 answers. *)
-              if learner = 0 then
-                Simnet.send env.net
-                  ~src:(Ringpaxos.Mring.learner_proc (the_mr t) 0)
-                  ~dst:(Ringpaxos.Mring.proposer_proc (the_mr t) 0)
-                  ~size:64
-                  (KvResp { uid = it.uid; value = result }))
-            v.items
-    in
-    let mr =
-      Ringpaxos.Mring.create env.net Ringpaxos.Mring.default_config ~n_proposers:1
-        ~n_learners:(Stdlib.max 1 replicas)
-        ~learner_parts:(fun _ -> [ 0 ])
-        ~deliver
-    in
-    t.mr <- Some mr;
-    let client = Ringpaxos.Mring.proposer_proc mr 0 in
-    let prev = Simnet.handler_of client in
-    Simnet.set_handler client (fun m ->
-        match m.payload with
-        | KvResp { uid; value } -> (
-            match Hashtbl.find_opt t.pending uid with
-            | Some k ->
-                Hashtbl.remove t.pending uid;
-                t.completed <- t.completed + 1;
-                k value
-            | None -> ())
-        | _ -> prev m);
-    t
-
-  let submit t op k =
-    let uid = Ringpaxos.Mring.submit (the_mr t) ~proposer:0 ~size:128 op in
-    if uid >= 0 then Hashtbl.replace t.pending uid k
-    else ignore (Simnet.after t.env.net 1.0e-3 (fun () -> k None))
-
-  let put t ~key ~value ~k = submit t (Put { key; value }) (fun _ -> k ())
-  let get t ~key ~k = submit t (Get { key }) k
-  let completed t = t.completed
-  let kill_coordinator t = Ringpaxos.Mring.kill_coordinator (the_mr t)
 end

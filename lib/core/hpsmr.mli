@@ -4,23 +4,29 @@
     State-Machine Replication} (DSN 2011 line of work): the Ring Paxos
     family of atomic broadcast protocols, SMR with speculative execution and
     state partitioning, Multi-Ring Paxos atomic multicast and Parallel SMR,
-    all running on a deterministic discrete-event network simulator.
+    all running on a deterministic discrete-event network simulator.  The
+    replicated service is {!Kv}: Multi-Ring ordering, a parallel executor,
+    a B+-tree and a lease tier for local reads.
 
     Quick start:
     {[
       let env = Hpsmr.Env.create ~seed:42 () in
-      let kv = Hpsmr.Replicated_kv.create env ~replicas:2 in
-      Hpsmr.Replicated_kv.put kv ~key:1 ~value:10 ~k:(fun _ -> ...);
+      let kv = Hpsmr.Kv.create env.net Hpsmr.Kv.default_config ~n_clients:1 in
+      Hpsmr.Kv.put kv ~key:1 ~value:10 ~k:(fun _ ->
+          Hpsmr.Kv.get kv ~key:1 ~k:(fun v -> ...));
       Hpsmr.Env.run env ~for_:1.0
     ]}
 
-    For full control use the re-exported libraries below — they are the
-    real implementation, not wrappers. *)
+    The re-exported libraries below are the implementation itself, not
+    wrappers. *)
 
 (** {1 Re-exported libraries} *)
 
 module Sim = Sim
 (** Discrete-event engine, RNG, statistics. *)
+
+module Trace = Trace
+(** Causal span tracing with a Chrome trace export. *)
 
 module Simnet = Simnet
 (** Simulated network: nodes, processes, unicast/multicast, failures. *)
@@ -49,8 +55,14 @@ module Multiring = Multiring
 module Psmr = Psmr
 (** Parallel SMR (Ch. 6). *)
 
+module Kv = Kv
+(** The replicated key-value service: YCSB load, point ops, leases. *)
+
 module Cloud = Cloud
 (** Cloud evaluation harness (Ch. 7). *)
+
+module Fault = Fault
+(** Fault injection, the safety auditor and the chaos harness. *)
 
 (** {1 Convenience environment} *)
 
@@ -65,28 +77,4 @@ module Env : sig
   val run : t -> for_:float -> unit
 
   val now : t -> float
-end
-
-(** {1 A replicated key-value service in three lines} *)
-
-module Replicated_kv : sig
-  type t
-
-  (** [create env ~replicas] builds a KV store replicated with M-Ring Paxos
-      ([2f+1] acceptors with [f = 2]) and [replicas] executing replicas. *)
-  val create : Env.t -> replicas:int -> t
-
-  (** Asynchronous operations; the continuation runs when a replica's
-      response reaches the client. *)
-
-  val put : t -> key:int -> value:int -> k:(unit -> unit) -> unit
-
-  val get : t -> key:int -> k:(int option -> unit) -> unit
-
-  (** Commands completed so far. *)
-  val completed : t -> int
-
-  (** Crash the current Ring Paxos coordinator; a spare takes over and the
-      store keeps serving. *)
-  val kill_coordinator : t -> unit
 end

@@ -61,7 +61,6 @@ let delivered t ~learner uid =
   else canon_push t uid;
   t.pos.(learner) <- k + 1
 
-let broadcast_count t = t.nbcast
 let delivered_counts t = Array.map List.length t.logs
 
 type verdict = {

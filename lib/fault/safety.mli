@@ -26,11 +26,6 @@ val broadcast : t -> int -> unit
 (** Record a delivery; incremental invariant checks run immediately. *)
 val delivered : t -> learner:int -> int -> unit
 
-val broadcast_count : t -> int
-
-(** Per-learner delivery counts. *)
-val delivered_counts : t -> int array
-
 type verdict = {
   ok : bool;
   violations : string list;  (** capped at 20, oldest first *)

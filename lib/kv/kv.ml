@@ -104,6 +104,7 @@ type t = {
   done_uids : (int, unit) Hashtbl.t;  (* responded: straggler acks die here *)
   applied : (int, unit) Hashtbl.t;  (* writes applied somewhere (history) *)
   pending_reads : (int, pread) Hashtbl.t;  (* rid -> local read in flight *)
+  conts : (int, int option -> unit) Hashtbl.t;  (* uid -> point-op continuation *)
   backoff : float array;  (* per-replica: no local reads until this time *)
   init_vals : (int, int) Hashtbl.t;  (* pre-run tree contents (history) *)
   mutable hist : Smr.Linearizability.Kv.op list;
@@ -359,7 +360,8 @@ let ordered_issue t ~born (a : OL.arrival) =
       | COther -> ("other", None)
     in
     Hashtbl.replace t.inflight uid { i_born = born; i_cls = cls; i_hist = hist }
-  end
+  end;
+  uid
 
 (* Next replica not in nack/timeout backoff, round-robin. *)
 let pick_replica t =
@@ -395,7 +397,7 @@ let local_read t (a : OL.arrival) ~key ~replica =
             Protocol.Counters.incr t.ctrs "kv_read_timeouts";
             t.backoff.(p.p_replica) <-
               Simnet.now t.net +. t.cfg.lease_backoff;
-            ordered_issue t ~born:p.p_born p.p_arr)
+            ignore (ordered_issue t ~born:p.p_born p.p_arr))
   in
   Hashtbl.replace t.pending_reads rid
     { p_client = c; p_key = key; p_born = born; p_arr = a; p_replica = replica;
@@ -409,9 +411,9 @@ let issue t (a : OL.arrival) =
   | CRead key when t.cfg.leases -> begin
       match pick_replica t with
       | Some j -> local_read t a ~key ~replica:j
-      | None -> ordered_issue t ~born:(Simnet.now t.net) a
+      | None -> ignore (ordered_issue t ~born:(Simnet.now t.net) a)
     end
-  | _ -> ordered_issue t ~born:(Simnet.now t.net) a
+  | _ -> ignore (ordered_issue t ~born:(Simnet.now t.net) a)
 
 (* --- replica-side handlers (local reads, write acks) --------------------------- *)
 
@@ -502,7 +504,16 @@ let handle_client_msg t (m : Simnet.msg) prev =
   | KResp { uid; obs } when Hashtbl.mem t.inflight uid ->
       let inf = Hashtbl.find t.inflight uid in
       Hashtbl.remove t.inflight uid;
-      complete t inf ~obs ~res:(Simnet.now t.net)
+      complete t inf ~obs ~res:(Simnet.now t.net);
+      (* Only point ops leave a continuation: the open-loop path pays one
+         length check. *)
+      if Hashtbl.length t.conts > 0 then begin
+        match Hashtbl.find_opt t.conts uid with
+        | Some k ->
+            Hashtbl.remove t.conts uid;
+            k obs
+        | None -> ()
+      end
   | KReadResp { rid; ok; obs } -> begin
       match Hashtbl.find_opt t.pending_reads rid with
       | None -> ()  (* timed out; the ordered fallback owns it now *)
@@ -518,7 +529,7 @@ let handle_client_msg t (m : Simnet.msg) prev =
             Protocol.Counters.incr t.ctrs "kv_local_nacks_seen";
             t.backoff.(p.p_replica) <-
               Simnet.now t.net +. t.cfg.lease_backoff;
-            ordered_issue t ~born:p.p_born p.p_arr
+            ignore (ordered_issue t ~born:p.p_born p.p_arr)
           end
     end
   | _ -> prev m
@@ -561,6 +572,7 @@ let create ?on_broadcast ?on_deliver net cfg ~n_clients =
       done_uids = Hashtbl.create 4096;
       applied = Hashtbl.create 4096;
       pending_reads = Hashtbl.create 1024;
+      conts = Hashtbl.create 16;
       backoff = Array.make cfg.n_replicas 0.0;
       init_vals;
       hist = [];
@@ -668,6 +680,28 @@ let start_open t wl ~until =
   in
   arm ()
 
+(* --- point-op client ------------------------------------------------------------ *)
+
+(* A point op is an ordered log command like any other (no lease path);
+   its continuation gets the responder's observed value. *)
+let point t op ~key ~writes ~k =
+  let now = Simnet.now t.net in
+  let uid =
+    ordered_issue t ~born:now
+      { OL.at = now; op; reads = Btree.Keyset.singleton key; writes; size = 256 }
+  in
+  if uid >= 0 then Hashtbl.replace t.conts uid k
+
+let put t ~key ~value ~k =
+  point t (Smr.Btree_service.Insert { key; value }) ~key
+    ~writes:(Btree.Keyset.singleton key) ~k
+
+let get t ~key ~k =
+  point t (Smr.Btree_service.Query { lo = key; hi = key }) ~key
+    ~writes:Btree.Keyset.empty ~k
+
+let kill_coordinator t = Multiring.kill_ring_coordinator (the_mr t) 0
+
 (* --- accessors -------------------------------------------------------------------- *)
 
 let slo t = t.slo
@@ -677,16 +711,11 @@ let issued t = t.issued
 let drops t = t.drops
 let inflight_count t = Hashtbl.length t.inflight
 let pending_writes t = Hashtbl.length t.wpend
-let pending_local_reads t = Hashtbl.length t.pending_reads
 
 let executed t =
   Array.fold_left (fun acc rep -> acc + Psmr.Executor.executed (exec_of rep)) 0 t.reps
 
 let state_fingerprint_at t r = Smr.Btree_service.fingerprint t.reps.(r).r_svc
-
-let lease_valid t ~replica =
-  let e = t.reps.(replica).r_leases.(replica) in
-  Simnet.now t.net < e.ls_until
 
 let lease_epoch t ~replica = t.reps.(replica).r_leases.(replica).ls_epoch
 

@@ -79,6 +79,22 @@ val create :
     through the ordered log.  Also starts the lease-renewal loops. *)
 val start_open : t -> Smr.Workload.Open_loop.t -> until:float -> unit
 
+(** {2 Point-op client}
+
+    [put] and [get] issue one command through the ordered log (never the
+    lease tier), from the client proxies in turn.  [k] runs when the
+    responder's reply arrives: [get] hands it the value at the command's
+    log position ([None] for an absent key), [put] always [None].  A
+    command the proposer's window refuses is counted by {!drops} and its
+    [k] never runs. *)
+
+val put : t -> key:int -> value:int -> k:(int option -> unit) -> unit
+val get : t -> key:int -> k:(int option -> unit) -> unit
+
+(** Crash the ring's current coordinator; a spare acceptor takes over and
+    the service keeps answering. *)
+val kill_coordinator : t -> unit
+
 (** Per-class latency meters ("read-local", "read", "update", "insert",
     "scan"). *)
 val slo : t -> Slo.t
@@ -101,8 +117,6 @@ val inflight_count : t -> int
 (** Write responses still deferred on lease acknowledgements. *)
 val pending_writes : t -> int
 
-val pending_local_reads : t -> int
-
 (** Ordered commands executed, summed across replicas: an update counts
     once per replica, a read-only command once (at its responder).
     Lease-served reads are not counted. *)
@@ -110,9 +124,6 @@ val executed : t -> int
 
 (** Fingerprint of replica [r]'s btree (replicas must agree). *)
 val state_fingerprint_at : t -> int -> int
-
-(** Whether [replica]'s own lease is currently valid by its own view. *)
-val lease_valid : t -> replica:int -> bool
 
 (** Conflicting-write invalidations [replica] has applied to its own
     lease. *)

@@ -167,7 +167,6 @@ type t = {
   mutable mc_drops : int;
   mutable mc_packets : int;
   mutable fault_tap : (msg -> dst:proc -> fault) option;
-  mutable fault_drops : int;
   mutable tracer : Trace.t option;
   mutable next_tid : int;
   dummy_proc : proc;
@@ -226,7 +225,6 @@ let create ?(config = default_config) engine rng =
     mc_drops = 0;
     mc_packets = 0;
     fault_tap = None;
-    fault_drops = 0;
     tracer = None;
     next_tid = 0;
     dummy_proc;
@@ -355,7 +353,6 @@ let[@inline] prop_tk t src dst =
   if x <= 0.0 then 0 else int_of_float x
 
 let set_fault_tap t tap = t.fault_tap <- tap
-let fault_drops t = t.fault_drops
 let set_cpu_factor n f = n.cpu_factor <- f
 let node_cpu_factor n = n.cpu_factor
 
@@ -643,7 +640,6 @@ and transmit t m ~arrival_tk =
           i.arr_tk <- arrival_tk;
           sched_arrival t m
       | Drop ->
-          t.fault_drops <- t.fault_drops + 1;
           i.dstp.p_drops <- i.dstp.p_drops + 1;
           ignore (Sim.Engine.at_ticks t.engine ~tick:arrival_tk i.kc)
       | Delay d ->

@@ -218,9 +218,6 @@ type fault =
 (** [set_fault_tap t (Some f)] installs the tap; [None] removes it. *)
 val set_fault_tap : t -> (msg -> dst:proc -> fault) option -> unit
 
-(** Messages discarded by the fault tap (distinct from {!drops}). *)
-val fault_drops : t -> int
-
 (** [set_cpu_factor n f] rescales every CPU cost on the machine from now
     on (slow-CPU fault episodes); in-progress work is unaffected. *)
 val set_cpu_factor : node -> float -> unit

@@ -76,7 +76,6 @@ type lrn = {
   l_ready : (int, Value.t) Hashtbl.t; (* decided, awaiting in-order delivery *)
   l_vals : (int, Value.t) Hashtbl.t; (* vid -> value (mcast dissemination) *)
   l_wait : (int, int) Hashtbl.t; (* inst -> vid, decision without value yet *)
-  l_seen : (int, unit) Hashtbl.t; (* delivered uids *)
   mutable l_repairing : bool;
 }
 
@@ -101,7 +100,6 @@ type t = {
   deliver : learner:int -> inst:int -> Value.t -> unit;
   mutable next_uid : int;
   mutable next_vid : int;
-  mutable delivered0 : int;
 }
 
 let majority t = (Array.length t.accs / 2) + 1
@@ -312,13 +310,6 @@ let rec lrn_advance t l =
       Hashtbl.remove l.l_ready l.l_next;
       let inst = l.l_next in
       l.l_next <- inst + 1;
-      List.iter
-        (fun (it : Value.item) ->
-          if not (Hashtbl.mem l.l_seen it.uid) then begin
-            Hashtbl.add l.l_seen it.uid ();
-            if l.l_idx = 0 then t.delivered0 <- t.delivered0 + 1
-          end)
-        v.items;
       t.deliver ~learner:l.l_idx ~inst v;
       lrn_advance t l
   | None ->
@@ -480,7 +471,6 @@ let create net cfg ~n_acceptors ~n_standby ~n_proposers ~n_learners ~deliver =
           l_ready = Hashtbl.create 1024;
           l_vals = Hashtbl.create 1024;
           l_wait = Hashtbl.create 64;
-          l_seen = Hashtbl.create 4096;
           l_repairing = false })
   in
   let props =
@@ -499,7 +489,7 @@ let create net cfg ~n_acceptors ~n_standby ~n_proposers ~n_learners ~deliver =
   Array.iter (fun l -> Simnet.join g_all l.l_proc) lrns;
   let t =
     { net; cfg; coords; accs; lrns; props; g_all; deliver;
-      next_uid = 0; next_vid = 0; delivered0 = 0 }
+      next_uid = 0; next_vid = 0 }
   in
   Array.iter (fun c -> Simnet.set_handler c.c_proc (coord_handler t c)) coords;
   Array.iter (fun a -> Simnet.set_handler a.a_proc (acc_handler t a)) accs;
@@ -546,5 +536,3 @@ let kill_acceptor t i = Simnet.kill t.net t.accs.(i).a_proc
 
 let decided t =
   Array.fold_left (fun acc c -> acc + c.c_decided) 0 t.coords
-
-let delivered_items t = t.delivered0

@@ -62,6 +62,3 @@ val kill_acceptor : t -> int -> unit
 
 (** Number of instances decided at the (active) coordinator. *)
 val decided : t -> int
-
-(** Total items delivered at learner 0 (duplicates suppressed). *)
-val delivered_items : t -> int

@@ -23,7 +23,3 @@ let single ~vid ~uid ~size ~born app =
   { vid; size; items = [ { uid; isize = size; app; born } ] }
 
 let skip ~vid = { vid; size = 0; items = [] }
-
-let is_skip v = v.items = []
-
-let pp fmt v = Format.fprintf fmt "value(vid=%d,size=%d,items=%d)" v.vid v.size (List.length v.items)

@@ -21,12 +21,10 @@ type t = {
 (** {1 Item uid layout}
 
     Uids pack a per-protocol sequence number above the originating
-    proposer id (ring position for U-Ring Paxos): [uid = seq lsl
-    origin_bits lor origin].  All encoders and decoders must go through
-    these helpers so the field width stays consistent; [origin_bits] is
-    20, supporting ~1M proposers. *)
-
-val origin_bits : int
+    proposer id (ring position for U-Ring Paxos): [uid = seq lsl 20 lor
+    origin].  All encoders and decoders must go through these helpers so
+    the field width stays consistent; 20 origin bits support ~1M
+    proposers. *)
 
 val make_uid : seq:int -> origin:int -> int
 
@@ -44,7 +42,3 @@ val single : vid:int -> uid:int -> size:int -> born:float -> Simnet.payload -> t
 
 (** A zero-sized skip value (Multi-Ring Paxos skip instances). *)
 val skip : vid:int -> t
-
-val is_skip : t -> bool
-
-val pp : Format.formatter -> t -> unit

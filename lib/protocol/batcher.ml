@@ -23,9 +23,6 @@ let pending_bytes t = t.pending
 let is_empty t = t.pending = 0
 let drops t = t.dropped
 
-let bytes_of t key =
-  match Hashtbl.find_opt t.bytes key with Some b -> !b | None -> 0
-
 let enqueue t ~key (item : Paxos.Value.item) =
   if t.pending + item.isize > t.buffer_bytes then begin
     t.dropped <- t.dropped + 1;

@@ -20,7 +20,6 @@ val create : ?buffer_bytes:int -> batch_bytes:int -> unit -> 'k t
 val enqueue : 'k t -> key:'k -> Paxos.Value.item -> bool
 
 val pending_bytes : 'k t -> int
-val bytes_of : 'k t -> 'k -> int
 val is_empty : 'k t -> bool
 
 (** Items rejected by the buffer bound so far. *)

@@ -70,7 +70,8 @@ type Simnet.payload +=
   | SlowDown of { learner : int; pending : int }
   | Version of { learner : int; version : int }
   | Gc of { floor : int }
-  | RetransReq of { inst : int; count : int; learner : int }
+  | RetransReq of { inst : int; acceptor : int }
+      (* an acceptor asking the coordinator for a lost Phase 2A *)
   | RepairReq of { insts : int list; learner : int; fwd : int }
       (* [learner >= 0] addresses replies to a learner; [learner < 0]
          encodes acceptor [-1 - learner] (a joiner catching up).  [fwd]
@@ -842,7 +843,7 @@ let acc_on_p2b t a inst rnd vid =
                  match coord_opt t with
                  | Some c ->
                      Simnet.send t.net ~src:a.x_proc ~dst:c.x_proc ~size:hdr
-                       (RetransReq { inst; count = 1; learner = -1 - a.x_idx })
+                       (RetransReq { inst; acceptor = a.x_idx })
                  | None -> ()
                end))
   end
@@ -1271,19 +1272,13 @@ let acc_handler t a (m : Simnet.msg) =
           Od.fast_forward cu.cu_od (Stdlib.min floor cu.cu_upto);
           catchup_pump t a
       | None -> ())
-  | RetransReq { inst; count; learner } -> begin
-      (* learner >= 0: a learner asks for decided values in a range;
-         learner < 0 encodes an acceptor asking for a lost Phase 2A. *)
-      if learner < 0 then begin
-        match Hashtbl.find_opt a.x_votes inst with
-        | Some (_, v, ps) ->
-            Simnet.send t.net ~src:a.x_proc ~dst:t.accs.(-1 - learner).x_proc
-              ~size:(v.size + hdr)
-              (Retrans { inst; value = v; parts = ps })
-        | None -> ()
-      end
-      else ignore count
-    end
+  | RetransReq { inst; acceptor } -> (
+      match Hashtbl.find_opt a.x_votes inst with
+      | Some (_, v, ps) ->
+          Simnet.send t.net ~src:a.x_proc ~dst:t.accs.(acceptor).x_proc
+            ~size:(v.size + hdr)
+            (Retrans { inst; value = v; parts = ps })
+      | None -> ())
   | RepairReq { insts; learner; fwd } -> begin
       (* Serve every decided instance this acceptor knows; forward the rest
          (ring member -> coordinator -> an out-of-ring acceptor, which may
@@ -1622,8 +1617,6 @@ let kill_ring_acceptor t pos =
 
 let set_learner_delay t i d = t.lrns.(i).l_delay <- d
 
-let learner_pending t i = Od.sink_length t.lrns.(i).l_sink
-
 let decided t = Array.fold_left (fun acc a -> acc + a.c_decided) 0 t.accs
 
 let current_window t =
@@ -1631,32 +1624,6 @@ let current_window t =
 
 let coord_drops t =
   Array.fold_left (fun acc a -> acc + Batcher.drops a.c_batch) 0 t.accs
-
-let debug_dump t =
-  (match coord_opt t with
-  | Some c ->
-      Printf.printf "  coord=acc%d outst=%d insts=%d pend=%dB decided=%d rate_bits=%.0f\n"
-        c.x_idx c.c_outstanding
-        (Retry.length c.c_insts)
-        (Batcher.pending_bytes c.c_batch)
-        c.c_decided c.c_rate_bits
-  | None -> Printf.printf "  no coord\n");
-  Array.iter
-    (fun a ->
-      if not a.x_is_coord && List.mem a.x_idx t.cur_ring then
-        Printf.printf "  acc%d votes=%d held=%d rnd=%d\n" a.x_idx (Hashtbl.length a.x_votes)
-          (Hashtbl.length a.x_held) a.x_rnd)
-    t.accs;
-  Array.iter
-    (fun l ->
-      let od = l.l_od in
-      Printf.printf "  lrn%d next=%d dec=%d vals=%d queue=%d maxdec=%d repair=%b has_dec_next=%b\n"
-        l.l_idx (Od.next od) (Od.size od)
-        (Hashtbl.length l.l_vals)
-        (Od.sink_length l.l_sink)
-        (Od.max_seen od) (Od.repairing l.l_repair)
-        (Od.has od (Od.next od)))
-    t.lrns
 
 let disk t pos =
   let ring = ring_of t in

@@ -104,17 +104,11 @@ val restart_acceptor : t -> int -> unit
     the flow-control experiment to create a slow learner. *)
 val set_learner_delay : t -> int -> float -> unit
 
-(** Decisions learner [i] is holding, not yet processed (flow control). *)
-val learner_pending : t -> int -> int
-
 val decided : t -> int
 val current_window : t -> int
 
 (** Proposals dropped at the coordinator because its buffer overflowed. *)
 val coord_drops : t -> int
-
-(** Dump internal state to stdout (debugging aid). *)
-val debug_dump : t -> unit
 
 (** Protocol event counters accumulated since startup, per instance
     (sorted name/count pairs; see {!Protocol.Counters}). *)

@@ -597,8 +597,6 @@ let learner_proc t i =
 let proposer_proc t i =
   (Array.to_list t.members |> List.find (fun m -> m.m_prop_idx = i)).m_proc
 
-let n_positions t = Array.length t.members
-
 let kill_position t i = Simnet.kill t.net t.members.(i).m_proc
 let kill_coordinator t = Simnet.kill t.net (coord t).m_proc
 

@@ -54,7 +54,6 @@ val coordinator_proc : t -> Simnet.proc
 val position_proc : t -> int -> Simnet.proc
 val learner_proc : t -> int -> Simnet.proc
 val proposer_proc : t -> int -> Simnet.proc
-val n_positions : t -> int
 
 val kill_position : t -> int -> unit
 val kill_coordinator : t -> unit

@@ -13,9 +13,6 @@ val create : int -> t
 (** [split t] derives an independent stream from [t] (advances [t]). *)
 val split : t -> t
 
-(** [bits64 t] is the next raw 64-bit output. *)
-val bits64 : t -> int64
-
 (** [int t n] is uniform in [\[0, n)]. @raise Invalid_argument if [n <= 0]. *)
 val int : t -> int -> int
 

@@ -283,8 +283,7 @@ module Busy = struct
      record fields: in a mixed record every write to a mutable float
      field boxes, and [add] runs per resource acquisition on the packet
      path. Slots: 0 total, 1 cursor (assumed start of the next
-     un-timestamped add), 2 window_start, 3 window_busy, 4-5 the
-     (start, dur) arguments of the pending [record_span] call. *)
+     un-timestamped add), 2-3 the (start, dur) arguments of the pending [record_span] call. *)
   type t = {
     ring : Ring.t;
     per_bucket : float array; (* busy seconds per retained bucket *)
@@ -294,20 +293,18 @@ module Busy = struct
 
   let total_i = 0
   let cursor_i = 1
-  let wstart_i = 2
-  let wbusy_i = 3
-  let span_start_i = 4
-  let span_dur_i = 5
+  let span_start_i = 2
+  let span_dur_i = 3
 
   let create ?(bucket_width = default_bucket_width) ?(buckets = default_buckets) () =
     let cap = Stdlib.max 1 buckets in
     let per_bucket = Array.make cap 0.0 in
     { ring = Ring.create ~width:bucket_width ~cap;
       per_bucket;
-      fl = Array.make 6 0.0;
+      fl = Array.make 4 0.0;
       clear = (fun s -> per_bucket.(s) <- 0.0) }
 
-  (* Record the busy interval [fl.(4), fl.(4) +. fl.(5)), split exactly
+  (* Record the busy interval [fl.(2), fl.(2) +. fl.(3)), split exactly
      across the buckets it spans.  The interval arrives through the
      scratch slots of [fl] so no boxed float crosses the call; [Ring.bucket]
      is inlined by hand and the compares are monomorphic, because
@@ -342,7 +339,6 @@ module Busy = struct
   let add_at t ~now dur =
     let fl = t.fl in
     Array.unsafe_set fl total_i (Array.unsafe_get fl total_i +. dur);
-    Array.unsafe_set fl wbusy_i (Array.unsafe_get fl wbusy_i +. dur);
     if dur > 0.0 then begin
       Array.unsafe_set fl span_start_i now;
       Array.unsafe_set fl span_dur_i dur;
@@ -380,15 +376,6 @@ module Busy = struct
     else
       let pct = busy_in t ~from ~till /. span *. 100.0 in
       Stdlib.min 100.0 (Stdlib.max 0.0 pct)
-
-  let reset_window t ~now =
-    t.fl.(wstart_i) <- now;
-    t.fl.(wbusy_i) <- 0.0
-
-  let window_utilization t ~now =
-    let span = now -. t.fl.(wstart_i) in
-    if span <= 0.0 then 0.0
-    else Stdlib.min 100.0 (Stdlib.max 0.0 (t.fl.(wbusy_i) /. span *. 100.0))
 end
 
 module Snapshot = struct

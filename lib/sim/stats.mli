@@ -123,16 +123,6 @@ module Busy : sig
       bucket-aligned windows are exact and unaligned window edges are
       prorated. *)
   val utilization : t -> from:float -> till:float -> float
-
-  (** [busy_in t ~from ~till] is the busy time (seconds) inside the window. *)
-  val busy_in : t -> from:float -> till:float -> float
-
-  (** [reset_window t ~now] marks the start of a measurement window. *)
-  val reset_window : t -> now:float -> unit
-
-  (** [window_utilization t ~now] is utilization since the last
-      {!reset_window}, as a percentage. *)
-  val window_utilization : t -> now:float -> float
 end
 
 (** One machine-readable metrics record for a measurement window,

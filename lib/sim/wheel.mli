@@ -69,7 +69,3 @@ val queued : t -> int
     [max_events].  @raise Budget when a fireable event remains after
     [max_events] have fired. *)
 val run : t -> now:float array -> until:float -> max_events:int -> int
-
-(** Immediately reclaim cancelled records (tests; [cancel] also triggers
-    this automatically past the lazy threshold). *)
-val purge : t -> unit

@@ -81,4 +81,3 @@ let start t =
     t.clients
 
 let metrics t = t.metrics
-let server_proc t = t.server

@@ -16,4 +16,3 @@ val create :
 
 val start : t -> unit
 val metrics : t -> Metrics.t
-val server_proc : t -> Simnet.proc

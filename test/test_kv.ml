@@ -258,6 +258,109 @@ let test_kv_lease_read_capacity () =
     true (local.Kv.Slo.p99_ms <= 1.0);
   Alcotest.(check int) "no local-read timeouts" 0 (Kv.counter sys "kv_read_timeouts")
 
+(* --- point-op client ------------------------------------------------------------- *)
+
+let mk_env ?(config = Kv.default_config) seed =
+  let env = Hpsmr.Env.create ~seed () in
+  (env, Kv.create env.Hpsmr.Env.net config ~n_clients:1)
+
+let test_kv_put_get () =
+  let env, kv = mk_env 2 in
+  let got = ref None and completed = ref 0 in
+  Kv.put kv ~key:7 ~value:49 ~k:(fun _ ->
+      incr completed;
+      Kv.get kv ~key:7 ~k:(fun v ->
+          incr completed;
+          got := v));
+  Hpsmr.Env.run env ~for_:0.5;
+  Alcotest.(check (option int)) "read back" (Some 49) !got;
+  Alcotest.(check int) "two commands completed" 2 !completed
+
+let test_kv_get_missing () =
+  let env, kv = mk_env ~config:{ Kv.default_config with initial_keys = 0 } 3 in
+  let got = ref (Some 1) in
+  Kv.get kv ~key:12345 ~k:(fun v -> got := v);
+  Hpsmr.Env.run env ~for_:0.5;
+  Alcotest.(check (option int)) "missing key" None !got
+
+let test_kv_survives_coordinator_crash () =
+  let env, kv = mk_env 4 in
+  for i = 1 to 20 do
+    Kv.put kv ~key:i ~value:i ~k:ignore
+  done;
+  Hpsmr.Env.run env ~for_:0.3;
+  Kv.kill_coordinator kv;
+  Hpsmr.Env.run env ~for_:1.5;
+  let got = ref None in
+  Kv.put kv ~key:99 ~value:990 ~k:(fun _ ->
+      Kv.get kv ~key:99 ~k:(fun v -> got := v));
+  Hpsmr.Env.run env ~for_:2.0;
+  Alcotest.(check (option int)) "post-failover write+read" (Some 990) !got
+
+let test_kv_point_determinism () =
+  let run () =
+    let env, kv = mk_env 5 in
+    let trace = ref [] in
+    for i = 1 to 10 do
+      Kv.put kv ~key:i ~value:i ~k:(fun _ ->
+          trace := (i, Hpsmr.Env.now env) :: !trace)
+    done;
+    Hpsmr.Env.run env ~for_:1.0;
+    !trace
+  in
+  let a = run () and b = run () in
+  Alcotest.(check bool) "same seed, identical completion trace" true (a = b && a <> [])
+
+(* Point ops ride beside an open-loop load: while a light YCSB-C load is
+   served by the lease tier, an ordered put and then a get see each other. *)
+let test_kv_point_ops_under_load () =
+  let engine, _net, sys = mk () in
+  let wl =
+    Kv.Ycsb.workload Kv.Ycsb.C (Sim.Rng.create 8) ~rate:(OL.Constant 2_000.0)
+  in
+  Kv.start_open sys wl ~until:0.6;
+  let got = ref None in
+  ignore
+    (Sim.Engine.at engine ~time:0.3 (fun () ->
+         Kv.put sys ~key:42 ~value:4_242 ~k:(fun _ ->
+             Kv.get sys ~key:42 ~k:(fun v -> got := v))));
+  Sim.Engine.run engine ~until:0.8;
+  Alcotest.(check bool) "lease reads served" true
+    (Kv.counter sys "kv_local_reads" > 100);
+  Alcotest.(check (option int)) "get sees the put" (Some 4_242) !got
+
+(* --- golden digest ----------------------------------------------------------------- *)
+
+(* A seeded YCSB-A run with leases on, at the bench's 48 kops/s: SLO rows
+   (floats printed exactly), counters, executed commands and every
+   replica's fingerprint.  Pins the open-loop path end to end. *)
+let test_kv_ycsb_a_golden () =
+  let engine, _net, sys = mk () in
+  let wl =
+    Kv.Ycsb.workload Kv.Ycsb.A (Sim.Rng.create 8) ~rate:(OL.Constant 48_000.0)
+  in
+  Kv.start_open sys wl ~until:0.3;
+  Sim.Engine.run engine ~until:0.5;
+  let rows =
+    List.map
+      (fun (r : Kv.Slo.row) ->
+        Printf.sprintf "%s %d %h %h %h %h %h" r.cls r.count r.mean_ms r.p50_ms
+          r.p99_ms r.p999_ms r.max_ms)
+      (Kv.Slo.rows (Kv.slo sys))
+  in
+  let ctrs = List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) (Kv.counters sys) in
+  let fps =
+    List.init Kv.default_config.n_replicas (fun r ->
+        Printf.sprintf "fp%d=%x" r (Kv.state_fingerprint_at sys r))
+  in
+  let s =
+    String.concat "\n"
+      (rows @ ctrs @ (Printf.sprintf "executed=%d" (Kv.executed sys) :: fps))
+  in
+  Alcotest.(check bool) "non-trivial run" true (Kv.executed sys > 10_000);
+  Alcotest.(check string) "kv run digest" "825a93419ee90a1ddd9ae6590f0ef7c6"
+    (Digest.to_hex (Digest.string s))
+
 let test_ycsb_presets_wellformed () =
   List.iter
     (fun p ->
@@ -311,6 +414,15 @@ let suite =
       test_kv_undeclared_insert_runs_everywhere;
     Alcotest.test_case "kv lease reads on the worker pool at 120 kops/s" `Quick
       test_kv_lease_read_capacity;
+    Alcotest.test_case "kv put/get" `Quick test_kv_put_get;
+    Alcotest.test_case "kv missing key" `Quick test_kv_get_missing;
+    Alcotest.test_case "kv survives coordinator crash" `Quick
+      test_kv_survives_coordinator_crash;
+    Alcotest.test_case "kv deterministic runs" `Quick test_kv_point_determinism;
+    Alcotest.test_case "kv point ops beside a lease-served load" `Quick
+      test_kv_point_ops_under_load;
+    Alcotest.test_case "kv ycsb-a run matches golden digest" `Quick
+      test_kv_ycsb_a_golden;
     Alcotest.test_case "ycsb presets well-formed" `Quick
       test_ycsb_presets_wellformed;
     Alcotest.test_case "ycsb D latest-key" `Quick test_ycsb_d_uses_latest;

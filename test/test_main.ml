@@ -12,7 +12,6 @@ let () =
       ("psmr", Test_psmr.suite);
       ("kv", Test_kv.suite);
       ("cloud", Test_cloud.suite);
-      ("core", Test_core.suite);
       ("extra", Test_extra.suite);
       ("storage", Test_storage.suite);
       ("protocol", Test_protocol.suite);
