@@ -95,7 +95,7 @@ let run_multiring ?(durability = Ringpaxos.Mring.Memory) ~n_rings ~subs_all ~dur
   in
   let mr =
     Multiring.create net cfg ~n_learners ~subs ~proposers_per_ring:1
-      ~deliver:(fun ~learner:_ ~group:_ it -> Abcast.Recorder.item rec_ it)
+      ~deliver:(fun ~learner:_ ~group:_ it _ -> Abcast.Recorder.item rec_ it)
   in
   let stop =
     Abcast.Loadgen.constant net
@@ -172,7 +172,7 @@ let fig5_5b () =
       let subs = function 0 -> [ 0 ] | _ -> List.init 8 Fun.id in
       let mr =
         Multiring.create net cfg ~n_learners:2 ~subs ~proposers_per_ring:1
-          ~deliver:(fun ~learner ~group:_ it ->
+          ~deliver:(fun ~learner ~group:_ it _ ->
             if learner = 0 then Abcast.Recorder.item rec_ it)
       in
       let turn = ref 0 in
@@ -203,7 +203,7 @@ let delta_m_run ~delta ~m ~offered =
     Multiring.create net cfg ~n_learners:1
       ~subs:(fun _ -> [ 0; 1 ])
       ~proposers_per_ring:1
-      ~deliver:(fun ~learner:_ ~group:_ it -> Abcast.Recorder.item rec_ it)
+      ~deliver:(fun ~learner:_ ~group:_ it _ -> Abcast.Recorder.item rec_ it)
   in
   let stop =
     Abcast.Loadgen.constant net ~rate_mbps:offered ~size:msg (fun sz ->
@@ -265,7 +265,7 @@ let lambda_timeline ~fig ~name ~lambda ~load =
     Multiring.create net cfg ~n_learners:1
       ~subs:(fun _ -> [ 0; 1 ])
       ~proposers_per_ring:1
-      ~deliver:(fun ~learner:_ ~group:_ (it : Paxos.Value.item) ->
+      ~deliver:(fun ~learner:_ ~group:_ (it : Paxos.Value.item) _ ->
         let l = (Sim.Engine.now engine -. it.born) *. 1e3 in
         Sim.Stats.Latency.add lat l;
         recent := (Sim.Engine.now engine, l) :: !recent)
@@ -362,7 +362,7 @@ let fig5_11 () =
     Multiring.create net cfg ~n_learners:1
       ~subs:(fun _ -> [ 0; 1 ])
       ~proposers_per_ring:1
-      ~deliver:(fun ~learner:_ ~group:_ (it : Paxos.Value.item) ->
+      ~deliver:(fun ~learner:_ ~group:_ (it : Paxos.Value.item) _ ->
         Sim.Stats.Rate.add delv ~now:(Sim.Engine.now engine) ~bytes:it.isize)
   in
   (* Track per-ring receive throughput through the ring-level recorders. *)

@@ -16,8 +16,8 @@ let () =
   let subs = function 0 -> [ 0 ] | 1 -> [ 1 ] | _ -> [ 0; 1 ] in
   let mr =
     Hpsmr.Multiring.create env.net cfg ~n_learners:3 ~subs ~proposers_per_ring:1
-      ~deliver:(fun ~learner ~group (it : Hpsmr.Paxos.Value.item) ->
-        match it.app with
+      ~deliver:(fun ~learner ~group _ app ->
+        match app with
         | Msg s -> deliveries.(learner) <- (group, s) :: deliveries.(learner)
         | _ -> ())
   in

@@ -471,8 +471,8 @@ let run_multiring ~seed ~duration () =
     Multiring.create net cfg ~n_learners:2
       ~subs:(fun _ -> [ 0; 1 ])
       ~proposers_per_ring:1
-      ~deliver:(fun ~learner ~group:_ (it : Paxos.Value.item) ->
-        match it.app with Cmd i -> Safety.delivered aud ~learner i | _ -> ())
+      ~deliver:(fun ~learner ~group:_ _ app ->
+        match app with Cmd i -> Safety.delivered aud ~learner i | _ -> ())
   in
   let inj = Injector.create net ~seed:((seed * 7919) + 259) in
   let rng = Injector.sched_rng inj in
@@ -527,8 +527,8 @@ let run_multiring_reconfig ~seed ~duration () =
     Multiring.create net cfg ~n_learners:2
       ~subs:(fun _ -> [ 0; 1 ])
       ~proposers_per_ring:1
-      ~deliver:(fun ~learner ~group:_ (it : Paxos.Value.item) ->
-        match it.app with Cmd i -> Safety.delivered aud ~learner i | _ -> ())
+      ~deliver:(fun ~learner ~group:_ _ app ->
+        match app with Cmd i -> Safety.delivered aud ~learner i | _ -> ())
   in
   let inj = Injector.create net ~seed:((seed * 7919) + 266) in
   let rng = Injector.sched_rng inj in

@@ -198,29 +198,31 @@ let apply_op t rep (it : Paxos.Value.item) ~op ~reads ~writes =
      before invalidation.  Only lease entries valid right now defer the
      writer's response; an expired entry cannot serve reads anyway. *)
   let holders = ref [] in
-  if t.cfg.leases && wrote then
-    Array.iteri
-      (fun j e ->
-        if e.ls_until > now && Btree.Keyset.overlaps writes e.ls_keys then
-          holders := (j, e.ls_until) :: !holders)
-      rep.r_leases;
-  (* Conflicting writes invalidate overlapping leases when applied: the
-     epoch bumps and local serving stops until a fresh grant is ordered. *)
-  if t.cfg.leases && wrote then
-    Array.iteri
-      (fun j e ->
-        if e.ls_until > 0.0 && Btree.Keyset.overlaps writes e.ls_keys then begin
-          e.ls_until <- 0.0;
-          e.ls_epoch <- e.ls_epoch + 1;
-          if rep.r_idx = 0 then
-            Protocol.Counters.incr t.ctrs "kv_lease_invalidations";
-          if j = rep.r_idx then
-            trace t (fun tr ->
-                Trace.instant tr
-                  ~pid:(Simnet.pid (learner_proc t rep.r_idx))
-                  ~cat:"lease" ~name:"revoke" ~ts:now)
-        end)
-      rep.r_leases;
+  if t.cfg.leases && wrote then begin
+    let leases = rep.r_leases in
+    for j = 0 to Array.length leases - 1 do
+      let e = leases.(j) in
+      if e.ls_until > now && Btree.Keyset.overlaps writes e.ls_keys then
+        holders := (j, e.ls_until) :: !holders
+    done;
+    (* Conflicting writes invalidate overlapping leases when applied: the
+       epoch bumps and local serving stops until a fresh grant is
+       ordered. *)
+    for j = 0 to Array.length leases - 1 do
+      let e = leases.(j) in
+      if e.ls_until > 0.0 && Btree.Keyset.overlaps writes e.ls_keys then begin
+        e.ls_until <- 0.0;
+        e.ls_epoch <- e.ls_epoch + 1;
+        if rep.r_idx = 0 then
+          Protocol.Counters.incr t.ctrs "kv_lease_invalidations";
+        if j = rep.r_idx then
+          trace t (fun tr ->
+              Trace.instant tr
+                ~pid:(Simnet.pid (learner_proc t rep.r_idx))
+                ~cat:"lease" ~name:"revoke" ~ts:now)
+      end
+    done
+  end;
   (* The observed value for single-key reads, at this log position (all
      earlier ops already applied to the tree, later ones not yet). *)
   let obs =
@@ -253,15 +255,21 @@ let apply_op t rep (it : Paxos.Value.item) ~op ~reads ~writes =
     if client >= 0 && client < t.n_clients then begin
       let size = resp_size_of op in
       let commit = Psmr.Executor.last_commit ex in
-      let need = List.filter (fun (j, _) -> j <> rep.r_idx) !holders in
-      let acked =
-        match Hashtbl.find_opt t.early_acks uid with
-        | Some l ->
-            Hashtbl.remove t.early_acks uid;
-            !l
-        | None -> []
+      (* Without holders nothing defers the response, and [respond_now]
+         drops any banked acks itself. *)
+      let need =
+        match !holders with
+        | [] -> []
+        | holders ->
+            let acked =
+              match Hashtbl.find_opt t.early_acks uid with
+              | Some l ->
+                  Hashtbl.remove t.early_acks uid;
+                  !l
+              | None -> []
+            in
+            List.filter (fun (j, _) -> j <> rep.r_idx && not (List.mem j acked)) holders
       in
-      let need = List.filter (fun (j, _) -> not (List.mem j acked)) need in
       if need = [] then
         respond_now t ~replica:rep.r_idx ~uid ~client ~obs ~size ~at:commit
       else begin
@@ -301,12 +309,12 @@ let apply_op t rep (it : Paxos.Value.item) ~op ~reads ~writes =
     end
   end
 
-let deliver t ~learner ~group:_ (it : Paxos.Value.item) =
+let deliver t ~learner ~group:_ (it : Paxos.Value.item) app =
   let rep = t.reps.(learner) in
   (match t.on_deliver with
   | Some f -> f ~replica:learner ~uid:it.Paxos.Value.uid
   | None -> ());
-  match it.Paxos.Value.app with
+  match app with
   | KGrant { replica; keys; until } -> apply_grant t rep ~replica ~keys ~until
   | KOp { op; reads; writes } ->
       (* A read-only command changes no state and only its responder
@@ -321,21 +329,20 @@ let deliver t ~learner ~group:_ (it : Paxos.Value.item) =
 
 (* --- client side ----------------------------------------------------------------- *)
 
-type op_class =
-  | CRead of int
-  | CScan
-  | CUpdate of int * int option
-  | CInsert of int * int option
-  | COther
-
-let class_of t (a : OL.arrival) =
+let slo_class t (a : OL.arrival) =
   match a.OL.op with
-  | Smr.Btree_service.Query { lo; hi } -> if lo = hi then CRead lo else CScan
-  | Smr.Btree_service.Insert { key; value } ->
-      if key <= t.cfg.key_range then CUpdate (key, Some value)
-      else CInsert (key, Some value)
-  | Smr.Btree_service.Delete { key } -> CUpdate (key, None)
-  | _ -> COther
+  | Smr.Btree_service.Query { lo; hi } -> if lo = hi then "read" else "scan"
+  | Smr.Btree_service.Insert { key; _ } ->
+      if key <= t.cfg.key_range then "update" else "insert"
+  | Smr.Btree_service.Delete _ -> "update"
+  | _ -> "other"
+
+let intent_of (a : OL.arrival) =
+  match a.OL.op with
+  | Smr.Btree_service.Query { lo; hi } when lo = hi -> Some (HRead lo)
+  | Smr.Btree_service.Insert { key; value } -> Some (HWrite (key, Some value))
+  | Smr.Btree_service.Delete { key } -> Some (HWrite (key, None))
+  | _ -> None
 
 let ordered_issue t ~born (a : OL.arrival) =
   let c = t.rr mod t.n_clients in
@@ -351,34 +358,25 @@ let ordered_issue t ~born (a : OL.arrival) =
   else begin
     t.issued <- t.issued + 1;
     (match t.on_broadcast with Some f -> f ~uid | None -> ());
-    let cls, hist =
-      match class_of t a with
-      | CRead key -> ("read", Some (HRead key))
-      | CScan -> ("scan", None)
-      | CUpdate (k, v) -> ("update", Some (HWrite (k, v)))
-      | CInsert (k, v) -> ("insert", Some (HWrite (k, v)))
-      | COther -> ("other", None)
-    in
-    Hashtbl.replace t.inflight uid { i_born = born; i_cls = cls; i_hist = hist }
+    let i_hist = if t.cfg.record_history then intent_of a else None in
+    Hashtbl.replace t.inflight uid { i_born = born; i_cls = slo_class t a; i_hist }
   end;
   uid
 
-(* Next replica not in nack/timeout backoff, round-robin. *)
+(* Next replica not in nack/timeout backoff, round-robin; -1 if none. *)
 let pick_replica t =
   let n = t.cfg.n_replicas in
   let now = Simnet.now t.net in
   let rec go k =
-    if k >= n then None
+    if k >= n then -1
     else begin
       let j = (t.read_rr + k) mod n in
-      if now >= t.backoff.(j) then Some j else go (k + 1)
+      if now >= t.backoff.(j) then j else go (k + 1)
     end
   in
-  match go 0 with
-  | Some j ->
-      t.read_rr <- j + 1;
-      Some j
-  | None -> None
+  let j = go 0 in
+  if j >= 0 then t.read_rr <- j + 1;
+  j
 
 let local_read t (a : OL.arrival) ~key ~replica =
   let rid = t.next_rid in
@@ -407,12 +405,11 @@ let local_read t (a : OL.arrival) ~key ~replica =
     (KReadReq { rid; client = c; key })
 
 let issue t (a : OL.arrival) =
-  match class_of t a with
-  | CRead key when t.cfg.leases -> begin
-      match pick_replica t with
-      | Some j -> local_read t a ~key ~replica:j
-      | None -> ignore (ordered_issue t ~born:(Simnet.now t.net) a)
-    end
+  match a.OL.op with
+  | Smr.Btree_service.Query { lo = key; hi } when key = hi && t.cfg.leases ->
+      let j = pick_replica t in
+      if j >= 0 then local_read t a ~key ~replica:j
+      else ignore (ordered_issue t ~born:(Simnet.now t.net) a)
   | _ -> ignore (ordered_issue t ~born:(Simnet.now t.net) a)
 
 (* --- replica-side handlers (local reads, write acks) --------------------------- *)
@@ -598,7 +595,7 @@ let create ?on_broadcast ?on_deliver net cfg ~n_clients =
     Multiring.create net mcfg ~n_learners:cfg.n_replicas
       ~subs:(fun _ -> [ 0 ])
       ~proposers_per_ring:(n_clients + cfg.n_replicas)
-      ~deliver:(fun ~learner ~group it -> deliver t ~learner ~group it)
+      ~deliver:(deliver t)
   in
   t.mr <- Some mr;
   Array.iter
@@ -666,16 +663,19 @@ let start_leases t ~until =
 let start_open t wl ~until =
   start_leases t ~until;
   let engine = Simnet.engine t.net in
-  let rec arm () =
+  (* One arrival is armed at a time, so one closure serves them all. *)
+  let armed = ref (OL.peek wl) in
+  let rec fire () =
+    issue t !armed;
+    arm ()
+  and arm () =
     (* Peek, don't consume: the lookahead past the horizon stays in the
        generator (see Workload.Open_loop.peek). *)
     let a = OL.peek wl in
     if a.OL.at <= until then begin
       ignore (OL.next wl);
-      ignore
-        (Sim.Engine.at engine ~time:a.OL.at (fun () ->
-             issue t a;
-             arm ()))
+      armed := a;
+      ignore (Sim.Engine.at engine ~time:a.OL.at fire)
     end
   in
   arm ()

@@ -44,7 +44,7 @@ type t = {
   cfg : config;
   mutable rings : Ringpaxos.Mring.t array;
   lrns : lrn array;
-  deliver : learner:int -> group:int -> Paxos.Value.item -> unit;
+  deliver : learner:int -> group:int -> Paxos.Value.item -> Simnet.payload -> unit;
   submitted : int array;  (* per group, messages in the current delta window *)
   skips : int array;  (* per group, total skip slots proposed *)
   deficits : int array;
@@ -57,9 +57,22 @@ type t = {
 
 let ring_of_group t g = g mod Array.length t.rings
 
-let sub_slot l group =
-  let rec go i = if l.ml_subs.(i) = group then i else go (i + 1) in
-  go 0
+(* Index of [group] in a learner's subscriptions, or -1. *)
+let rec sub_slot subs group i =
+  if i >= Array.length subs then -1
+  else if subs.(i) = group then i
+  else sub_slot subs group (i + 1)
+
+let advance_if_done t l =
+  if l.ml_taken >= t.cfg.m then begin
+    l.ml_taken <- 0;
+    l.ml_cur <- (l.ml_cur + 1) mod Array.length l.ml_subs
+  end
+
+(* Queued items keep their [Grouped] wrapper: stripping it here rather
+   than on arrival saves a record copy per item. *)
+let unwrap (it : Paxos.Value.item) =
+  match it.app with Grouped { app; _ } -> app | app -> app
 
 (* Deterministic merge: consume [m] message slots per subscribed group, in
    ascending group order.  A real message fills one slot and is delivered; a
@@ -68,57 +81,50 @@ let sub_slot l group =
 let rec merge t l =
   if not l.ml_halted then begin
     let cur = l.ml_cur in
-    let group = l.ml_subs.(cur) in
-    let advance_if_done () =
-      if l.ml_taken >= t.cfg.m then begin
-        l.ml_taken <- 0;
-        l.ml_cur <- (cur + 1) mod Array.length l.ml_subs
-      end
-    in
     if l.ml_credit.(cur) > 0 then begin
       let used = Stdlib.min l.ml_credit.(cur) (t.cfg.m - l.ml_taken) in
       l.ml_credit.(cur) <- l.ml_credit.(cur) - used;
       l.ml_taken <- l.ml_taken + used;
-      advance_if_done ();
+      advance_if_done t l;
       merge t l
     end
     else begin
-      match Queue.take_opt l.ml_queues.(cur) with
-      | None -> () (* wait for traffic or a skip on this group *)
-      | Some it ->
-          l.ml_buffered <- l.ml_buffered - 1;
-          (match it.app with
-          | Skip { count } -> l.ml_credit.(cur) <- l.ml_credit.(cur) + count
-          | _ ->
-              l.ml_delivered <- l.ml_delivered + 1;
-              l.ml_taken <- l.ml_taken + 1;
-              t.deliver ~learner:l.ml_idx ~group it);
-          advance_if_done ();
-          merge t l
+      let q = l.ml_queues.(cur) in
+      (* An empty queue waits for traffic or a skip on this group. *)
+      if not (Queue.is_empty q) then begin
+        let it = Queue.take q in
+        l.ml_buffered <- l.ml_buffered - 1;
+        (match unwrap it with
+        | Skip { count } -> l.ml_credit.(cur) <- l.ml_credit.(cur) + count
+        | app ->
+            l.ml_delivered <- l.ml_delivered + 1;
+            l.ml_taken <- l.ml_taken + 1;
+            t.deliver ~learner:l.ml_idx ~group:l.ml_subs.(cur) it app);
+        advance_if_done t l;
+        merge t l
+      end
     end
   end
 
-let subscribed l group = Array.exists (fun g -> g = group) l.ml_subs
-
-let on_ring_deliver t _ring_id l (v : Paxos.Value.t) =
-  List.iter
-    (fun (it : Paxos.Value.item) ->
-      let group, it =
-        match it.app with
-        | Grouped { group; app } -> (group, { it with app })
-        | _ -> (-1, it)
-      in
-      if group >= 0 && subscribed l group then begin
+let rec receive t l = function
+  | [] -> ()
+  | (it : Paxos.Value.item) :: rest ->
+      let group = match it.app with Grouped { group; _ } -> group | _ -> -1 in
+      let slot = if group >= 0 then sub_slot l.ml_subs group 0 else -1 in
+      if slot >= 0 then begin
         l.ml_recv.(group) <- l.ml_recv.(group) + 1;
-        Queue.push it l.ml_queues.(sub_slot l group);
+        Queue.push it l.ml_queues.(slot);
         l.ml_buffered <- l.ml_buffered + 1;
         if l.ml_buffered > t.cfg.buffer_items then l.ml_halted <- true
       end
       else
         (* Traffic of a co-hosted group this learner does not subscribe to:
            received, paid for, and discarded (§5.2.4's drawback). *)
-        l.ml_foreign <- l.ml_foreign + 1)
-    v.items;
+        l.ml_foreign <- l.ml_foreign + 1;
+      receive t l rest
+
+let on_ring_deliver t l (v : Paxos.Value.t) =
+  receive t l v.items;
   merge t l
 
 (* The skip controller of one group: every delta, top the group's traffic up
@@ -206,7 +212,7 @@ let create ?learner_nodes net cfg ~n_learners ~subs ~proposers_per_ring ~deliver
           ~learner_parts:(fun _ -> [ 0 ])
           ~deliver:(fun ~learner ~inst:_ v ->
             match v with
-            | Some v -> on_ring_deliver t r t.lrns.(members.(learner)) v
+            | Some v -> on_ring_deliver t t.lrns.(members.(learner)) v
             | None -> ()))
   in
   t.rings <- rings;

@@ -38,7 +38,10 @@ type t
 
 (** [create net cfg ~n_learners ~subs ~proposers_per_ring ~deliver] builds
     the ensemble; [subs l] lists the groups learner [l] subscribes to, and
-    [deliver] fires in merged order with the originating group. *)
+    [deliver ~learner ~group it app] fires in merged order with the
+    originating group.  [app] is the payload given to {!multicast}; [it] is
+    the ring's item as ordered, whose own [app] field still carries the
+    group tag, so read the payload from [app], not from [it.app]. *)
 val create :
   ?learner_nodes:Simnet.node array ->
   Simnet.t ->
@@ -46,7 +49,7 @@ val create :
   n_learners:int ->
   subs:(int -> int list) ->
   proposers_per_ring:int ->
-  deliver:(learner:int -> group:int -> Paxos.Value.item -> unit) ->
+  deliver:(learner:int -> group:int -> Paxos.Value.item -> Simnet.payload -> unit) ->
   t
 
 (** [multicast t ~group ~proposer ~size app] sends to one group. *)

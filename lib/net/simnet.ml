@@ -340,14 +340,17 @@ let[@inline] trans_tk t size =
   let x = (secs *. tick_scale) +. 0.5 in
   if x <= 0.0 then 0 else int_of_float x
 
-(* Propagation delay in ticks.  The jitter draw is skipped when the config
-   disables jitter, which keeps the zero-jitter fast path free of the boxed
-   float [Rng.float] returns. *)
+(* Propagation delay in ticks.  The jitter is [Rng.float rng jitter]
+   computed here from the int draw behind it: a float returned across the
+   module boundary would box on every message.  Zero jitter draws
+   nothing. *)
 let[@inline] prop_tk t src dst =
   let base = t.cfg.latency *. 0.5 *. (src.p_node.lat_factor +. dst.p_node.lat_factor) in
   let d =
     if t.cfg.latency_jitter = 0.0 then base
-    else base *. (1.0 +. Sim.Rng.float t.rng t.cfg.latency_jitter)
+    else
+      let b = float_of_int (Sim.Rng.bits53 t.rng) in
+      base *. (1.0 +. (t.cfg.latency_jitter *. b /. 9007199254740992.0 (* 2^53 *)))
   in
   let x = (d *. tick_scale) +. 0.5 in
   if x <= 0.0 then 0 else int_of_float x

@@ -56,10 +56,12 @@ let largest t =
     t.bytes None
 
 (* A batch is ready when some key has a full packet's worth of traffic, or
-   batching is disabled and anything at all is pending. *)
+   batching is disabled and anything at all is pending.  No key holds more
+   than the total, so an under-full batcher answers without the fold. *)
 let ready t =
   if t.pending = 0 then None
   else if t.batch_bytes <= 0 then Option.map fst (largest t)
+  else if t.pending < t.batch_bytes then None
   else
     Hashtbl.fold
       (fun key b acc -> if acc = None && !b >= t.batch_bytes then Some key else acc)

@@ -22,41 +22,39 @@ let name t = t.r_name
 let stop t = t.r_stop ()
 
 (* Deadline stamps are engine ticks (int), not floats: [touch] on the
-   per-message ack path then replaces an immediate value instead of boxing
+   per-message ack path then updates an immediate value instead of boxing
    a float per call.  The float [~now] arguments are converted at the API
-   boundary (truncating, like [Sim.Engine.ticks_of_time]). *)
-type ('k, 'v) tracker = {
-  tbl : ('k, 'v) Hashtbl.t;
-  last : ('k, int) Hashtbl.t;
-}
+   boundary (truncating, like [Sim.Engine.ticks_of_time]).  Payload and
+   stamp share one entry, so each item costs one table slot. *)
+type 'v entry = { v : 'v; mutable last : int }
+type ('k, 'v) tracker = ('k, 'v entry) Hashtbl.t
 
-let tracker () = { tbl = Hashtbl.create 256; last = Hashtbl.create 256 }
+let tracker () = Hashtbl.create 256
 
-let watch tr ~now key v =
-  Hashtbl.replace tr.tbl key v;
-  Hashtbl.replace tr.last key (Sim.Engine.ticks_of_time now)
+let watch tr ~now key v = Hashtbl.replace tr key { v; last = Sim.Engine.ticks_of_time now }
 
-let touch tr ~now key = Hashtbl.replace tr.last key (Sim.Engine.ticks_of_time now)
+let touch tr ~now key =
+  match Hashtbl.find tr key with
+  | e -> e.last <- Sim.Engine.ticks_of_time now
+  | exception Not_found -> ()
+
+let find tr key =
+  match Hashtbl.find tr key with e -> Some e.v | exception Not_found -> None
 
 let ack tr key =
-  match Hashtbl.find_opt tr.tbl key with
-  | Some v ->
-      Hashtbl.remove tr.tbl key;
-      Hashtbl.remove tr.last key;
-      Some v
-  | None -> None
+  match Hashtbl.find tr key with
+  | e ->
+      Hashtbl.remove tr key;
+      Some e.v
+  | exception Not_found -> None
 
-let mem tr key = Hashtbl.mem tr.tbl key
-let find tr key = Hashtbl.find_opt tr.tbl key
-let length tr = Hashtbl.length tr.tbl
-let iter tr f = Hashtbl.iter f tr.tbl
-
-let clear tr =
-  Hashtbl.reset tr.tbl;
-  Hashtbl.reset tr.last
+let mem tr key = Hashtbl.mem tr key
+let length tr = Hashtbl.length tr
+let iter tr f = Hashtbl.iter (fun key e -> f key e.v) tr
+let clear tr = Hashtbl.reset tr
 
 (* Collect the due set before firing callbacks: [f] routinely acks or
-   re-watches entries, and mutating [tr.tbl] while iterating over it is
+   re-watches entries, and mutating the table while iterating over it is
    unspecified behaviour per the Hashtbl contract.  An entry acked by an
    earlier callback in the same sweep must not fire. *)
 let iter_due tr ~now ~older_than f =
@@ -64,15 +62,14 @@ let iter_due tr ~now ~older_than f =
   let older_tk = Sim.Engine.ticks_of_duration older_than in
   let due =
     Hashtbl.fold
-      (fun key v acc ->
-        let last = match Hashtbl.find_opt tr.last key with Some x -> x | None -> 0 in
-        if now_tk - last > older_tk then (key, v) :: acc else acc)
-      tr.tbl []
+      (fun key e acc -> if now_tk - e.last > older_tk then (key, e.v) :: acc else acc)
+      tr []
   in
   List.iter
     (fun (key, v) ->
-      if Hashtbl.mem tr.tbl key then begin
-        Hashtbl.replace tr.last key now_tk;
-        f key v
-      end)
+      match Hashtbl.find tr key with
+      | e ->
+          e.last <- now_tk;
+          f key v
+      | exception Not_found -> ())
     due

@@ -204,9 +204,9 @@ let psmr_deliver t ~learner ~group it =
 
 (* --- dependency-aware parallel executor (Depaware / Optimistic) --------------- *)
 
-let kv_deliver t ~learner (it : Paxos.Value.item) =
+let kv_deliver t ~learner (it : Paxos.Value.item) app =
   let rep = t.replicas.(learner) in
-  match it.app with
+  match app with
   | PKv { op; reads; writes } ->
       let ex = match rep.exec with Some e -> e | None -> assert false in
       Executor.submit ex ~now:(Simnet.now t.net) ~uid:it.uid ~reads ~writes op;
@@ -221,13 +221,13 @@ let kv_deliver t ~learner (it : Paxos.Value.item) =
 
 (* --- single-stream approaches -------------------------------------------------- *)
 
-let sdpe_deliver t ~learner (it : Paxos.Value.item) =
+let sdpe_deliver t ~learner (it : Paxos.Value.item) app =
   let rep = t.replicas.(learner) in
   let now = Simnet.now t.net in
   (* Scheduler thread parses the command and tracks conflicts. *)
   rep.sched_free <- Stdlib.max now rep.sched_free +. t.cfg.sched_cost;
   let dispatched = rep.sched_free in
-  (match it.app with
+  (match app with
   | PCmd { obj; dependent } ->
       let fin =
         if dependent then begin
@@ -366,11 +366,11 @@ let create ?kv_gen net cfg ~n_clients ~gen =
       m = cfg.merge_m;
       buffer_items = 500_000 }
   in
-  let deliver ~learner ~group it =
+  let deliver ~learner ~group it app =
     match cfg.approach with
     | Psmr -> psmr_deliver t ~learner ~group it
-    | Depaware | Optimistic -> kv_deliver t ~learner it
-    | Sdpe -> sdpe_deliver t ~learner it
+    | Depaware | Optimistic -> kv_deliver t ~learner it app
+    | Sdpe -> sdpe_deliver t ~learner it app
     | Pipelined -> serial_deliver t ~learner it
     | Sequential -> sequential_deliver t ~learner it
   in

@@ -400,6 +400,16 @@ let start_phase1 t c =
           (P1a { rnd = c.c_rnd; ring = c.x_ring; coord = c.x_idx }))
     t.accs
 
+(* Coordinator-side flow control: Phase 2A traffic is paced below the
+   rate the network can multicast without loss (§3.3.6). *)
+let pace_ok t c =
+  let now = Simnet.now t.net in
+  if now -. c.c_rate_window > 0.01 then begin
+    c.c_rate_window <- now;
+    c.c_rate_bits <- 0.0
+  end;
+  c.c_rate_bits < c.c_rate_limit *. 0.01
+
 let rec drain t c =
   if c.c_phase1_ok && c.x_is_coord && Simnet.is_alive c.x_proc then begin
     if Hashtbl.length c.c_claimed > 0 then begin
@@ -415,44 +425,42 @@ let rec drain t c =
           if inst >= c.c_next_inst then c.c_next_inst <- inst + 1)
         (List.sort compare claimed)
     end;
-    (* Coordinator-side flow control: Phase 2A traffic is paced below the
-       rate the network can multicast without loss (§3.3.6). *)
-    let pace_ok () =
-      let now = Simnet.now t.net in
-      if now -. c.c_rate_window > 0.01 then begin
-        c.c_rate_window <- now;
-        c.c_rate_bits <- 0.0
-      end;
-      c.c_rate_bits < c.c_rate_limit *. 0.01
-    in
-    let continue = ref true in
-    while !continue && c.c_outstanding < c.c_window && under_rc_cap t c && pace_ok () do
-      match Batcher.ready c.c_batch with
-      | Some parts -> propose_batch t c parts
-      | None -> continue := false
-    done;
+    propose_ready t c;
     if Batcher.ready c.c_batch <> None && c.c_outstanding < c.c_window
        && under_rc_cap t c
-       && (not (pace_ok ())) && not c.c_rate_timer
+       && (not (pace_ok t c)) && not c.c_rate_timer
     then begin
       c.c_rate_timer <- true;
       ignore
         (Simnet.after t.net 0.002 (fun () ->
              dbg t "rate_timer"; c.c_rate_timer <- false; drain t c))
     end;
-    Batcher.arm_timeout c.c_batch t.net ~timeout:t.cfg.batch_timeout (fun () ->
-        dbg t "batch_timer";
-        if c.x_is_coord && Simnet.is_alive c.x_proc && c.c_phase1_ok
-           && c.c_outstanding < c.c_window && under_rc_cap t c
-        then begin
-          (* Seal the largest partial batch. *)
-          match Batcher.largest c.c_batch with
-          | Some (parts, _) -> propose_batch t c parts
-          | None -> ()
-        end;
-        drain t c);
+    (* [arm_timeout] would ignore the call anyway; testing first spares
+       building its closure on every drain. *)
+    if not (Batcher.is_empty c.c_batch || Batcher.timer_armed c.c_batch) then
+      Batcher.arm_timeout c.c_batch t.net ~timeout:t.cfg.batch_timeout (fun () ->
+          dbg t "batch_timer";
+          if c.x_is_coord && Simnet.is_alive c.x_proc && c.c_phase1_ok
+             && c.c_outstanding < c.c_window && under_rc_cap t c
+          then begin
+            (* Seal the largest partial batch. *)
+            match Batcher.largest c.c_batch with
+            | Some (parts, _) -> propose_batch t c parts
+            | None -> ()
+          end;
+          drain t c);
     reconfig_drive t c
   end
+
+(* Propose full batches while the window, the reconfiguration cap and the
+   pacer all allow. *)
+and propose_ready t c =
+  if c.c_outstanding < c.c_window && under_rc_cap t c && pace_ok t c then
+    match Batcher.ready c.c_batch with
+    | Some parts ->
+        propose_batch t c parts;
+        propose_ready t c
+    | None -> ()
 
 and propose_batch t c parts =
   match Batcher.seal c.c_batch parts with
@@ -1548,8 +1556,9 @@ let submit t ~proposer ?(parts = [ 0 ]) ~size app =
   else begin
     t.next_uid <- t.next_uid + 1;
     let uid = Paxos.Value.make_uid ~seq:t.next_uid ~origin:proposer in
-    let item = { Paxos.Value.uid; isize = size; app; born = Simnet.now t.net } in
-    Retry.watch p.p_pending ~now:(Simnet.now t.net) uid (item, parts);
+    let now = Simnet.now t.net in
+    let item = { Paxos.Value.uid; isize = size; app; born = now } in
+    Retry.watch p.p_pending ~now uid (item, parts);
     p.p_unacked_bytes <- p.p_unacked_bytes + size;
     (match coord_opt t with
     | Some c ->

@@ -1,35 +1,45 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives in an 8-byte buffer rather than a mutable
+   [int64] field: a field would box every new state, whereas
+   [Bytes.get/set_int64_ne] let the arithmetic below stay in registers.
+   test/test_sim.ml pins a digest of the stream. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let split t = { state = bits64 t }
+let[@inline] bits64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
+
+let split t = of_state (bits64 t)
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection-free modulo is fine here: bounds are tiny versus 2^63. *)
   Int64.to_int (Int64.rem (Int64.shift_right_logical (bits64 t) 1) (Int64.of_int n))
 
-let float t x =
-  let b = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
-  x *. b /. 9007199254740992.0 (* 2^53 *)
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 11)
+
+let[@inline] float t x = x *. float_of_int (bits53 t) /. 9007199254740992.0 (* 2^53 *)
 
 let bool t p = float t 1.0 < p
 
 let exponential t ~mean =
-  let u = ref (float t 1.0) in
-  if !u = 0.0 then u := 1e-300;
-  -.mean *. log !u
+  let u = float t 1.0 in
+  let u = if u = 0.0 then 1e-300 else u in
+  -.mean *. log u
 
 let uniform t lo hi = lo +. float t (hi -. lo)
 

@@ -19,6 +19,12 @@ val int : t -> int -> int
 (** [float t x] is uniform in [\[0, x)]. *)
 val float : t -> float -> float
 
+(** [bits53 t] is uniform in [\[0, 2{^53})]: the draw behind {!float},
+    which equals [x *. float_of_int (bits53 t) /. 2{^53}].  It returns an
+    immediate int, so a hot caller that scales it locally allocates
+    nothing, where a float returned across modules is boxed. *)
+val bits53 : t -> int
+
 (** [bool t p] is [true] with probability [p]. *)
 val bool : t -> float -> bool
 

@@ -216,23 +216,20 @@ module Open_loop = struct
       writes = Btree.Keyset.empty;
       size = cmd_size }
 
+  (* Updates read the key they overwrite (insert returns the old value),
+     so they are read-modify-write for conflict purposes.  Key sets are
+     never mutated, so reads and writes share one. *)
   let update_arrival t key =
-    (* Updates read the key they overwrite (insert returns the old value),
-       so they are read-modify-write for conflict purposes. *)
+    let keys = Btree.Keyset.singleton key in
     { at = t.ol_clock;
       op = Btree_service.Insert { key; value = fresh_value t };
-      reads = Btree.Keyset.singleton key;
-      writes = Btree.Keyset.singleton key;
+      reads = keys;
+      writes = keys;
       size = cmd_size }
 
   let insert_arrival t =
     t.ol_max_key <- t.ol_max_key + 1;
-    let key = t.ol_max_key in
-    { at = t.ol_clock;
-      op = Btree_service.Insert { key; value = fresh_value t };
-      reads = Btree.Keyset.singleton key;
-      writes = Btree.Keyset.singleton key;
-      size = cmd_size }
+    update_arrival t t.ol_max_key
 
   let mixed_arrival t ops =
     let total = List.fold_left (fun acc (_, w) -> acc + Stdlib.max 0 w) 0 ops in

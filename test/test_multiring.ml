@@ -9,8 +9,8 @@ let make ?(config = Multiring.default_config) ?(n_learners = 1)
   let net = Simnet.create engine (Sim.Rng.create seed) in
   let log = Hashtbl.create 8 in
   (* learner -> reversed (group, cmd) list *)
-  let deliver ~learner ~group (it : Paxos.Value.item) =
-    match it.app with
+  let deliver ~learner ~group _ app =
+    match app with
     | Cmd i ->
         let prev = Option.value ~default:[] (Hashtbl.find_opt log learner) in
         Hashtbl.replace log learner ((group, i) :: prev)
@@ -221,4 +221,66 @@ let test_groups_share_rings () =
   let only g l = List.filter (fun (g', _) -> g' = g) l in
   Alcotest.(check (list (pair int int))) "group-0 order agrees" (only 0 s0) (only 0 s1)
 
-let suite = suite @ [ Alcotest.test_case "gamma groups over delta rings" `Quick test_groups_share_rings ]
+(* Minor words per item delivered by a steady single-ring stream, with a
+   callback that only counts: one item submitted every 100 us, measured
+   over the second 0.2 s.  [via_multiring] sends it through Multi-Ring
+   Paxos (one group, no skips); otherwise straight through the M-Ring
+   Paxos instance underneath, on the same machines, so the difference is
+   what the multicast wrapper and the merge cost per item. *)
+let steady_stream_words ~via_multiring =
+  let engine = Sim.Engine.create () in
+  let net = Simnet.create engine (Sim.Rng.create 91) in
+  let delivered = ref 0 in
+  let cmd = Cmd 1 in
+  let submit =
+    if via_multiring then begin
+      let cfg = { Multiring.default_config with n_rings = 1; lambda = 0.0 } in
+      let mr =
+        Multiring.create net cfg ~n_learners:1 ~subs:(fun _ -> [ 0 ])
+          ~proposers_per_ring:1
+          ~deliver:(fun ~learner:_ ~group:_ _ _ -> incr delivered)
+      in
+      fun () -> ignore (Multiring.multicast mr ~group:0 ~proposer:0 ~size:256 cmd)
+    end
+    else begin
+      let nodes = [| Simnet.add_node net "mrl0" |] in
+      let ring =
+        Ringpaxos.Mring.create ~learner_nodes:nodes net Ringpaxos.Mring.default_config
+          ~n_proposers:2 ~n_learners:1
+          ~learner_parts:(fun _ -> [ 0 ])
+          ~deliver:(fun ~learner:_ ~inst:_ v ->
+            match v with
+            | Some (v : Paxos.Value.t) -> delivered := !delivered + List.length v.items
+            | None -> ())
+      in
+      fun () -> ignore (Ringpaxos.Mring.submit ring ~proposer:1 ~size:256 cmd)
+    end
+  in
+  let (_stop : unit -> unit) =
+    Simnet.every_tk net ~ticks:(Sim.Engine.ticks_of_duration 1.0e-4) submit
+  in
+  Sim.Engine.run engine ~until:0.2;
+  let d0 = !delivered in
+  let w0 = Gc.minor_words () in
+  Sim.Engine.run engine ~until:0.4;
+  let words = Gc.minor_words () -. w0 in
+  let items = !delivered - d0 in
+  (items, words /. float_of_int (Stdlib.max 1 items))
+
+let test_steady_stream_allocation () =
+  let items, multi = steady_stream_words ~via_multiring:true in
+  let ring_items, ring = steady_stream_words ~via_multiring:false in
+  Alcotest.(check bool) "the stream delivered" true (items >= 1900);
+  Alcotest.(check int) "same stream either way" ring_items items;
+  (* The group tag (4 words) and the merge queue's cell (3), plus the skip
+     controller's idle timer. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "multi-ring adds %.1f words per item (%.1f over %.1f; <= 8)"
+       (multi -. ring) multi ring)
+    true
+    (multi -. ring <= 8.0)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "gamma groups over delta rings" `Quick test_groups_share_rings;
+      Alcotest.test_case "steady stream allocation bound" `Quick test_steady_stream_allocation ]

@@ -232,8 +232,11 @@ let test_backlog_ring_memory_bounded () =
 
 (* --- allocation-free steady state, golden trace ------------------------- *)
 
-let test_steady_unicast_allocates_nothing () =
-  let engine, net = make () in
+(* A ping-pong between two processes: messages delivered and minor words
+   per message over the second 0.1 s, after a warm-up that lets the pool,
+   rings, wheel slots and stats buckets reach steady state. *)
+let steady_unicast_words config =
+  let engine, net = make ~config () in
   let a, b = pair net in
   let fires = ref 0 in
   Simnet.set_handler b (fun m ->
@@ -243,14 +246,27 @@ let test_steady_unicast_allocates_nothing () =
       incr fires;
       Simnet.send net ~src:a ~dst:b ~size:m.size m.payload);
   Simnet.send net ~src:a ~dst:b ~size:512 (Ping 0);
-  (* Warm up: pool, rings, wheel slots and stats buckets reach steady
-     state. *)
   Sim.Engine.run engine ~until:0.1;
+  let f0 = !fires in
   let w0 = Gc.minor_words () in
   Sim.Engine.run engine ~until:0.2;
   let words = Gc.minor_words () -. w0 in
-  Alcotest.(check bool) "the run made progress" true (!fires > 1000);
-  Alcotest.(check (float 0.0)) "zero minor words in steady state" 0.0 words
+  let msgs = !fires - f0 in
+  (msgs, words /. float_of_int (Stdlib.max 1 msgs))
+
+let test_steady_unicast_allocates_nothing () =
+  let msgs, per_msg = steady_unicast_words quiet in
+  Alcotest.(check bool) "the run made progress" true (msgs > 1000);
+  Alcotest.(check (float 0.0)) "zero minor words in steady state" 0.0 per_msg
+
+(* The same ping-pong with the default 5 % latency jitter: the per-message
+   jitter draw is scaled locally from an int, so no float boxes. *)
+let test_jittered_unicast_allocates_nothing () =
+  let msgs, per_msg = steady_unicast_words Simnet.default_config in
+  Alcotest.(check bool) "the run made progress" true (msgs > 1000);
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "zero minor words per jittered message (%.2f)" per_msg)
+    0.0 per_msg
 
 let test_disabled_tracer_allocates_nothing () =
   let engine, net = make () in
@@ -315,6 +331,8 @@ let suite =
       test_backlog_ring_memory_bounded;
     Alcotest.test_case "steady unicast allocates nothing" `Quick
       test_steady_unicast_allocates_nothing;
+    Alcotest.test_case "jittered unicast allocates nothing" `Quick
+      test_jittered_unicast_allocates_nothing;
     Alcotest.test_case "disabled tracer allocates nothing" `Quick
       test_disabled_tracer_allocates_nothing;
     Alcotest.test_case "traced kill/recover run matches golden digest" `Quick

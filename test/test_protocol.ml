@@ -90,6 +90,31 @@ let test_clear_disarms_pending_timeout () =
   Sim.Engine.run engine ~until:1.0;
   Alcotest.(check (list int)) "fresh timer flushes the new item" [ 64 ] (sizes !flushed)
 
+(* The coordinator asks [ready] on every admission: an under-full batcher
+   (total pending below one packet, so no key can be full) answers without
+   walking its keys, and allocates nothing. *)
+let test_ready_underfull_allocates_nothing () =
+  let b = Protocol.Batcher.create ~batch_bytes:8192 () in
+  List.iteri
+    (fun i key -> ignore (Protocol.Batcher.enqueue b ~key (item ~uid:i 1000)))
+    [ [ 0 ]; [ 1 ]; [ 0; 1 ]; [ 2 ] ];
+  Alcotest.(check bool) "under-full: not ready" true (Protocol.Batcher.ready b = None);
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Protocol.Batcher.ready b))
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check (float 0.0)) "ready allocates nothing" 0.0 per_call;
+  (* Past one packet in total but with no single key full: still not ready. *)
+  List.iteri
+    (fun i key -> ignore (Protocol.Batcher.enqueue b ~key (item ~uid:(10 + i) 1000)))
+    [ [ 0 ]; [ 1 ]; [ 0; 1 ]; [ 2 ]; [ 3 ] ];
+  Alcotest.(check bool) "no key full: not ready" true (Protocol.Batcher.ready b = None);
+  ignore (Protocol.Batcher.enqueue b ~key:[ 2 ] (item ~uid:20 7000));
+  Alcotest.(check (option (list int))) "full key is ready" (Some [ 2 ])
+    (Protocol.Batcher.ready b)
+
 (* --- Retry ----------------------------------------------------------------- *)
 
 let test_iter_due_ack_during_iteration () =
@@ -466,6 +491,8 @@ let suite =
       test_buffer_bound_drops;
     Alcotest.test_case "batcher: clear disarms a pending timeout" `Quick
       test_clear_disarms_pending_timeout;
+    Alcotest.test_case "batcher: under-full ready allocates nothing" `Quick
+      test_ready_underfull_allocates_nothing;
     Alcotest.test_case "retry: ack during iter_due does not fire stale entries" `Quick
       test_iter_due_ack_during_iteration;
     Alcotest.test_case "od: drop_below frees speculation marks" `Quick

@@ -106,6 +106,61 @@ let test_zipf_skew () =
   Alcotest.(check bool) "rank 0 most popular" true (counts.(0) > counts.(10));
   Alcotest.(check bool) "rank 10 beats rank 90" true (counts.(10) > counts.(90))
 
+(* The splitmix64 stream, pinned: seed 7, the first 10^5 outputs of each
+   draw, each from a fresh generator ([split] children contribute one
+   [int] draw each).  Any change to the state layout or the arithmetic
+   must keep every seeded experiment byte-identical, and this digest
+   catches a drift long before a golden figure would. *)
+let rng_stream_digest () =
+  let n = 100_000 in
+  let b = Buffer.create (n * 16) in
+  let each f =
+    let r = Rng.create 7 in
+    for _ = 1 to n do
+      Buffer.add_string b (f r);
+      Buffer.add_char b ' '
+    done
+  in
+  each (fun r -> string_of_int (Rng.int r 1_000_003));
+  each (fun r -> Printf.sprintf "%h" (Rng.float r 3.5));
+  each (fun r -> if Rng.bool r 0.3 then "t" else "f");
+  each (fun r -> Printf.sprintf "%h" (Rng.exponential r ~mean:2.0));
+  each (fun r -> Printf.sprintf "%h" (Rng.uniform r (-1.0) 4.0));
+  (let g = Rng.Zipf.create (Rng.create 7) ~n:1000 ~s:0.99 in
+   for _ = 1 to n do
+     Buffer.add_string b (string_of_int (Rng.Zipf.draw g));
+     Buffer.add_char b ' '
+   done);
+  each (fun r -> string_of_int (Rng.int (Rng.split r) max_int));
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_rng_stream_pinned () =
+  Alcotest.(check string) "splitmix64 stream digest, seed 7"
+    "b96d8ed78bc09a05a4642fb74378f28d" (rng_stream_digest ())
+
+(* Minor words per draw: the state stays unboxed, so an int draw allocates
+   nothing and a float draw only the box of its result. *)
+let test_rng_draw_allocation () =
+  let r = Rng.create 7 in
+  let g = Rng.Zipf.create (Rng.create 7) ~n:1000 ~s:0.99 in
+  let per_draw f =
+    f ();
+    let n = 10_000 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      f ()
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let zero name f =
+    Alcotest.(check (float 0.0)) (name ^ " allocates nothing") 0.0 (per_draw f)
+  in
+  zero "Rng.int" (fun () -> ignore (Sys.opaque_identity (Rng.int r 1000)));
+  zero "Rng.bits53" (fun () -> ignore (Sys.opaque_identity (Rng.bits53 r)));
+  zero "Zipf.draw" (fun () -> ignore (Sys.opaque_identity (Rng.Zipf.draw g)));
+  let f = per_draw (fun () -> ignore (Sys.opaque_identity (Rng.float r 1.0))) in
+  Alcotest.(check bool) (Printf.sprintf "Rng.float: %.2f words (<= 2)" f) true (f <= 2.0)
+
 let test_rate_mbps () =
   let r = Stats.Rate.create () in
   (* 10 events of 125000 bytes over 1 second = 10 Mbps. *)
@@ -337,6 +392,8 @@ let suite =
     Alcotest.test_case "rng: bernoulli bias" `Quick test_rng_bool_bias;
     Alcotest.test_case "rng: exponential mean" `Quick test_rng_exponential_mean;
     Alcotest.test_case "rng: zipf skew" `Quick test_zipf_skew;
+    Alcotest.test_case "rng: stream pinned" `Quick test_rng_stream_pinned;
+    Alcotest.test_case "rng: draw allocation" `Quick test_rng_draw_allocation;
     Alcotest.test_case "stats: rate mbps" `Quick test_rate_mbps;
     Alcotest.test_case "stats: rate series" `Quick test_rate_series;
     Alcotest.test_case "stats: latency percentiles" `Quick test_latency_percentiles;
