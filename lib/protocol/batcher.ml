@@ -2,6 +2,7 @@ type 'k t = {
   queues : ('k, Paxos.Value.item Queue.t) Hashtbl.t;
   bytes : ('k, int ref) Hashtbl.t;
   mutable pending : int;
+  mutable sole : 'k option;  (* the key, while exactly one key exists *)
   batch_bytes : int;
   buffer_bytes : int;
   mutable dropped : int;
@@ -13,6 +14,7 @@ let create ?(buffer_bytes = max_int) ~batch_bytes () =
   { queues = Hashtbl.create 8;
     bytes = Hashtbl.create 8;
     pending = 0;
+    sole = None;
     batch_bytes;
     buffer_bytes;
     dropped = 0;
@@ -30,10 +32,11 @@ let enqueue t ~key (item : Paxos.Value.item) =
   end
   else begin
     let q =
-      match Hashtbl.find_opt t.queues key with
-      | Some q -> q
-      | None ->
+      match Hashtbl.find t.queues key with
+      | q -> q
+      | exception Not_found ->
           let q = Queue.create () in
+          t.sole <- (if Hashtbl.length t.queues = 0 then Some key else None);
           Hashtbl.add t.queues key q;
           Hashtbl.add t.bytes key (ref 0);
           q
@@ -57,11 +60,14 @@ let largest t =
 
 (* A batch is ready when some key has a full packet's worth of traffic, or
    batching is disabled and anything at all is pending.  No key holds more
-   than the total, so an under-full batcher answers without the fold. *)
+   than the total, so an under-full batcher answers without the fold, and
+   a single-key batcher (one partition set, or a unit key) answers with
+   its stored key: that key holds the whole total. *)
 let ready t =
   if t.pending = 0 then None
   else if t.batch_bytes <= 0 then Option.map fst (largest t)
   else if t.pending < t.batch_bytes then None
+  else if Hashtbl.length t.bytes = 1 then t.sole
   else
     Hashtbl.fold
       (fun key b acc -> if acc = None && !b >= t.batch_bytes then Some key else acc)
@@ -69,26 +75,24 @@ let ready t =
 
 (* Pop items while they fit in one batch.  The first item always pops, so an
    item larger than [batch_bytes] seals alone rather than stalling the
-   queue; with [batch_bytes <= 0] every batch is a single item. *)
+   queue; with [batch_bytes <= 0] every batch is a single item.  The take
+   conses the batch in order, so sealing allocates only its list cells. *)
+let rec take t q bytes size =
+  if Queue.is_empty q then []
+  else
+    let (it : Paxos.Value.item) = Queue.peek q in
+    if size > 0 && size + it.isize > t.batch_bytes then []
+    else begin
+      ignore (Queue.pop q);
+      bytes := !bytes - it.isize;
+      t.pending <- t.pending - it.isize;
+      it :: take t q bytes (size + it.isize)
+    end
+
 let seal t key =
-  match Hashtbl.find_opt t.queues key with
-  | None -> []
-  | Some q ->
-      let bytes = Hashtbl.find t.bytes key in
-      let items = ref [] and size = ref 0 in
-      let continue = ref true in
-      while !continue && not (Queue.is_empty q) do
-        let (it : Paxos.Value.item) = Queue.peek q in
-        if !size > 0 && !size + it.isize > t.batch_bytes then continue := false
-        else begin
-          ignore (Queue.pop q);
-          bytes := !bytes - it.isize;
-          t.pending <- t.pending - it.isize;
-          items := it :: !items;
-          size := !size + it.isize
-        end
-      done;
-      List.rev !items
+  match Hashtbl.find t.queues key with
+  | q -> take t q (Hashtbl.find t.bytes key) 0
+  | exception Not_found -> []
 
 let timer_armed t = t.armed
 
@@ -117,6 +121,7 @@ let arm_timeout t net ~timeout f =
 let clear t =
   Hashtbl.reset t.queues;
   Hashtbl.reset t.bytes;
+  t.sole <- None;
   t.pending <- 0;
   t.armed <- false;
   t.epoch <- t.epoch + 1

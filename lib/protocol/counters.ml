@@ -2,15 +2,13 @@ type t = (string, int ref) Hashtbl.t
 
 let create () : t = Hashtbl.create 16
 
-let cell t name =
-  match Hashtbl.find_opt t name with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.add t name r;
-      r
+(* One lookup and no [Some] on the hot path: bumping an existing counter
+   allocates nothing. *)
+let add t name n =
+  match Hashtbl.find t name with
+  | r -> r := !r + n
+  | exception Not_found -> Hashtbl.add t name (ref n)
 
-let add t name n = cell t name := !(cell t name) + n
 let incr t name = add t name 1
 let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
 

@@ -24,16 +24,18 @@ let offer t ~inst v =
   end
   else false
 
-let pump t f =
-  let continue = ref true in
-  while !continue do
-    match Hashtbl.find_opt t.tbl t.next with
-    | Some v when f t.next v ->
+(* Delivering an entry allocates nothing here: no [Some] from the lookup,
+   no loop flag. *)
+let rec pump t f =
+  match Hashtbl.find t.tbl t.next with
+  | v ->
+      if f t.next v then begin
         Hashtbl.remove t.tbl t.next;
         Hashtbl.remove t.spec t.next;
-        t.next <- t.next + 1
-    | _ -> continue := false
-  done
+        t.next <- t.next + 1;
+        pump t f
+      end
+  | exception Not_found -> ()
 
 let backlog t = Stdlib.max 0 (t.max_seen + 1 - t.next)
 
@@ -113,32 +115,55 @@ let request_repairs r t net ~timeout ~cooldown ~alive ~complete ~send =
 
 (* --- delivery processing queue ------------------------------------------- *)
 
-type 'a sink = { q : 'a Queue.t; mutable busy : bool; mutable draining : bool }
+type ('a, 'b) sink = { q : ('a * 'b) Queue.t; mutable busy : bool; mutable draining : bool }
 
 let sink () = { q = Queue.create (); busy = false; draining = false }
 let sink_length s = Queue.length s.q
-let sink_push s x = Queue.push x s.q
+let sink_push s a b = Queue.push (a, b) s.q
 
 (* Zero-cost entries drain in a loop, not by recursion: [deliver] commonly
    re-enters [drain_sink] (pump -> push -> drain), so the recursive form
    grew one stack frame per queued item.  The [draining] flag makes the
-   re-entrant call a no-op; the outer loop picks the new items up. *)
+   re-entrant call a no-op; the outer loop picks the new items up.  The
+   loop is a tail call, so a popped zero-cost entry allocates nothing. *)
 let rec drain_sink s net proc ~cost deliver =
   if (not s.busy) && not s.draining then begin
     s.draining <- true;
-    let continue = ref true in
-    while !continue && not (Queue.is_empty s.q) do
-      let x = Queue.pop s.q in
-      let c = cost () in
-      if c <= 0.0 then deliver x
-      else begin
-        s.busy <- true;
-        continue := false;
-        Simnet.exec net proc ~dur:c (fun () ->
-            s.busy <- false;
-            deliver x;
-            drain_sink s net proc ~cost deliver)
-      end
-    done;
+    drain_loop s net proc ~cost deliver;
+    s.draining <- false
+  end
+
+and drain_loop s net proc ~cost deliver =
+  if not (Queue.is_empty s.q) then begin
+    let a, b = Queue.pop s.q in
+    process s net proc ~cost deliver a b
+  end
+
+(* One entry: delivered at once when it costs nothing, and the queue goes
+   on; otherwise [proc] is busy for [cost ()] first. *)
+and process s net proc ~cost deliver a b =
+  let c = cost () in
+  if c <= 0.0 then begin
+    deliver a b;
+    drain_loop s net proc ~cost deliver
+  end
+  else begin
+    s.busy <- true;
+    Simnet.exec net proc ~dur:c (fun () ->
+        s.busy <- false;
+        deliver a b;
+        drain_sink s net proc ~cost deliver)
+  end
+
+(* An idle, empty sink would hand the entry straight back, so it skips the
+   queue: no pair, no queue cell. *)
+let sink_offer s net proc ~cost deliver a b =
+  if s.busy || s.draining || not (Queue.is_empty s.q) then begin
+    sink_push s a b;
+    drain_sink s net proc ~cost deliver
+  end
+  else begin
+    s.draining <- true;
+    process s net proc ~cost deliver a b;
     s.draining <- false
   end

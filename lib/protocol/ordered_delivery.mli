@@ -97,14 +97,27 @@ val request_repairs :
     processing time on the learner's CPU before the application sees
     them (flow-control experiments use this to create slow learners). *)
 
-type 'a sink
+type ('a, 'b) sink
 
-val sink : unit -> 'a sink
-val sink_push : 'a sink -> 'a -> unit
-val sink_length : 'a sink -> int
+val sink : unit -> ('a, 'b) sink
+val sink_push : ('a, 'b) sink -> 'a -> 'b -> unit
+val sink_length : ('a, 'b) sink -> int
 
 (** [drain_sink s net proc ~cost deliver] processes queued entries in
     order, charging [cost ()] seconds of CPU on [proc] per entry
     (zero cost delivers synchronously). *)
 val drain_sink :
-  'a sink -> Simnet.t -> Simnet.proc -> cost:(unit -> float) -> ('a -> unit) -> unit
+  ('a, 'b) sink -> Simnet.t -> Simnet.proc -> cost:(unit -> float) -> ('a -> 'b -> unit) -> unit
+
+(** [sink_offer s net proc ~cost deliver a b] is [sink_push s a b]
+    followed by [drain_sink]; an entry that reaches an idle, empty sink
+    is processed without being queued. *)
+val sink_offer :
+  ('a, 'b) sink ->
+  Simnet.t ->
+  Simnet.proc ->
+  cost:(unit -> float) ->
+  ('a -> 'b -> unit) ->
+  'a ->
+  'b ->
+  unit

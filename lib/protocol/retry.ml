@@ -38,15 +38,15 @@ let touch tr ~now key =
   | e -> e.last <- Sim.Engine.ticks_of_time now
   | exception Not_found -> ()
 
-let find tr key =
-  match Hashtbl.find tr key with e -> Some e.v | exception Not_found -> None
+(* [find] and [ack] build no option: they run once per decided instance. *)
+let find tr key = (Hashtbl.find tr key).v
 
 let ack tr key =
   match Hashtbl.find tr key with
-  | e ->
+  | _ ->
       Hashtbl.remove tr key;
-      Some e.v
-  | exception Not_found -> None
+      true
+  | exception Not_found -> false
 
 let mem tr key = Hashtbl.mem tr key
 let length tr = Hashtbl.length tr

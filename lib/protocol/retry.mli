@@ -29,12 +29,14 @@ val watch : ('k, 'v) tracker -> now:float -> 'k -> 'v -> unit
 (** Restamp an item's last send time without changing its payload. *)
 val touch : ('k, 'v) tracker -> now:float -> 'k -> unit
 
-(** [ack tr key] cancels the retry, returning the payload if it was
-    still being watched. *)
-val ack : ('k, 'v) tracker -> 'k -> 'v option
+(** [ack tr key] cancels the retry; [true] if the item was still being
+    watched. *)
+val ack : ('k, 'v) tracker -> 'k -> bool
 
 val mem : ('k, 'v) tracker -> 'k -> bool
-val find : ('k, 'v) tracker -> 'k -> 'v option
+
+(** [find tr key] is the watched payload.  Raises [Not_found]. *)
+val find : ('k, 'v) tracker -> 'k -> 'v
 val length : ('k, 'v) tracker -> int
 val iter : ('k, 'v) tracker -> ('k -> 'v -> unit) -> unit
 val clear : ('k, 'v) tracker -> unit

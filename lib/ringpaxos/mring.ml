@@ -66,7 +66,9 @@ type Simnet.payload +=
     }
   | P2a of { inst : int; rnd : int; value : Paxos.Value.t; parts : int list }
   | P2b of { inst : int; rnd : int; vid : int }
-  | Decision of { inst : int; vid : int; parts : int list; uids : int list }
+  | Decision of { inst : int; vid : int; parts : int list; items : Paxos.Value.item list }
+      (* [items] is the decided value's own list, shared, not copied: the
+         wire carries its 8-byte uids, and proposers ack them *)
   | SlowDown of { learner : int; pending : int }
   | Version of { learner : int; version : int }
   | Gc of { floor : int }
@@ -138,8 +140,10 @@ type acc = {
   c_preq : (Paxos.Value.item * int list) Queue.t;
       (* proposals received before Phase 1 completed, replayed in arrival
          order once the claimed votes have seeded [c_seen_uids] *)
-  mutable c_rate_window : float;  (* start of the pacing window *)
-  mutable c_rate_bits : float;  (* Phase 2A bits sent in the window *)
+  c_rate : Float.Array.t;
+      (* the pacing window: its start ([rate_window]) and the Phase 2A
+         bits sent in it ([rate_bits]); unboxed, so a write allocates
+         nothing *)
   mutable c_rate_timer : bool;  (* a deferred drain is scheduled *)
   mutable c_rate_limit : float;  (* adaptive pacing limit (AIMD), bit/s *)
   mutable c_rc_fill : int;
@@ -156,12 +160,17 @@ type lrn = {
   l_vals : (int, Paxos.Value.t) Hashtbl.t;  (* vid -> value *)
   mutable l_val_bytes : int;  (* sum of the value sizes in [l_vals]; see [set_val] *)
   mutable l_delay : float;  (* processing cost per delivered instance *)
-  l_sink : (int * Paxos.Value.t option) Od.sink;  (* in-order, unprocessed *)
+  l_sink : (int, Paxos.Value.t option) Od.sink;  (* in-order, unprocessed *)
   mutable l_fc_sent : bool;
   l_repair : Od.repair;
   mutable l_active : bool;
       (* staged learners wait inactive for their epoch's activation;
          removed learners go inactive and deliver only their prefix *)
+  (* Delivery callbacks, built once per learner by [lrn_install] so that
+     delivering an instance builds no closure. *)
+  mutable l_step : int -> int * int list -> bool;  (* [Od.pump] callback *)
+  mutable l_cost : unit -> float;  (* [Od.drain_sink] cost *)
+  mutable l_deliver : int -> Paxos.Value.t option -> unit;  (* sink delivery *)
 }
 
 type prop = {
@@ -192,6 +201,7 @@ type reconfig = {
 
 type t = {
   net : Simnet.t;
+  clock : float array;  (* the engine's clock cell: read without boxing *)
   cfg : config;
   ctrs : Protocol.Counters.t;  (* per-instance event counters *)
   mutable accs : acc array;  (* 2f+1 at creation; add_acceptor grows it *)
@@ -217,40 +227,45 @@ let counters t = Protocol.Counters.snapshot t.ctrs
 
 let n_acceptors cfg = (2 * cfg.f) + 1
 
-let coord_opt t =
-  let found = ref None in
-  Array.iter
-    (fun a ->
-      if a.x_is_coord && (not a.x_retired) && Simnet.is_alive a.x_proc && !found = None then
-        found := Some a)
-    t.accs;
-  !found
+let rec coord_from accs i =
+  if i >= Array.length accs then None
+  else
+    let a = accs.(i) in
+    if a.x_is_coord && (not a.x_retired) && Simnet.is_alive a.x_proc then Some a
+    else coord_from accs (i + 1)
+
+let coord_opt t = coord_from t.accs 0
 
 let ring_of t = match coord_opt t with Some c -> c.x_ring | None -> t.cur_ring
 
-(* Successor of acceptor [idx] in the current ring; the ring is stored with
-   the coordinator last, and the chain starts at the first element. *)
-let successor ring idx =
-  let rec go = function
-    | a :: b :: rest -> if a = idx then Some b else go (b :: rest)
-    | _ -> None
-  in
-  go ring
+(* Successor of acceptor [idx] in the current ring, -1 if it has none (the
+   coordinator, or a non-member); the ring is stored with the coordinator
+   last, and the chain starts at the first element. *)
+let rec successor ring idx =
+  match ring with a :: (b :: _ as rest) -> if a = idx then b else successor rest idx | _ -> -1
 
-let intersects l1 l2 = List.exists (fun x -> List.mem x l2) l1
+let rec intersects l1 l2 =
+  match l1 with [] -> false | x :: rest -> List.mem x l2 || intersects rest l2
+
+(* Partition sets are kept canonical (sorted, duplicate-free), so equal
+   sets share one batch key and each destination group is multicast to
+   once.  The common sets, empty and singleton, already are: they skip
+   the sort, which would copy them. *)
+let canon_parts = function ([] | [ _ ]) as parts -> parts | parts -> List.sort_uniq compare parts
 
 (* --- reconfiguration bookkeeping --------------------------------------- *)
 
-(* The not-yet-activated ReconfigCmd carried by a value, if any. *)
-let rc_of_value t (v : Paxos.Value.t) =
-  List.find_map
-    (fun (it : Paxos.Value.item) ->
+(* The not-yet-activated ReconfigCmd among a value's items, if any.  A
+   loop, not [List.find_map]: it runs on every proposed and decided value,
+   and an ordinary value must cost no closure. *)
+let rec rc_of_items t = function
+  | [] -> None
+  | (it : Paxos.Value.item) :: rest -> (
       match it.app with
       | ReconfigCmd { ring; add_lrns; rm_lrns; retire }
         when not (Hashtbl.mem t.done_rc_uids it.uid) ->
           Some (it.uid, ring, add_lrns, rm_lrns, retire)
-      | _ -> None)
-    v.items
+      | _ -> rc_of_items t rest)
 
 (* Record (or refresh) the pending membership change whenever a value
    carrying a ReconfigCmd is proposed or decided.  The activation instance
@@ -260,7 +275,7 @@ let rc_of_value t (v : Paxos.Value.t) =
    proposal was lost entirely re-derives it at the resubmission's fresh
    instance. *)
 let note_rc t inst (v : Paxos.Value.t) ~decided =
-  match rc_of_value t v with
+  match rc_of_items t v.items with
   | None -> ()
   | Some (uid, ring, add_lrns, rm_lrns, retire) ->
       let was = match t.rc with Some rc when rc.rc_uid = uid -> rc.rc_decided | _ -> false in
@@ -314,15 +329,19 @@ let lrn_update_mem l = Simnet.set_mem l.l_proc (l.l_val_bytes + (Od.size l.l_od 
 
 (* --- coordinator ------------------------------------------------------- *)
 
+(* Slots of [c_rate]. *)
+let rate_window = 0
+let rate_bits = 1
+
 (* The decision multicast doubles as the commit notification: it carries the
    committed item uids and proposers subscribe to the decision group, so no
    per-proposer acknowledgment traffic is needed (proposers are learners,
-   §3.2). *)
+   §3.2).  The message shares the value's item list; the wire size counts
+   8 bytes of uid per item. *)
 let mcast_decision t c inst vid parts (v : Paxos.Value.t) =
-  let uids = List.map (fun (it : Paxos.Value.item) -> it.uid) v.items in
   Simnet.mcast t.net ~src:c.x_proc t.dec_group
-    ~size:(hdr + (8 * List.length uids))
-    (Decision { inst; vid; parts; uids })
+    ~size:(hdr + (8 * List.length v.items))
+    (Decision { inst; vid; parts; items = v.items })
 
 (* The coordinator votes locally when it proposes; with synchronous
    durability the vote must reach disk before the final decision can be
@@ -344,6 +363,12 @@ let coord_local_vote t c inst rnd (v : Paxos.Value.t) parts =
     acc_update_mem c
   end
 
+let rec mcast_parts t c ~size p2a = function
+  | [] -> ()
+  | p :: rest ->
+      Simnet.mcast t.net ~src:c.x_proc t.part_groups.(p) ~size p2a;
+      mcast_parts t c ~size p2a rest
+
 (* [parts] is canonicalised (sorted, duplicate-free) by [propose_batch], so
    each destination group is multicast to exactly once. *)
 let mcast_p2a t c inst (v : Paxos.Value.t) parts =
@@ -352,10 +377,7 @@ let mcast_p2a t c inst (v : Paxos.Value.t) parts =
       Trace.instant tr ~id:inst ~pid:(Simnet.pid c.x_proc) ~cat:"proto" ~name:"p2a"
         ~ts:(Simnet.now t.net)
   | None -> ());
-  let p2a = P2a { inst; rnd = c.c_rnd; value = v; parts } in
-  List.iter
-    (fun p -> Simnet.mcast t.net ~src:c.x_proc t.part_groups.(p) ~size:(v.size + hdr) p2a)
-    parts
+  mcast_parts t c ~size:(v.size + hdr) (P2a { inst; rnd = c.c_rnd; value = v; parts }) parts
 
 let propose_instance t c inst (v : Paxos.Value.t) parts =
   (match Simnet.tracer t.net with
@@ -365,8 +387,9 @@ let propose_instance t c inst (v : Paxos.Value.t) parts =
   | None -> ());
   note_rc t inst v ~decided:false;
   Retry.watch c.c_insts ~now:(Simnet.now t.net) inst (v, parts);
-  c.c_rate_bits <-
-    c.c_rate_bits +. (float_of_int (v.size + hdr) *. 8.0 *. float_of_int (List.length parts));
+  Float.Array.set c.c_rate rate_bits
+    (Float.Array.get c.c_rate rate_bits
+    +. (float_of_int (v.size + hdr) *. 8.0 *. float_of_int (List.length parts)));
   c.c_outstanding <- c.c_outstanding + 1;
   coord_local_vote t c inst c.c_rnd v parts;
   mcast_p2a t c inst v parts
@@ -403,12 +426,12 @@ let start_phase1 t c =
 (* Coordinator-side flow control: Phase 2A traffic is paced below the
    rate the network can multicast without loss (§3.3.6). *)
 let pace_ok t c =
-  let now = Simnet.now t.net in
-  if now -. c.c_rate_window > 0.01 then begin
-    c.c_rate_window <- now;
-    c.c_rate_bits <- 0.0
+  let now = t.clock.(0) in
+  if now -. Float.Array.get c.c_rate rate_window > 0.01 then begin
+    Float.Array.set c.c_rate rate_window now;
+    Float.Array.set c.c_rate rate_bits 0.0
   end;
-  c.c_rate_bits < c.c_rate_limit *. 0.01
+  Float.Array.get c.c_rate rate_bits < c.c_rate_limit *. 0.01
 
 let rec drain t c =
   if c.c_phase1_ok && c.x_is_coord && Simnet.is_alive c.x_proc then begin
@@ -468,8 +491,7 @@ and propose_batch t c parts =
   | items ->
       t.next_vid <- t.next_vid + 1;
       let v = Paxos.Value.make ~vid:t.next_vid items in
-      let parts = List.sort_uniq compare parts in
-      let parts = if parts = [] then [ 0 ] else parts in
+      let parts = match canon_parts parts with [] -> [ 0 ] | parts -> parts in
       let inst = c.c_next_inst in
       c.c_next_inst <- inst + 1;
       propose_instance t c inst v parts
@@ -713,40 +735,50 @@ and catchup_source t a =
           if acc = None && b.x_idx <> a.x_idx && Simnet.is_alive b.x_proc then Some b else acc)
         None t.accs
 
+(* Decide [inst] once: record it, multicast the decision (which also acks
+   the proposers) and propose more. *)
+let coord_fire t c inst vid (v : Paxos.Value.t) parts =
+  if not (Hashtbl.mem c.x_decided inst) then begin
+    (match Simnet.tracer t.net with
+    | Some tr ->
+        let now = Simnet.now t.net and pid = Simnet.pid c.x_proc in
+        Trace.aend tr ~pid ~cat:"ordering" ~name:"consensus" ~id:inst ~ts:now;
+        Trace.instant tr ~id:inst ~pid ~cat:"proto" ~name:"decision" ~ts:now
+    | None -> ());
+    ignore (Retry.ack c.c_insts inst);
+    Hashtbl.add c.x_decided inst (vid, parts);
+    if inst > c.x_max_dec then c.x_max_dec <- inst;
+    c.c_outstanding <- c.c_outstanding - 1;
+    c.c_decided <- c.c_decided + 1;
+    note_rc t inst v ~decided:true;
+    mcast_decision t c inst vid parts v;
+    drain t c
+  end
+
+(* A pruned durability entry means the instance was garbage collected
+   after being applied by f+1 learners — treat it as durable. *)
+let coord_durable c inst =
+  match Hashtbl.find c.x_durable inst with b -> b | exception Not_found -> true
+
+(* The coordinator is the last acceptor: the arriving Phase 2B closes the
+   majority provided its own vote is durable.  Every check counts one
+   "wait_durable"; a durable vote decides at once, and only a vote still on
+   its way to disk ([Sync_disk]) builds the retry. *)
 let coord_decide t c inst vid =
   match Retry.find c.c_insts inst with
-  | Some (v, parts) when v.Paxos.Value.vid = vid ->
-      (* The coordinator is the last acceptor: the arriving Phase 2B closes
-         the majority provided its own vote is durable. *)
-      let fire () =
-        if not (Hashtbl.mem c.x_decided inst) then begin
-          (match Simnet.tracer t.net with
-          | Some tr ->
-              let now = Simnet.now t.net and pid = Simnet.pid c.x_proc in
-              Trace.aend tr ~pid ~cat:"ordering" ~name:"consensus" ~id:inst ~ts:now;
-              Trace.instant tr ~id:inst ~pid ~cat:"proto" ~name:"decision" ~ts:now
-          | None -> ());
-          ignore (Retry.ack c.c_insts inst);
-          Hashtbl.add c.x_decided inst (vid, parts);
-          if inst > c.x_max_dec then c.x_max_dec <- inst;
-          c.c_outstanding <- c.c_outstanding - 1;
-          c.c_decided <- c.c_decided + 1;
-          note_rc t inst v ~decided:true;
-          mcast_decision t c inst vid parts v;
-          drain t c
-        end
-      in
-      (* A pruned durability entry means the instance was garbage collected
-         after being applied by f+1 learners — treat it as durable. *)
-      let durable () = match Hashtbl.find_opt c.x_durable inst with Some b -> b | None -> true in
-      let rec wait_durable () =
-        dbg t "wait_durable";
-        if durable () then fire ()
-        else if c.x_is_coord && Simnet.is_alive c.x_proc then
-          ignore (Simnet.after t.net 1.0e-4 wait_durable)
-      in
-      wait_durable ()
-  | _ -> ()
+  | (v, parts) when v.Paxos.Value.vid = vid ->
+      dbg t "wait_durable";
+      if coord_durable c inst then coord_fire t c inst vid v parts
+      else if c.x_is_coord && Simnet.is_alive c.x_proc then begin
+        let rec wait_durable () =
+          dbg t "wait_durable";
+          if coord_durable c inst then coord_fire t c inst vid v parts
+          else if c.x_is_coord && Simnet.is_alive c.x_proc then
+            ignore (Simnet.after t.net 1.0e-4 wait_durable)
+        in
+        ignore (Simnet.after t.net 1.0e-4 wait_durable)
+      end
+  | _ | (exception Not_found) -> ()
 
 (* --- flow control ------------------------------------------------------ *)
 
@@ -772,21 +804,38 @@ let fc_recovery t =
 (* --- acceptor ---------------------------------------------------------- *)
 
 let forward_p2b t a inst rnd vid =
-  match successor a.x_ring a.x_idx with
-  | Some next ->
-      Simnet.send t.net ~src:a.x_proc ~dst:t.accs.(next).x_proc ~size:hdr (P2b { inst; rnd; vid })
-  | None -> if a.x_is_coord then coord_decide t a inst vid
+  let next = successor a.x_ring a.x_idx in
+  if next >= 0 then
+    Simnet.send t.net ~src:a.x_proc ~dst:t.accs.(next).x_proc ~size:hdr (P2b { inst; rnd; vid })
+  else if a.x_is_coord then coord_decide t a inst vid
+
+(* [a]'s vote for [inst] has reached stable storage. *)
+let acc_durable a inst = match Hashtbl.find a.x_durable inst with b -> b | exception Not_found -> false
+
+(* [a] holds a durable vote for value [vid] at [inst]: its Phase 2B may go. *)
+let acc_ready a inst vid =
+  (match Hashtbl.find a.x_votes inst with
+  | _, v, _ -> v.Paxos.Value.vid = vid
+  | exception Not_found -> false)
+  && acc_durable a inst
 
 let acc_try_forward t a inst =
-  match Hashtbl.find_opt a.x_held inst with
-  | Some (rnd, vid) -> begin
-      match Hashtbl.find_opt a.x_votes inst with
-      | Some (_, v, _) when v.Paxos.Value.vid = vid && Hashtbl.find_opt a.x_durable inst = Some true ->
-          Hashtbl.remove a.x_held inst;
-          forward_p2b t a inst rnd vid
-      | _ -> ()
-    end
-  | None -> ()
+  match Hashtbl.find a.x_held inst with
+  | rnd, vid ->
+      if acc_ready a inst vid then begin
+        Hashtbl.remove a.x_held inst;
+        forward_p2b t a inst rnd vid
+      end
+  | exception Not_found -> ()
+
+(* The vote is on stable storage (at once with [Memory] durability, which
+   calls this directly rather than through a closure). *)
+let acc_after_durable t a inst rnd vid =
+  Hashtbl.replace a.x_durable inst true;
+  (* First in-ring acceptor spontaneously starts the Phase 2B chain. *)
+  if (not a.x_is_coord) && a.x_ring <> [] && List.hd a.x_ring = a.x_idx then
+    forward_p2b t a inst rnd vid
+  else acc_try_forward t a inst
 
 let acc_on_p2a t a inst rnd (v : Paxos.Value.t) parts =
   (* A retransmitted Phase 2A for a value already voted (and possibly still
@@ -806,7 +855,7 @@ let acc_on_p2a t a inst rnd (v : Paxos.Value.t) parts =
     if
       (not a.x_is_coord) && a.x_ring <> []
       && List.hd a.x_ring = a.x_idx
-      && Hashtbl.find_opt a.x_durable inst = Some true
+      && acc_durable a inst
     then forward_p2b t a inst rnd v.vid
     else acc_try_forward t a inst
   end
@@ -814,46 +863,37 @@ let acc_on_p2a t a inst rnd (v : Paxos.Value.t) parts =
     a.x_rnd <- rnd;
     set_vote a inst (rnd, v, parts);
     acc_update_mem a;
-    let after_durable () =
-      Hashtbl.replace a.x_durable inst true;
-      (* First in-ring acceptor spontaneously starts the Phase 2B chain. *)
-      if (not a.x_is_coord) && a.x_ring <> [] && List.hd a.x_ring = a.x_idx then
-        forward_p2b t a inst rnd v.vid
-      else acc_try_forward t a inst
-    in
     match (t.cfg.durability, a.x_disk) with
-    | Sync_disk, Some d -> Storage.Disk.write_sync d ~bytes:v.size after_durable
+    | Sync_disk, Some d ->
+        Storage.Disk.write_sync d ~bytes:v.size (fun () -> acc_after_durable t a inst rnd v.vid)
     | Async_disk, Some d ->
         (* Asynchronous writes: the vote proceeds immediately unless the
            device has fallen too far behind — a bounded dirty buffer, which
            is what makes Recoverable Ring Paxos disk-bound (Fig. 5.1). *)
         Storage.Disk.write_async d ~bytes:v.size;
         let lag = Storage.Disk.backlog d ~now:(Simnet.now t.net) -. 0.05 in
-        if lag > 0.0 then ignore (Simnet.after t.net lag after_durable)
-        else after_durable ()
-    | _ -> after_durable ()
+        if lag > 0.0 then
+          ignore (Simnet.after t.net lag (fun () -> acc_after_durable t a inst rnd v.vid))
+        else acc_after_durable t a inst rnd v.vid
+    | _ -> acc_after_durable t a inst rnd v.vid
   end
 
 let acc_on_p2b t a inst rnd vid =
   if a.x_is_coord then coord_decide t a inst vid
+  else if acc_ready a inst vid then forward_p2b t a inst rnd vid
   else begin
-    match Hashtbl.find_opt a.x_votes inst with
-    | Some (_, v, _) when v.Paxos.Value.vid = vid && Hashtbl.find_opt a.x_durable inst = Some true
-      ->
-        forward_p2b t a inst rnd vid
-    | _ ->
-        (* Phase 2A not yet ip-delivered (or not yet durable): hold the vote
-           and ask the coordinator to retransmit if the gap persists. *)
-        Hashtbl.replace a.x_held inst (rnd, vid);
-        ignore
-          (Simnet.after t.net t.cfg.retrans_timeout (fun () ->
-               if Hashtbl.mem a.x_held inst && Simnet.is_alive a.x_proc then begin
-                 match coord_opt t with
-                 | Some c ->
-                     Simnet.send t.net ~src:a.x_proc ~dst:c.x_proc ~size:hdr
-                       (RetransReq { inst; acceptor = a.x_idx })
-                 | None -> ()
-               end))
+    (* Phase 2A not yet ip-delivered (or not yet durable): hold the vote
+       and ask the coordinator to retransmit if the gap persists. *)
+    Hashtbl.replace a.x_held inst (rnd, vid);
+    ignore
+      (Simnet.after t.net t.cfg.retrans_timeout (fun () ->
+           if Hashtbl.mem a.x_held inst && Simnet.is_alive a.x_proc then begin
+             match coord_opt t with
+             | Some c ->
+                 Simnet.send t.net ~src:a.x_proc ~dst:c.x_proc ~size:hdr
+                   (RetransReq { inst; acceptor = a.x_idx })
+             | None -> ()
+           end))
   end
 
 (* --- learner ------------------------------------------------------------ *)
@@ -870,16 +910,12 @@ let pref_acceptor t l =
   in
   match pick 0 with Some a -> Some a | None -> coord_opt t
 
-let lrn_pump t l =
-  Od.drain_sink l.l_sink t.net l.l_proc
-    ~cost:(fun () -> l.l_delay)
-    (fun (inst, v) -> t.deliver ~learner:l.l_idx ~inst v)
-
-let lrn_fc_check t l =
+(* [incoming] counts the instance being released into the sink, if any. *)
+let lrn_fc_check t l ~incoming =
   (* The learner's buffer pressure is both unprocessed decisions and the
      backlog of decided-but-not-yet-deliverable instances (losses it is
      still repairing) — §3.3.6. *)
-  let pending = Od.sink_length l.l_sink + Od.backlog l.l_od in
+  let pending = Od.sink_length l.l_sink + incoming + Od.backlog l.l_od in
   if pending > t.cfg.fc_threshold && not l.l_fc_sent then begin
     match pref_acceptor t l with
     | Some a ->
@@ -910,34 +946,36 @@ let repair_cycle t l =
             (RepairReq { insts; learner = l.l_idx; fwd = 0 })
       | None -> ())
 
+let lrn_release t l inst v =
+  (match Simnet.tracer t.net with
+  | Some tr ->
+      Trace.aend tr ~pid:(Simnet.pid l.l_proc) ~cat:"ordering" ~name:"deliver-wait"
+        ~id:((inst * 256) + l.l_idx) ~ts:(Simnet.now t.net)
+  | None -> ());
+  lrn_fc_check t l ~incoming:1;
+  Od.sink_offer l.l_sink t.net l.l_proc ~cost:l.l_cost l.l_deliver inst v;
+  true
+
+(* One [Od.pump] step: release a decided instance once its value is here
+   (or at once when it carries nothing for this learner's partitions).
+   [false] blocks the pump on an instance whose decision is known but
+   whose value was lost, to be fetched from the preferential acceptor. *)
+let lrn_step t l inst (vid, parts) =
+  if not (intersects parts l.l_parts) then lrn_release t l inst None
+  else
+    match Hashtbl.find l.l_vals vid with
+    | v ->
+        Hashtbl.remove l.l_vals vid;
+        l.l_val_bytes <- l.l_val_bytes - v.Paxos.Value.size;
+        lrn_update_mem l;
+        lrn_release t l inst (Some v)
+    | exception Not_found -> false
+
 (* Release everything deliverable in instance order; what remains blocked is
    either an instance whose decision was lost (repairable once a later
    decision reveals the gap) or one whose value has not arrived. *)
 let lrn_drain t l =
-  Od.pump l.l_od (fun inst (vid, parts) ->
-      let release v =
-        (match Simnet.tracer t.net with
-        | Some tr ->
-            Trace.aend tr ~pid:(Simnet.pid l.l_proc) ~cat:"ordering" ~name:"deliver-wait"
-              ~id:((inst * 256) + l.l_idx) ~ts:(Simnet.now t.net)
-        | None -> ());
-        Od.sink_push l.l_sink (inst, v);
-        lrn_fc_check t l;
-        lrn_pump t l;
-        true
-      in
-      if not (intersects parts l.l_parts) then release None
-      else
-        match Hashtbl.find_opt l.l_vals vid with
-        | Some v ->
-            Hashtbl.remove l.l_vals vid;
-            l.l_val_bytes <- l.l_val_bytes - v.size;
-            lrn_update_mem l;
-            release (Some v)
-        | None ->
-            (* Decision known but value lost: fetch it from the
-               preferential acceptor. *)
-            false);
+  Od.pump l.l_od l.l_step;
   if Od.backlog l.l_od > 0 then repair_cycle t l
 
 (* Speculative delivery exposes values in ip-multicast arrival order, before
@@ -974,7 +1012,7 @@ let lrn_on_decision t l inst vid parts =
        the repair cycle went quiescent): restart repairs here, because the
        drain path above did not run. *)
     repair_cycle t l;
-  lrn_fc_check t l
+  lrn_fc_check t l ~incoming:0
 
 (* Learners periodically report their delivery version so acceptors can both
    garbage collect and tell a learner when it has fallen behind. *)
@@ -1135,7 +1173,7 @@ let failure_detection t =
    under a second instance and delivered twice. *)
 let coord_admit a (item : Paxos.Value.item) parts =
   if not (Hashtbl.mem a.c_seen_uids item.uid) then
-    if Batcher.enqueue a.c_batch ~key:(List.sort_uniq compare parts) item then begin
+    if Batcher.enqueue a.c_batch ~key:(canon_parts parts) item then begin
       Hashtbl.add a.c_seen_uids item.uid ();
       true
     end
@@ -1241,16 +1279,15 @@ let acc_handler t a (m : Simnet.msg) =
       end
   | P2a { inst; rnd; value; parts } -> if not a.x_is_coord then acc_on_p2a t a inst rnd value parts
   | P2b { inst; rnd; vid } -> acc_on_p2b t a inst rnd vid
-  | Decision { inst; vid; parts; uids = _ } ->
+  | Decision { inst; vid; parts; items = _ } ->
       if inst > a.x_max_dec then a.x_max_dec <- inst;
       if not a.x_is_coord then Hashtbl.replace a.x_decided inst (vid, parts)
   | SlowDown _ as sd ->
       (* Forward along the ring until the coordinator reacts. *)
       if a.x_is_coord then fc_slow_down t a
       else begin
-        match successor a.x_ring a.x_idx with
-        | Some next -> Simnet.send t.net ~src:a.x_proc ~dst:t.accs.(next).x_proc ~size:hdr sd
-        | None -> ()
+        let next = successor a.x_ring a.x_idx in
+        if next >= 0 then Simnet.send t.net ~src:a.x_proc ~dst:t.accs.(next).x_proc ~size:hdr sd
       end
   | Version { learner; version } ->
       (* Tell the learner how far decisions actually reach, so a learner
@@ -1265,11 +1302,10 @@ let acc_handler t a (m : Simnet.msg) =
           (MaxDec { upto = a.x_max_dec });
       if a.x_is_coord then coord_on_version t a learner version
       else begin
-        match successor a.x_ring a.x_idx with
-        | Some next ->
-            Simnet.send t.net ~src:a.x_proc ~dst:t.accs.(next).x_proc ~size:hdr
-              (Version { learner; version })
-        | None -> ()
+        let next = successor a.x_ring a.x_idx in
+        if next >= 0 then
+          Simnet.send t.net ~src:a.x_proc ~dst:t.accs.(next).x_proc ~size:hdr
+            (Version { learner; version })
       end
   | Gc { floor } -> (
       acc_gc t a floor;
@@ -1370,7 +1406,7 @@ let acc_handler t a (m : Simnet.msg) =
 let lrn_handler t l (m : Simnet.msg) =
   match m.payload with
   | P2a { inst; rnd = _; value; parts = _ } -> lrn_on_p2a t l inst value
-  | Decision { inst; vid; parts; uids = _ } -> lrn_on_decision t l inst vid parts
+  | Decision { inst; vid; parts; items = _ } -> lrn_on_decision t l inst vid parts
   | Retrans { inst; value; parts } ->
       (* A repair response supplies both the decision and the value. *)
       set_val l value;
@@ -1394,15 +1430,17 @@ let lrn_handler t l (m : Simnet.msg) =
   | NewCoord _ -> ()
   | _ -> ()
 
+(* A decision acknowledges the proposer's own items among those it carries. *)
+let rec prop_ack p = function
+  | [] -> ()
+  | (it : Paxos.Value.item) :: rest ->
+      (* The pending entry holds this very item: a uid names one item. *)
+      if Retry.ack p.p_pending it.uid then p.p_unacked_bytes <- p.p_unacked_bytes - it.isize;
+      prop_ack p rest
+
 let prop_handler t p (m : Simnet.msg) =
   match m.payload with
-  | Decision { uids; _ } ->
-      List.iter
-        (fun uid ->
-          match Retry.ack p.p_pending uid with
-          | Some (it, _) -> p.p_unacked_bytes <- p.p_unacked_bytes - it.Paxos.Value.isize
-          | None -> ())
-        uids
+  | Decision { items; _ } -> prop_ack p items
   | NewCoord { acc } ->
       (* Resubmit everything not yet acknowledged to the new coordinator. *)
       Retry.iter p.p_pending (fun uid (it, parts) ->
@@ -1459,8 +1497,7 @@ let new_acc net cfg i ~ring =
     c_gc_floor = 0;
     c_seen_uids = Hashtbl.create 64;
     c_preq = Queue.create ();
-    c_rate_window = 0.0;
-    c_rate_bits = 0.0;
+    c_rate = Float.Array.make 2 0.0;
     c_rate_timer = false;
     c_rate_limit = cfg.send_rate;
     c_rc_fill = -1 }
@@ -1476,7 +1513,17 @@ let new_lrn proc i ~parts ~active =
     l_sink = Od.sink ();
     l_fc_sent = false;
     l_repair = Od.repairer ();
-    l_active = active }
+    l_active = active;
+    l_step = (fun _ _ -> false);
+    l_cost = (fun () -> 0.0);
+    l_deliver = (fun _ _ -> ()) }
+
+(* Build the learner's delivery callbacks and install its handler. *)
+let lrn_install t l =
+  l.l_step <- lrn_step t l;
+  l.l_cost <- (fun () -> l.l_delay);
+  l.l_deliver <- (fun inst v -> t.deliver ~learner:l.l_idx ~inst v);
+  Simnet.set_handler l.l_proc (lrn_handler t l)
 
 let create ?speculative ?learner_nodes net cfg ~n_proposers ~n_learners ~learner_parts
     ~deliver =
@@ -1524,9 +1571,10 @@ let create ?speculative ?learner_nodes net cfg ~n_proposers ~n_learners ~learner
     lrns;
   Array.iter (fun p -> Simnet.join dec_group p.p_proc) props;
   let t =
-    { net; cfg; ctrs = Protocol.Counters.create (); accs; lrns; props; part_groups;
-      dec_group; deliver; speculative; fd = None; next_uid = 0; next_vid = 0;
-      cur_ring = ring; epoch = 0; rc = None; done_rc_uids = Hashtbl.create 16 }
+    { net; clock = Sim.Engine.now_cell (Simnet.engine net); cfg;
+      ctrs = Protocol.Counters.create (); accs; lrns; props; part_groups; dec_group; deliver;
+      speculative; fd = None; next_uid = 0; next_vid = 0; cur_ring = ring; epoch = 0; rc = None;
+      done_rc_uids = Hashtbl.create 16 }
   in
   Array.iter
     (fun a ->
@@ -1536,7 +1584,7 @@ let create ?speculative ?learner_nodes net cfg ~n_proposers ~n_learners ~learner
     accs;
   Array.iter
     (fun l ->
-      Simnet.set_handler l.l_proc (lrn_handler t l);
+      lrn_install t l;
       version_reports t l)
     lrns;
   Array.iter
@@ -1663,7 +1711,7 @@ let stage_learner t ~parts =
   let i = Array.length t.lrns in
   let l = new_lrn (new_proc t.net "lrn" i) i ~parts ~active:false in
   t.lrns <- Array.append t.lrns [| l |];
-  Simnet.set_handler l.l_proc (lrn_handler t l);
+  lrn_install t l;
   version_reports t l;
   i
 

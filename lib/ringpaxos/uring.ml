@@ -126,9 +126,8 @@ let advance_deliveries t m =
       (* A proposer acknowledges its own items when it sees them decided. *)
       List.iter
         (fun (it : Paxos.Value.item) ->
-          match Protocol.Retry.ack m.p_pending it.uid with
-          | Some _ -> m.p_unacked_bytes <- m.p_unacked_bytes - it.isize
-          | None -> ())
+          if Protocol.Retry.ack m.p_pending it.uid then
+            m.p_unacked_bytes <- m.p_unacked_bytes - it.isize)
         v.Paxos.Value.items;
       true)
 

@@ -115,6 +115,40 @@ let test_ready_underfull_allocates_nothing () =
   Alcotest.(check (option (list int))) "full key is ready" (Some [ 2 ])
     (Protocol.Batcher.ready b)
 
+(* Sealing conses the batch in order and allocates nothing else: exactly
+   one 3-word list cell per sealed item, with no reversed copy, no loop
+   refs and no option from the queue lookup. *)
+let test_seal_allocates_only_the_batch () =
+  let b = Protocol.Batcher.create ~batch_bytes:8192 () in
+  let n = 8000 in
+  for i = 1 to n do
+    ignore (Protocol.Batcher.enqueue b ~key:[ 0 ] (item ~uid:i 1024))
+  done;
+  let sealed = ref 0 in
+  let w0 = Gc.minor_words () in
+  while not (Protocol.Batcher.is_empty b) do
+    sealed := !sealed + List.length (Sys.opaque_identity (Protocol.Batcher.seal b [ 0 ]))
+  done;
+  let per_item = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check int) "every item sealed" n !sealed;
+  Alcotest.(check (float 0.0)) "3 words per sealed item" 3.0 per_item
+
+(* --- Counters -------------------------------------------------------------- *)
+
+(* Protocols bump counters on hot paths (e.g. once per decision): an
+   existing counter is found with one lookup and no option. *)
+let test_counter_incr_allocates_nothing () =
+  let c = Protocol.Counters.create () in
+  Protocol.Counters.incr c "wait_durable";
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    Protocol.Counters.incr c "wait_durable"
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check int) "counted" (n + 1) (Protocol.Counters.get c "wait_durable");
+  Alcotest.(check (float 0.0)) "incr allocates nothing" 0.0 per_call
+
 (* --- Retry ----------------------------------------------------------------- *)
 
 let test_iter_due_ack_during_iteration () =
@@ -179,13 +213,13 @@ let test_drain_sink_does_not_recurse_per_item () =
   let _engine, net = fresh () in
   let node = Simnet.add_node net "sink-node" in
   let proc = Simnet.add_proc net node "sink-proc" in
-  let s : int Protocol.Ordered_delivery.sink = Protocol.Ordered_delivery.sink () in
+  let s : (int, unit) Protocol.Ordered_delivery.sink = Protocol.Ordered_delivery.sink () in
   let n = 100_000 in
   for i = 0 to n - 1 do
-    Protocol.Ordered_delivery.sink_push s i
+    Protocol.Ordered_delivery.sink_push s i ()
   done;
   let depth = ref 0 and max_depth = ref 0 and delivered = ref 0 in
-  let rec deliver _ =
+  let rec deliver _ () =
     incr depth;
     if !depth > !max_depth then max_depth := !depth;
     incr delivered;
@@ -200,6 +234,63 @@ let test_drain_sink_does_not_recurse_per_item () =
   Alcotest.(check bool)
     (Printf.sprintf "bounded nesting (max depth = %d)" !max_depth)
     true (!max_depth <= 2)
+
+(* A learner pumps once per decision: releasing an in-order entry through a
+   callback built beforehand allocates nothing. *)
+let test_pump_allocates_nothing () =
+  let od : int Protocol.Ordered_delivery.t = Protocol.Ordered_delivery.create () in
+  let n = 10_000 in
+  for i = 0 to n - 1 do
+    ignore (Protocol.Ordered_delivery.offer od ~inst:i i)
+  done;
+  let sum = ref 0 in
+  let release _ v =
+    sum := !sum + v;
+    true
+  in
+  let w0 = Gc.minor_words () in
+  Protocol.Ordered_delivery.pump od release;
+  let per_entry = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check int) "every entry delivered" n (Protocol.Ordered_delivery.next od);
+  Alcotest.(check (float 0.0)) "pump allocates nothing per entry" 0.0 per_entry
+
+(* A learner offers each released instance to its sink.  At zero cost an
+   entry reaching an idle sink is delivered without being queued, and a
+   queued backlog drains, both without allocating.  With a processing
+   cost, offers made while the CPU is busy queue behind it, in order. *)
+let test_sink_offer () =
+  let engine, net = fresh () in
+  let proc = Simnet.add_proc net (Simnet.add_node net "sink-node") "sink-proc" in
+  let s : (int, unit) Protocol.Ordered_delivery.sink = Protocol.Ordered_delivery.sink () in
+  let sum = ref 0 in
+  let free () = 0.0 and add i () = sum := !sum + i in
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    Protocol.Ordered_delivery.sink_offer s net proc ~cost:free add i ()
+  done;
+  let offered = Gc.minor_words () -. w0 in
+  for i = 1 to n do
+    Protocol.Ordered_delivery.sink_push s i ()
+  done;
+  let w0 = Gc.minor_words () in
+  Protocol.Ordered_delivery.drain_sink s net proc ~cost:free add;
+  let drained = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every entry delivered" (n * (n + 1)) !sum;
+  Alcotest.(check (float 0.0)) "an offer to an idle sink allocates nothing" 0.0
+    (offered /. float_of_int n);
+  Alcotest.(check (float 0.0)) "a drained backlog allocates nothing" 0.0
+    (drained /. float_of_int n);
+  let got = ref [] in
+  let slow () = 1.0e-3 and record i () = got := i :: !got in
+  for i = 1 to 5 do
+    Protocol.Ordered_delivery.sink_offer s net proc ~cost:slow record i ()
+  done;
+  Alcotest.(check (list int)) "nothing delivered before the CPU time" [] !got;
+  Alcotest.(check int) "offers queue behind the busy CPU" 4
+    (Protocol.Ordered_delivery.sink_length s);
+  Sim.Engine.run engine ~until:1.0;
+  Alcotest.(check (list int)) "delivered in order" [ 1; 2; 3; 4; 5 ] (List.rev !got)
 
 let test_repair_rearms_through_transient_death () =
   (* The repair timer firing while the learner is transiently dead (e.g.
@@ -493,12 +584,18 @@ let suite =
       test_clear_disarms_pending_timeout;
     Alcotest.test_case "batcher: under-full ready allocates nothing" `Quick
       test_ready_underfull_allocates_nothing;
+    Alcotest.test_case "batcher: seal allocates only the batch" `Quick
+      test_seal_allocates_only_the_batch;
+    Alcotest.test_case "counters: incr allocates nothing" `Quick
+      test_counter_incr_allocates_nothing;
     Alcotest.test_case "retry: ack during iter_due does not fire stale entries" `Quick
       test_iter_due_ack_during_iteration;
     Alcotest.test_case "od: drop_below frees speculation marks" `Quick
       test_drop_below_frees_speculation_marks;
     Alcotest.test_case "od: drain_sink is iterative, not per-item recursive" `Quick
       test_drain_sink_does_not_recurse_per_item;
+    Alcotest.test_case "od: pump allocates nothing per entry" `Quick test_pump_allocates_nothing;
+    Alcotest.test_case "od: sink_offer skips the queue when idle" `Quick test_sink_offer;
     Alcotest.test_case "od: repair re-arms through a transient death" `Quick
       test_repair_rearms_through_transient_death;
     Alcotest.test_case "od: fast_forward starts delivery at the boundary" `Quick

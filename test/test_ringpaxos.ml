@@ -419,6 +419,57 @@ let test_mring_learner_removal_stops_at_boundary () =
   Alcotest.(check bool) "gc not wedged by the removed learner" true
     (Simnet.mem (Ringpaxos.Mring.coordinator_proc env.mr) < 50 * 1024)
 
+(* A bare M-Ring stream of 8 KB items, one full batch and so one consensus
+   instance each: two proposers alternate submissions every [every]
+   seconds to three learners.  Returns the submissions that were refused
+   (-1), the instances decided, and the minor words allocated per decided
+   instance between 0.3 s and 0.9 s. *)
+let mring_stream ?(config = Ringpaxos.Mring.default_config) ~every () =
+  let engine = Sim.Engine.create () in
+  let net = Simnet.create engine (Sim.Rng.create 7) in
+  let mr =
+    Ringpaxos.Mring.create net config ~n_proposers:2 ~n_learners:3
+      ~learner_parts:(fun _ -> [ 0 ])
+      ~deliver:(fun ~learner:_ ~inst:_ _ -> ())
+  in
+  let k = ref 0 and refused = ref 0 in
+  let (_stop : unit -> unit) =
+    Simnet.every_tk net ~ticks:(Sim.Engine.ticks_of_duration every) (fun () ->
+        incr k;
+        if Ringpaxos.Mring.submit mr ~proposer:(!k land 1) ~size:8192 Simnet.Noop < 0 then
+          incr refused)
+  in
+  Sim.Engine.run engine ~until:0.3;
+  let d0 = Ringpaxos.Mring.decided mr in
+  let w0 = Gc.minor_words () in
+  Sim.Engine.run engine ~until:0.9;
+  let words = Gc.minor_words () -. w0 in
+  let decided = Ringpaxos.Mring.decided mr - d0 in
+  (!refused, decided, words /. float_of_int (Stdlib.max 1 decided))
+
+(* One consensus instance allocates the records it sends and keeps, not
+   closures, options or sorted copies rebuilt per instance: the stream
+   read 550 words per instance with those, and reads 273 without. *)
+let test_mring_instance_allocation () =
+  let refused, decided, words = mring_stream ~every:2.0e-4 () in
+  Alcotest.(check int) "no submission refused" 0 refused;
+  Alcotest.(check bool) (Printf.sprintf "the stream decided (%d instances)" decided) true
+    (decided >= 2900);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per decided instance (<= 315)" words)
+    true (words <= 315.0)
+
+(* Proposers learn that their items committed from the decision
+   multicast's item list, which releases their buffer: a 64 KB buffer
+   holds eight 8 KB items, so a stream paced to one item per round trip
+   runs indefinitely only if every decision acknowledges its item. *)
+let test_mring_decisions_ack_proposers () =
+  let config = { Ringpaxos.Mring.default_config with proposer_buffer = 64 * 1024 } in
+  let refused, decided, _ = mring_stream ~config ~every:5.0e-3 () in
+  Alcotest.(check int) "no submission refused" 0 refused;
+  Alcotest.(check bool) (Printf.sprintf "the stream decided (%d instances)" decided) true
+    (decided >= 110)
+
 (* --- U-Ring Paxos --------------------------------------------------------- *)
 
 type uring_env = {
@@ -575,6 +626,10 @@ let suite =
       test_mring_staged_learner_delivers_suffix;
     Alcotest.test_case "mring: learner removal stops at boundary" `Quick
       test_mring_learner_removal_stops_at_boundary;
+    Alcotest.test_case "mring: per-instance allocation bound" `Quick
+      test_mring_instance_allocation;
+    Alcotest.test_case "mring: decisions acknowledge proposers" `Quick
+      test_mring_decisions_ack_proposers;
     QCheck_alcotest.to_alcotest prop_mring_total_order;
     Alcotest.test_case "uring: basic order" `Quick test_uring_basic;
     Alcotest.test_case "uring: all learners agree" `Quick test_uring_all_learners_agree;
