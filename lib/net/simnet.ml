@@ -58,13 +58,16 @@ and minternal = {
   mutable cn : conn;
   mutable cepoch : int; (* conn epoch at send: stale credits are voided *)
   mutable bufep : int; (* rcvbuf epoch at accept: stale credits voided *)
-  mutable arr_tk : int; (* arrival tick at the destination NIC *)
+  mutable arr_tk : int; (* arrival tick at the destination NIC (switch hop: its own tick) *)
+  mutable grp : group; (* switch hop only: the destination group *)
+  mutable loop : bool; (* switch hop only: deliver to the sender too *)
   (* Per-hop continuations, built once at record birth so steady-state
      scheduling allocates no closures. *)
   mutable k1 : unit -> unit; (* arrival: occupy nic_in *)
   mutable k2 : unit -> unit; (* rx done: buffer accept, occupy cpu *)
   mutable k3 : unit -> unit; (* served: run handler, reclaim *)
   mutable kc : unit -> unit; (* consume-only (fault drops) *)
+  mutable ks : unit -> unit; (* switch: loss model, fan-out, reclaim *)
 }
 
 and proc = {
@@ -107,18 +110,26 @@ and conn = {
   mutable b_len : int;
 }
 
-type group = {
+and group = {
   g_id : int;
   g_name : string;
   mutable g_members : proc list;
   (* Per-group multicast rate tracking: a switch replicates a group's
      traffic only onto its members' egress ports, so disjoint groups do not
-     share capacity (this is what lets Multi-Ring Paxos scale). *)
-  mutable g_rate : float;
-  mutable g_last : float;
-  mutable g_pending_bits : float;
-  g_senders : (int, float) Hashtbl.t;
+     share capacity (this is what lets Multi-Ring Paxos scale).  The floats
+     live unboxed in [g_f] (slots below); the sender set is a pair of
+     parallel grow-only arrays of pids and last-send times. *)
+  g_f : Float.Array.t;
+  mutable g_spid : int array;
+  mutable g_slast : Float.Array.t;
+  mutable g_nsend : int;
 }
+
+(* Slots of [g_f]. *)
+let g_rate = 0 (* EMA of the group's offered rate, bit/s *)
+let g_last = 1 (* time of the last rate update *)
+let g_pending = 2 (* bits sent since [g_last] *)
+let g_loss = 3 (* loss probability of the packet at the switch *)
 
 type config = {
   latency : float;
@@ -171,6 +182,7 @@ type t = {
   mutable next_tid : int;
   dummy_proc : proc;
   dummy_conn : conn;
+  dummy_group : group;
   (* Message pool: [n_all] counts every record ever born, [free] is the
      recycle stack. *)
   mutable n_all : int;
@@ -187,6 +199,15 @@ let new_conn () =
     b_pay = Array.make 8 Noop;
     b_head = 0;
     b_len = 0 }
+
+let make_group id name =
+  { g_id = id;
+    g_name = name;
+    g_members = [];
+    g_f = Float.Array.make 4 0.0;
+    g_spid = Array.make 4 0;
+    g_slast = Float.Array.make 4 0.0;
+    g_nsend = 0 }
 
 let create ?(config = default_config) engine rng =
   let dummy_node =
@@ -229,6 +250,7 @@ let create ?(config = default_config) engine rng =
     next_tid = 0;
     dummy_proc;
     dummy_conn = new_conn ();
+    dummy_group = make_group 0 "<none>";
     n_all = 0;
     free = [||];
     n_free = 0 }
@@ -461,6 +483,79 @@ let sender_side_tk t ~tid src size =
   tx_done_tk
 
 (* ------------------------------------------------------------------ *)
+(* The switch's multicast loss model.  Every float stays in a local or *)
+(* in the group's float arrays, so a packet boxes nothing.             *)
+(* ------------------------------------------------------------------ *)
+
+(* Restamp [pid] as a sender at the current time, appending it on first
+   sight. *)
+let mc_note_sender t g pid =
+  let k = ref 0 in
+  while !k < g.g_nsend && Array.unsafe_get g.g_spid !k <> pid do
+    incr k
+  done;
+  if !k = g.g_nsend then begin
+    let cap = Array.length g.g_spid in
+    if g.g_nsend = cap then begin
+      let np = Array.make (2 * cap) 0 and nl = Float.Array.make (2 * cap) 0.0 in
+      Array.blit g.g_spid 0 np 0 cap;
+      Float.Array.blit g.g_slast 0 nl 0 cap;
+      g.g_spid <- np;
+      g.g_slast <- nl
+    end;
+    Array.unsafe_set g.g_spid !k pid;
+    g.g_nsend <- g.g_nsend + 1
+  end;
+  Float.Array.unsafe_set g.g_slast !k (Array.unsafe_get t.cell 0)
+
+(* Per-group multicast-rate tracking: exponential moving average; the
+   sender set decays after 100 ms of silence.  Leaves the packet's loss
+   probability in [g_f.(g_loss)]: zero below a threshold that shrinks as
+   concurrent senders are added, then rising linearly (Fig. 3.3's
+   mechanism).  Groups are independent: a switch replicates each group
+   only onto its own members' egress ports. *)
+let mc_update t g src size =
+  let n = Array.unsafe_get t.cell 0 in
+  let f = g.g_f in
+  mc_note_sender t g src.p_id;
+  Float.Array.unsafe_set f g_pending
+    (Float.Array.unsafe_get f g_pending +. (float_of_int (wire_size t size) *. 8.0));
+  let dt = n -. Float.Array.unsafe_get f g_last in
+  (* Packets sent at the same instant accumulate until time advances, so
+     simultaneous senders are counted at their true aggregate rate. *)
+  if dt > 0.0 then begin
+    Float.Array.unsafe_set f g_last n;
+    let inst = Float.Array.unsafe_get f g_pending /. dt in
+    Float.Array.unsafe_set f g_pending 0.0;
+    (* A ~50 ms time constant: short line-rate bursts are absorbed the way
+       switch buffers absorb them; only sustained overload drops packets. *)
+    let alpha = dt /. 0.05 in
+    let alpha = if alpha > 1.0 then 1.0 else alpha in
+    Float.Array.unsafe_set f g_rate
+      (((1.0 -. alpha) *. Float.Array.unsafe_get f g_rate) +. (alpha *. inst))
+  end;
+  let active = ref 0 in
+  for k = 0 to g.g_nsend - 1 do
+    if n -. Float.Array.unsafe_get g.g_slast k < 0.1 then incr active
+  done;
+  let cap = t.cfg.mcast_capacity in
+  let base = t.cfg.udp_base_loss in
+  let rate = Float.Array.unsafe_get f g_rate in
+  let thr = cap *. (0.97 -. (0.055 *. log (float_of_int (if !active < 1 then 1 else !active)))) in
+  let p =
+    if rate <= thr then base
+    else
+      let p = (rate -. thr) /. (0.25 *. cap) in
+      let p = if p > base then p else base in
+      if p > 0.30 then 0.30 else p
+  in
+  Float.Array.unsafe_set f g_loss p
+
+(* Egress-port overrun threshold: 20 ms of booked backlog (truncated to the
+   grid; every nic_in booking is tick-aligned so the comparison is exact). *)
+let overrun_tk = int_of_float (0.02 *. tick_scale)
+
+(* ------------------------------------------------------------------ *)
 (* The message path: each hop arms the record's preallocated          *)
 (* continuation at an absolute grid tick with [Engine.at_ticks].      *)
 (* ------------------------------------------------------------------ *)
@@ -579,6 +674,7 @@ and release_msg t m =
     i.srcp <- t.dummy_proc;
     i.dstp <- t.dummy_proc;
     i.cn <- t.dummy_conn;
+    i.grp <- t.dummy_group;
     push_free t m
   end
 
@@ -606,16 +702,20 @@ and birth t =
       cepoch = 0;
       bufep = 0;
       arr_tk = 0;
+      grp = t.dummy_group;
+      loop = false;
       k1 = nop;
       k2 = nop;
       k3 = nop;
-      kc = nop }
+      kc = nop;
+      ks = nop }
   in
   let m = { src = 0; dst = 0; size = 0; payload = Noop; sent_tk = 0; tid = 0; m_i = i } in
   i.k1 <- (fun () -> stage_arrival t m);
   i.k2 <- (fun () -> stage_rxdone t m);
   i.k3 <- (fun () -> stage_served t m);
   i.kc <- (fun () -> finish_msg t m);
+  i.ks <- (fun () -> stage_switch t m);
   t.n_all <- t.n_all + 1;
   m
 
@@ -667,6 +767,65 @@ and transmit t m ~arrival_tk =
           di.cepoch <- 0;
           di.arr_tk <- arrival_tk + tk_of_dur (Float.max 0.0 d);
           sched_arrival t dup)
+
+(* The switch hop: run the loss model once for the packet, replicate it to
+   the group's members in [g_members] order, then reclaim the hop record. *)
+and stage_switch t h =
+  let g = h.m_i.grp in
+  t.mc_packets <- t.mc_packets + 1;
+  mc_update t g h.m_i.srcp h.size;
+  fan_out t h g.g_members;
+  release_msg t h
+
+and fan_out t h = function
+  | [] -> ()
+  | dst :: rest ->
+      let hi = h.m_i in
+      let src = hi.srcp in
+      if dst != src || hi.loop then begin
+        let tx_done_tk = hi.arr_tk in
+        (* An egress port whose queue has run away also sheds the packet
+           (switch egress buffering is finite).  The loss draw is
+           [Rng.bool rng p_loss], computed here from its int draw so the
+           probability crosses no module boundary boxed. *)
+        let p_loss = Float.Array.unsafe_get hi.grp.g_f g_loss in
+        let port_overrun =
+          Resource.backlog_gt dst.p_node.nic_in ~now_tk:tx_done_tk ~limit_tk:overrun_tk
+        in
+        if
+          port_overrun
+          || p_loss > 0.0
+             && float_of_int (Sim.Rng.bits53 t.rng) /. 9007199254740992.0 (* 2^53 *) < p_loss
+        then begin
+          dst.p_drops <- dst.p_drops + 1;
+          t.mc_drops <- t.mc_drops + 1;
+          match t.tracer with
+          | Some tr when Trace.enabled tr ->
+              Trace.instant tr ~id:h.tid ~pid:dst.p_id ~cat:"proto" ~name:"switch-drop"
+                ~ts:(Array.unsafe_get t.cell 0)
+          | _ -> ()
+        end
+        else begin
+          let arr_tk = tx_done_tk + prop_tk t src dst in
+          trace_prop t ~tid:h.tid src ~tx_done_tk ~arr_tk;
+          let m = acquire_msg t in
+          let i = m.m_i in
+          m.src <- src.p_id;
+          m.dst <- -1;
+          m.size <- h.size;
+          m.payload <- h.payload;
+          m.sent_tk <- h.sent_tk;
+          m.tid <- h.tid;
+          i.udp <- true;
+          i.credit <- false;
+          i.srcp <- src;
+          i.dstp <- dst;
+          i.cn <- t.dummy_conn;
+          i.cepoch <- 0;
+          transmit t m ~arrival_tk:arr_tk
+        end
+      end;
+      fan_out t h rest
 
 and sched_arrival t m =
   ignore (Sim.Engine.at_ticks t.engine ~tick:m.m_i.arr_tk m.m_i.k1)
@@ -748,58 +907,11 @@ let udp ?tid t ~src ~dst ~size payload =
 
 let new_group t name =
   t.ngroups <- t.ngroups + 1;
-  { g_id = t.ngroups;
-    g_name = name;
-    g_members = [];
-    g_rate = 0.0;
-    g_last = 0.0;
-    g_pending_bits = 0.0;
-    g_senders = Hashtbl.create 8 }
+  make_group t.ngroups name
 
 let join g p = if not (List.memq p g.g_members) then g.g_members <- p :: g.g_members
 let leave g p = g.g_members <- List.filter (fun q -> q != p) g.g_members
 let members g = g.g_members
-
-(* Per-group multicast-rate tracking: exponential moving average; the
-   sender set decays after 100 ms of silence. *)
-let mc_update t g src bits =
-  let n = now t in
-  Hashtbl.replace g.g_senders src.p_id n;
-  g.g_pending_bits <- g.g_pending_bits +. bits;
-  let dt = n -. g.g_last in
-  (* Packets sent at the same instant accumulate until time advances, so
-     simultaneous senders are counted at their true aggregate rate. *)
-  if dt > 0.0 then begin
-    g.g_last <- n;
-    let inst = g.g_pending_bits /. dt in
-    g.g_pending_bits <- 0.0;
-    (* A ~50 ms time constant: short line-rate bursts are absorbed the way
-       switch buffers absorb them; only sustained overload drops packets. *)
-    let alpha = Float.min 1.0 (dt /. 0.05) in
-    g.g_rate <- ((1.0 -. alpha) *. g.g_rate) +. (alpha *. inst)
-  end;
-  ignore t
-
-let mc_active_senders t g =
-  let n = now t in
-  Hashtbl.fold (fun _ last acc -> if n -. last < 0.1 then acc + 1 else acc) g.g_senders 0
-
-(* Loss probability of a multicast packet within one group: zero below a
-   threshold that shrinks as concurrent senders are added, then rising
-   linearly (Fig. 3.3's mechanism).  Groups are independent: a switch
-   replicates each group only onto its own members' egress ports. *)
-let mc_loss_prob t g =
-  let cap = t.cfg.mcast_capacity in
-  let n = mc_active_senders t g in
-  let thr = cap *. (0.97 -. (0.055 *. log (float_of_int (Stdlib.max 1 n)))) in
-  if g.g_rate <= thr then t.cfg.udp_base_loss
-  else
-    let p = (g.g_rate -. thr) /. (0.25 *. cap) in
-    Float.min 0.30 (Float.max t.cfg.udp_base_loss p)
-
-(* Egress-port overrun threshold: 20 ms of booked backlog (truncated to the
-   grid; every nic_in booking is tick-aligned so the comparison is exact). *)
-let overrun_tk = int_of_float (0.02 *. tick_scale)
 
 let mcast ?(loopback = false) ?tid t ~src g ~size payload =
   if not t.cfg.multicast_available then
@@ -809,51 +921,18 @@ let mcast ?(loopback = false) ?tid t ~src g ~size payload =
   let tx_done_tk = sender_side_tk t ~tid src size in
   (* The switch sees the packet when the NIC has finished serialising it, so
      back-to-back bursts are paced at line rate before the loss model runs.
-     The switch closure is per-call (fan-out is not the zero-allocation
-     path; the per-destination records still pool). *)
-  ignore
-    (Sim.Engine.at_ticks t.engine ~tick:tx_done_tk (fun () ->
-         t.mc_packets <- t.mc_packets + 1;
-         mc_update t g src (float_of_int (wire_size t size) *. 8.0);
-         let p_loss = mc_loss_prob t g in
-         List.iter
-           (fun dst ->
-             if dst != src || loopback then begin
-               (* An egress port whose queue has run away also sheds the
-                  packet (switch egress buffering is finite). *)
-               let port_overrun =
-                 Resource.backlog_gt dst.p_node.nic_in ~now_tk:tx_done_tk ~limit_tk:overrun_tk
-               in
-               if port_overrun || (p_loss > 0.0 && Sim.Rng.bool t.rng p_loss) then begin
-                 dst.p_drops <- dst.p_drops + 1;
-                 t.mc_drops <- t.mc_drops + 1;
-                 match t.tracer with
-                 | Some tr when Trace.enabled tr ->
-                     Trace.instant tr ~id:tid ~pid:dst.p_id ~cat:"proto" ~name:"switch-drop"
-                       ~ts:(Array.unsafe_get t.cell 0)
-                 | _ -> ()
-               end
-               else begin
-                 let arr_tk = tx_done_tk + prop_tk t src dst in
-                 trace_prop t ~tid src ~tx_done_tk ~arr_tk;
-                 let m = acquire_msg t in
-                 let i = m.m_i in
-                 m.src <- src.p_id;
-                 m.dst <- -1;
-                 m.size <- size;
-                 m.payload <- payload;
-                 m.sent_tk <- sent_tk;
-                 m.tid <- tid;
-                 i.udp <- true;
-                 i.credit <- false;
-                 i.srcp <- src;
-                 i.dstp <- dst;
-                 i.cn <- t.dummy_conn;
-                 i.cepoch <- 0;
-                 transmit t m ~arrival_tk:arr_tk
-               end
-             end)
-           g.g_members))
+     The switch hop borrows a pooled record and arms its prebuilt [ks]. *)
+  let h = acquire_msg t in
+  let i = h.m_i in
+  h.size <- size;
+  h.payload <- payload;
+  h.sent_tk <- sent_tk;
+  h.tid <- tid;
+  i.srcp <- src;
+  i.arr_tk <- tx_done_tk;
+  i.grp <- g;
+  i.loop <- loopback;
+  ignore (Sim.Engine.at_ticks t.engine ~tick:tx_done_tk i.ks)
 
 (* {1 Message-pool public API} *)
 

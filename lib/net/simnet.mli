@@ -130,8 +130,14 @@ val leave : group -> proc -> unit
 val members : group -> proc list
 
 (** [mcast t ~src g ~size p] ip-multicasts to every member of [g] except
-    [src] (set [loopback:true] to include the sender).  Unavailable
-    multicast ([multicast_available = false]) raises [Failure]. *)
+    [src] (set [loopback:true] to include the sender).  The switch hop
+    fires when the sender's NIC has finished serialising the packet: the
+    group's loss model runs once for the packet, then the fan-out visits
+    the members in {!members} order (most recent {!join} first), drawing
+    each destination's loss and jitter in that order.  A steady multicast
+    allocates nothing: the switch hop borrows a pooled message record
+    until the fan-out is done.  Unavailable multicast
+    ([multicast_available = false]) raises [Failure]. *)
 val mcast :
   ?loopback:bool -> ?tid:int -> t -> src:proc -> group -> size:int -> payload -> unit
 
@@ -155,7 +161,7 @@ val msg_generation : msg -> int
 val msg_refcount : msg -> int
 
 (** Records ever created by the pool (high-water mark of concurrently
-    live messages, since records recycle). *)
+    live messages and multicast switch hops, since records recycle). *)
 val pool_allocated : t -> int
 
 (** Records currently sitting in the freelist. *)

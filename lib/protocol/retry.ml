@@ -21,21 +21,20 @@ let every ?counters net ~name ~period f =
 let name t = t.r_name
 let stop t = t.r_stop ()
 
-(* Deadline stamps are engine ticks (int), not floats: [touch] on the
-   per-message ack path then updates an immediate value instead of boxing
-   a float per call.  The float [~now] arguments are converted at the API
-   boundary (truncating, like [Sim.Engine.ticks_of_time]).  Payload and
-   stamp share one entry, so each item costs one table slot. *)
+(* Deadline stamps are engine ticks (int), not floats, and callers pass
+   them as ticks ([Simnet.now_tk]): a float crossing the module boundary
+   would box on every watched instance.  Payload and stamp share one
+   entry, so each item costs one table slot. *)
 type 'v entry = { v : 'v; mutable last : int }
 type ('k, 'v) tracker = ('k, 'v entry) Hashtbl.t
 
 let tracker () = Hashtbl.create 256
 
-let watch tr ~now key v = Hashtbl.replace tr key { v; last = Sim.Engine.ticks_of_time now }
+let watch tr ~now_tk key v = Hashtbl.replace tr key { v; last = now_tk }
 
-let touch tr ~now key =
+let touch tr ~now_tk key =
   match Hashtbl.find tr key with
-  | e -> e.last <- Sim.Engine.ticks_of_time now
+  | e -> e.last <- now_tk
   | exception Not_found -> ()
 
 (* [find] and [ack] build no option: they run once per decided instance. *)
@@ -57,8 +56,7 @@ let clear tr = Hashtbl.reset tr
    re-watches entries, and mutating the table while iterating over it is
    unspecified behaviour per the Hashtbl contract.  An entry acked by an
    earlier callback in the same sweep must not fire. *)
-let iter_due tr ~now ~older_than f =
-  let now_tk = Sim.Engine.ticks_of_time now in
+let iter_due tr ~now_tk ~older_than f =
   let older_tk = Sim.Engine.ticks_of_duration older_than in
   let due =
     Hashtbl.fold

@@ -17,17 +17,18 @@ val every :
 val name : t -> string
 val stop : t -> unit
 
-(** Unacknowledged work items, each stamped with its last send time. *)
+(** Unacknowledged work items, each stamped with its last send time.
+    Times are engine ticks, as [Simnet.now_tk] reads them. *)
 type ('k, 'v) tracker
 
 val tracker : unit -> ('k, 'v) tracker
 
-(** [watch tr ~now key v] registers (or re-registers) an item and stamps
-    it as sent at [now]. *)
-val watch : ('k, 'v) tracker -> now:float -> 'k -> 'v -> unit
+(** [watch tr ~now_tk key v] registers (or re-registers) an item and
+    stamps it as sent at tick [now_tk]. *)
+val watch : ('k, 'v) tracker -> now_tk:int -> 'k -> 'v -> unit
 
 (** Restamp an item's last send time without changing its payload. *)
-val touch : ('k, 'v) tracker -> now:float -> 'k -> unit
+val touch : ('k, 'v) tracker -> now_tk:int -> 'k -> unit
 
 (** [ack tr key] cancels the retry; [true] if the item was still being
     watched. *)
@@ -41,8 +42,8 @@ val length : ('k, 'v) tracker -> int
 val iter : ('k, 'v) tracker -> ('k -> 'v -> unit) -> unit
 val clear : ('k, 'v) tracker -> unit
 
-(** [iter_due tr ~now ~older_than f] calls [f] on every item last sent
-    more than [older_than] seconds ago, restamping each visited item to
-    [now] so it backs off a full period before the next retry. *)
+(** [iter_due tr ~now_tk ~older_than f] calls [f] on every item last
+    sent more than [older_than] seconds ago, restamping each visited item
+    to [now_tk] so it backs off a full period before the next retry. *)
 val iter_due :
-  ('k, 'v) tracker -> now:float -> older_than:float -> ('k -> 'v -> unit) -> unit
+  ('k, 'v) tracker -> now_tk:int -> older_than:float -> ('k -> 'v -> unit) -> unit

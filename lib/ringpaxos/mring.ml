@@ -112,7 +112,7 @@ type acc = {
   mutable x_retired : bool;  (* removed from the system by reconfiguration *)
   mutable x_catchup : catchup option;
   x_votes : (int, int * Paxos.Value.t * int list) Hashtbl.t;
-  x_decided : (int, int * int list) Hashtbl.t;
+  x_decided : (int, unit) Hashtbl.t;  (* decided instances; [x_votes] holds the values *)
   x_durable : (int, bool) Hashtbl.t;  (* inst -> write completed *)
   x_held : (int, int * int) Hashtbl.t;  (* inst -> (rnd, vid): P2B awaiting P2A/durability *)
   x_disk : Storage.Disk.t option;
@@ -156,7 +156,9 @@ type lrn = {
   l_proc : Simnet.proc;
   l_idx : int;
   l_parts : int list;
-  l_od : (int * int list) Od.t;  (* inst -> (vid, parts) *)
+  l_od : Simnet.payload Od.t;
+      (* inst -> the [Decision] or [Retrans] that announced it, shared with
+         the message rather than copied into a fresh (vid, parts) pair *)
   l_vals : (int, Paxos.Value.t) Hashtbl.t;  (* vid -> value *)
   mutable l_val_bytes : int;  (* sum of the value sizes in [l_vals]; see [set_val] *)
   mutable l_delay : float;  (* processing cost per delivered instance *)
@@ -168,7 +170,7 @@ type lrn = {
          removed learners go inactive and deliver only their prefix *)
   (* Delivery callbacks, built once per learner by [lrn_install] so that
      delivering an instance builds no closure. *)
-  mutable l_step : int -> int * int list -> bool;  (* [Od.pump] callback *)
+  mutable l_step : int -> Simnet.payload -> bool;  (* [Od.pump] callback *)
   mutable l_cost : unit -> float;  (* [Od.drain_sink] cost *)
   mutable l_deliver : int -> Paxos.Value.t option -> unit;  (* sink delivery *)
 }
@@ -227,14 +229,18 @@ let counters t = Protocol.Counters.snapshot t.ctrs
 
 let n_acceptors cfg = (2 * cfg.f) + 1
 
-let rec coord_from accs i =
-  if i >= Array.length accs then None
+(* Index of the live coordinator in [accs] from [i] on, -1 if none: the
+   per-command [submit] scan builds no option. *)
+let rec coord_index accs i =
+  if i >= Array.length accs then -1
   else
     let a = accs.(i) in
-    if a.x_is_coord && (not a.x_retired) && Simnet.is_alive a.x_proc then Some a
-    else coord_from accs (i + 1)
+    if a.x_is_coord && (not a.x_retired) && Simnet.is_alive a.x_proc then i
+    else coord_index accs (i + 1)
 
-let coord_opt t = coord_from t.accs 0
+let coord_opt t =
+  let i = coord_index t.accs 0 in
+  if i < 0 then None else Some t.accs.(i)
 
 let ring_of t = match coord_opt t with Some c -> c.x_ring | None -> t.cur_ring
 
@@ -386,7 +392,7 @@ let propose_instance t c inst (v : Paxos.Value.t) parts =
         ~ts:(Simnet.now t.net)
   | None -> ());
   note_rc t inst v ~decided:false;
-  Retry.watch c.c_insts ~now:(Simnet.now t.net) inst (v, parts);
+  Retry.watch c.c_insts ~now_tk:(Simnet.now_tk t.net) inst (v, parts);
   Float.Array.set c.c_rate rate_bits
     (Float.Array.get c.c_rate rate_bits
     +. (float_of_int (v.size + hdr) *. 8.0 *. float_of_int (List.length parts)));
@@ -587,7 +593,7 @@ and activate_reconfig t c rc =
        votes over the old epoch are recognised as decided instead of
        being replayed as fresh proposals. *)
     Hashtbl.iter
-      (fun i d -> if not (Hashtbl.mem nc.x_decided i) then Hashtbl.replace nc.x_decided i d)
+      (fun i () -> if not (Hashtbl.mem nc.x_decided i) then Hashtbl.replace nc.x_decided i ())
       c.x_decided;
     (* The uids of GC-pruned decided votes travel with the role: a spare
        promoted by the handoff has no vote history of its own, and Phase 1
@@ -746,7 +752,7 @@ let coord_fire t c inst vid (v : Paxos.Value.t) parts =
         Trace.instant tr ~id:inst ~pid ~cat:"proto" ~name:"decision" ~ts:now
     | None -> ());
     ignore (Retry.ack c.c_insts inst);
-    Hashtbl.add c.x_decided inst (vid, parts);
+    Hashtbl.add c.x_decided inst ();
     if inst > c.x_max_dec then c.x_max_dec <- inst;
     c.c_outstanding <- c.c_outstanding - 1;
     c.c_decided <- c.c_decided + 1;
@@ -926,6 +932,11 @@ let lrn_fc_check t l ~incoming =
     | None -> ()
   end
 
+(* The value id an [l_od] entry announces as decided. *)
+let announced_vid = function
+  | Decision { vid; _ } | Retrans { value = { vid; _ }; _ } -> vid
+  | _ -> invalid_arg "Mring.announced_vid: not a decision"
+
 (* Ask the preferential acceptor for the concrete missing instances —
    decided at or beyond the delivery cursor but lacking either the decision
    or the value (§3.3.4). *)
@@ -933,7 +944,7 @@ let repair_cycle t l =
   Od.request_repairs l.l_repair l.l_od t.net ~timeout:t.cfg.retrans_timeout
     ~cooldown:(4.0 *. t.cfg.retrans_timeout)
     ~alive:(fun () -> Simnet.is_alive l.l_proc)
-    ~complete:(fun _ (vid, _) -> Hashtbl.mem l.l_vals vid)
+    ~complete:(fun _ d -> Hashtbl.mem l.l_vals (announced_vid d))
     ~send:(fun insts ->
       (match Simnet.tracer t.net with
       | Some tr ->
@@ -960,16 +971,18 @@ let lrn_release t l inst v =
    (or at once when it carries nothing for this learner's partitions).
    [false] blocks the pump on an instance whose decision is known but
    whose value was lost, to be fetched from the preferential acceptor. *)
-let lrn_step t l inst (vid, parts) =
-  if not (intersects parts l.l_parts) then lrn_release t l inst None
-  else
-    match Hashtbl.find l.l_vals vid with
-    | v ->
-        Hashtbl.remove l.l_vals vid;
-        l.l_val_bytes <- l.l_val_bytes - v.Paxos.Value.size;
-        lrn_update_mem l;
-        lrn_release t l inst (Some v)
-    | exception Not_found -> false
+let lrn_step t l inst = function
+  | Decision { vid; parts; _ } | Retrans { value = { vid; _ }; parts; _ } -> (
+      if not (intersects parts l.l_parts) then lrn_release t l inst None
+      else
+        match Hashtbl.find l.l_vals vid with
+        | v ->
+            Hashtbl.remove l.l_vals vid;
+            l.l_val_bytes <- l.l_val_bytes - v.Paxos.Value.size;
+            lrn_update_mem l;
+            lrn_release t l inst (Some v)
+        | exception Not_found -> false)
+  | _ -> invalid_arg "Mring.lrn_step: not a decision"
 
 (* Release everything deliverable in instance order; what remains blocked is
    either an instance whose decision was lost (repairable once a later
@@ -996,9 +1009,9 @@ let lrn_on_p2a t l inst (v : Paxos.Value.t) =
   lrn_update_mem l;
   lrn_drain t l
 
-let lrn_on_decision t l inst vid parts =
+let lrn_on_decision t l inst (d : Simnet.payload) =
   Od.note_max l.l_od inst;
-  if Od.offer l.l_od ~inst (vid, parts) then begin
+  if Od.offer l.l_od ~inst d then begin
     (match Simnet.tracer t.net with
     | Some tr ->
         Trace.abegin tr ~pid:(Simnet.pid l.l_proc) ~cat:"ordering" ~name:"deliver-wait"
@@ -1075,7 +1088,7 @@ let prop_resubmission t p =
          if Simnet.is_alive p.p_proc then
            match coord_opt t with
            | Some c ->
-               Retry.iter_due p.p_pending ~now:(Simnet.now t.net) ~older_than:0.5
+               Retry.iter_due p.p_pending ~now_tk:(Simnet.now_tk t.net) ~older_than:0.5
                  (fun _uid (it, parts) ->
                    Simnet.send t.net ~src:p.p_proc ~dst:c.x_proc
                      ~size:(it.Paxos.Value.isize + hdr) (Propose { item = it; parts }))
@@ -1102,7 +1115,7 @@ let p2a_retransmission t =
        (fun () ->
          match coord_opt t with
          | Some c ->
-             Retry.iter_due c.c_insts ~now:(Simnet.now t.net)
+             Retry.iter_due c.c_insts ~now_tk:(Simnet.now_tk t.net)
                ~older_than:(2.0 *. t.cfg.retrans_timeout)
                (fun inst (v, parts) -> mcast_p2a t c inst v parts)
          | None -> ()))
@@ -1279,9 +1292,9 @@ let acc_handler t a (m : Simnet.msg) =
       end
   | P2a { inst; rnd; value; parts } -> if not a.x_is_coord then acc_on_p2a t a inst rnd value parts
   | P2b { inst; rnd; vid } -> acc_on_p2b t a inst rnd vid
-  | Decision { inst; vid; parts; items = _ } ->
+  | Decision { inst; _ } ->
       if inst > a.x_max_dec then a.x_max_dec <- inst;
-      if not a.x_is_coord then Hashtbl.replace a.x_decided inst (vid, parts)
+      if not a.x_is_coord then Hashtbl.replace a.x_decided inst ()
   | SlowDown _ as sd ->
       (* Forward along the ring until the coordinator reacts. *)
       if a.x_is_coord then fc_slow_down t a
@@ -1387,8 +1400,7 @@ let acc_handler t a (m : Simnet.msg) =
             Hashtbl.replace a.x_durable inst true;
             acc_update_mem a
           end;
-          if not (Hashtbl.mem a.x_decided inst) then
-            Hashtbl.replace a.x_decided inst (value.Paxos.Value.vid, parts);
+          if not (Hashtbl.mem a.x_decided inst) then Hashtbl.replace a.x_decided inst ();
           if inst > a.x_max_dec then a.x_max_dec <- inst;
           ignore (Od.offer cu.cu_od ~inst ());
           catchup_pump t a
@@ -1406,12 +1418,12 @@ let acc_handler t a (m : Simnet.msg) =
 let lrn_handler t l (m : Simnet.msg) =
   match m.payload with
   | P2a { inst; rnd = _; value; parts = _ } -> lrn_on_p2a t l inst value
-  | Decision { inst; vid; parts; items = _ } -> lrn_on_decision t l inst vid parts
-  | Retrans { inst; value; parts } ->
+  | Decision { inst; _ } -> lrn_on_decision t l inst m.payload
+  | Retrans { inst; value; parts = _ } ->
       (* A repair response supplies both the decision and the value. *)
       set_val l value;
       Od.note_max l.l_od inst;
-      if Od.offer l.l_od ~inst (value.vid, parts) then begin
+      if Od.offer l.l_od ~inst m.payload then begin
         match Simnet.tracer t.net with
         | Some tr ->
             Trace.abegin tr ~pid:(Simnet.pid l.l_proc) ~cat:"ordering" ~name:"deliver-wait"
@@ -1444,7 +1456,7 @@ let prop_handler t p (m : Simnet.msg) =
   | NewCoord { acc } ->
       (* Resubmit everything not yet acknowledged to the new coordinator. *)
       Retry.iter p.p_pending (fun uid (it, parts) ->
-          Retry.touch p.p_pending ~now:(Simnet.now t.net) uid;
+          Retry.touch p.p_pending ~now_tk:(Simnet.now_tk t.net) uid;
           Simnet.send t.net ~src:p.p_proc ~dst:t.accs.(acc).x_proc
             ~size:(it.Paxos.Value.isize + hdr)
             (Propose { item = it; parts }))
@@ -1604,14 +1616,15 @@ let submit t ~proposer ?(parts = [ 0 ]) ~size app =
   else begin
     t.next_uid <- t.next_uid + 1;
     let uid = Paxos.Value.make_uid ~seq:t.next_uid ~origin:proposer in
-    let now = Simnet.now t.net in
-    let item = { Paxos.Value.uid; isize = size; app; born = now } in
-    Retry.watch p.p_pending ~now uid (item, parts);
+    let item = { Paxos.Value.uid; isize = size; app; born = Simnet.now t.net } in
+    Retry.watch p.p_pending ~now_tk:(Simnet.now_tk t.net) uid (item, parts);
     p.p_unacked_bytes <- p.p_unacked_bytes + size;
-    (match coord_opt t with
-    | Some c ->
-        Simnet.send t.net ~src:p.p_proc ~dst:c.x_proc ~size:(size + hdr) (Propose { item; parts })
-    | None -> () (* resubmitted when a NewCoord announcement arrives *));
+    let ci = coord_index t.accs 0 in
+    (* With no live coordinator the item is resubmitted when a NewCoord
+       announcement arrives. *)
+    if ci >= 0 then
+      Simnet.send t.net ~src:p.p_proc ~dst:t.accs.(ci).x_proc ~size:(size + hdr)
+        (Propose { item; parts });
     uid
   end
 

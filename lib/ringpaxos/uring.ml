@@ -384,7 +384,7 @@ let prop_resubmission t m =
   ignore
     (Protocol.Retry.every t.net ~name:"resubmit" ~period:t.cfg.resubmit_timeout (fun () ->
          if Simnet.is_alive m.m_proc && m.m_prop_idx >= 0 then
-           Protocol.Retry.iter_due m.p_pending ~now:(Simnet.now t.net)
+           Protocol.Retry.iter_due m.p_pending ~now_tk:(Simnet.now_tk t.net)
              ~older_than:t.cfg.resubmit_timeout
              (fun _uid (it : Paxos.Value.item) ->
                send_succ t m ~size:(it.isize + hdr) (UForward it))))
@@ -577,7 +577,7 @@ let submit t ~proposer ~size app =
        coordinator (the value crosses each link exactly once, §3.3.3). *)
     let uid = Paxos.Value.make_uid ~seq:t.next_uid ~origin:m.m_pos in
     let item = { Paxos.Value.uid; isize = size; app; born = Simnet.now t.net } in
-    Protocol.Retry.watch m.p_pending ~now:(Simnet.now t.net) uid item;
+    Protocol.Retry.watch m.p_pending ~now_tk:(Simnet.now_tk t.net) uid item;
     m.p_unacked_bytes <- m.p_unacked_bytes + size;
     if m.m_pos = t.coord_pos then begin
       if not m.c_phase1_ok then Queue.push item m.c_preq

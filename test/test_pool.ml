@@ -283,6 +283,58 @@ let test_disabled_tracer_allocates_nothing () =
   let words = Gc.minor_words () -. w0 in
   Alcotest.(check (float 0.0)) "disabled tracer stays allocation-free" 0.0 words
 
+(* A steady multicast from one member of a 5-member group, one packet
+   every 100 us: minor words per delivered message over the second 0.1 s,
+   then the pool must be whole once the stream stops.  The lossy config
+   shrinks the switch capacity below the offered 80 Mbps and adds base
+   loss, so the loss model's drop path runs on every packet too. *)
+let steady_mcast_words ~config ~loopback =
+  let engine, net = make ~config () in
+  let g = Simnet.new_group net "g" in
+  let procs =
+    List.init 5 (fun i ->
+        let n = Simnet.add_node net (Printf.sprintf "n%d" i) in
+        let p = Simnet.add_proc net n (Printf.sprintf "p%d" i) in
+        Simnet.join g p;
+        p)
+  in
+  let fires = ref 0 in
+  List.iter (fun p -> Simnet.set_handler p (fun _ -> incr fires)) procs;
+  let src = List.hd procs in
+  (* Built once: an extension constructor's block is allocated per use. *)
+  let ping = Ping 0 in
+  let send =
+    if loopback then fun () -> Simnet.mcast net ~loopback:true ~src g ~size:1000 ping
+    else fun () -> Simnet.mcast net ~src g ~size:1000 ping
+  in
+  let stop = Simnet.every_tk net ~ticks:(Sim.Engine.ticks_of_duration 1.0e-4) send in
+  Sim.Engine.run engine ~until:0.1;
+  let f0 = !fires and d0 = Simnet.switch_drops net in
+  let w0 = Gc.minor_words () in
+  Sim.Engine.run engine ~until:0.2;
+  let words = Gc.minor_words () -. w0 in
+  let msgs = !fires - f0 and drops = Simnet.switch_drops net - d0 in
+  stop ();
+  Sim.Engine.run_all engine;
+  Alcotest.(check int) "pool whole at quiescence" (Simnet.pool_allocated net)
+    (Simnet.pool_free net);
+  (msgs, drops, words /. float_of_int (Stdlib.max 1 msgs))
+
+let test_steady_mcast_allocates_nothing () =
+  let lossy_switch = { quiet with mcast_capacity = 1.0e7; udp_base_loss = 0.01 } in
+  List.iter
+    (fun (name, config, loopback, lossy) ->
+      let msgs, drops, per_msg = steady_mcast_words ~config ~loopback in
+      Alcotest.(check bool) (name ^ ": the run made progress") true (msgs > 1000);
+      Alcotest.(check bool) (name ^ ": drops iff lossy") lossy (drops > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.4f minor words per delivered message" name per_msg)
+        true (per_msg < 0.01))
+    [ ("no loopback", quiet, false, false);
+      ("loopback", quiet, true, false);
+      ("lossy", lossy_switch, false, true);
+      ("lossy loopback", lossy_switch, true, true) ]
+
 (* A seeded run with a tracer attached: window-limited sends, a receiver
    crash with messages in flight and parked, recovery, more sends.  The
    Chrome export embeds every hop's timing, so its digest pins the
@@ -335,5 +387,7 @@ let suite =
       test_jittered_unicast_allocates_nothing;
     Alcotest.test_case "disabled tracer allocates nothing" `Quick
       test_disabled_tracer_allocates_nothing;
+    Alcotest.test_case "steady multicast fan-out allocates nothing" `Quick
+      test_steady_mcast_allocates_nothing;
     Alcotest.test_case "traced kill/recover run matches golden digest" `Quick
       test_traced_run_golden ]

@@ -163,7 +163,7 @@ let test_iter_due_ack_during_iteration () =
   let build () =
     let tr : (int, unit) Protocol.Retry.tracker = Protocol.Retry.tracker () in
     for k = 0 to n - 1 do
-      Protocol.Retry.watch tr ~now:0.0 k ()
+      Protocol.Retry.watch tr ~now_tk:0 k ()
     done;
     tr
   in
@@ -175,7 +175,7 @@ let test_iter_due_ack_during_iteration () =
     let a = order.(i) and b = order.(i + 1) in
     let tr = build () in
     let acked = ref false in
-    Protocol.Retry.iter_due tr ~now:10.0 ~older_than:1.0 (fun k () ->
+    Protocol.Retry.iter_due tr ~now_tk:(Sim.Engine.ticks_of_time 10.0) ~older_than:1.0 (fun k () ->
         if k = b && !acked then
           Alcotest.failf "key %d fired after being acked (while visiting %d)" b a;
         if k = a then begin
@@ -185,9 +185,9 @@ let test_iter_due_ack_during_iteration () =
   done;
   (* Items that do fire are restamped, so they back off a full period. *)
   let tr : (int, unit) Protocol.Retry.tracker = Protocol.Retry.tracker () in
-  Protocol.Retry.watch tr ~now:0.0 0 ();
-  Protocol.Retry.iter_due tr ~now:10.0 ~older_than:1.0 (fun _ () -> ());
-  Protocol.Retry.iter_due tr ~now:10.5 ~older_than:1.0 (fun _ () ->
+  Protocol.Retry.watch tr ~now_tk:0 0 ();
+  Protocol.Retry.iter_due tr ~now_tk:(Sim.Engine.ticks_of_time 10.0) ~older_than:1.0 (fun _ () -> ());
+  Protocol.Retry.iter_due tr ~now_tk:(Sim.Engine.ticks_of_time 10.5) ~older_than:1.0 (fun _ () ->
       Alcotest.fail "restamped item fired again within the back-off")
 
 (* --- Ordered delivery ------------------------------------------------------ *)
