@@ -4,9 +4,10 @@
    directly (self-clocked, no network) so the sweep isolates scheduling:
    speedup, rollback/conflict counters, commit-latency percentiles and a
    state-fingerprint check against the sequential reference.  A final
-   end-to-end slice runs the executor approaches behind Multi-Ring Paxos,
-   closed- and open-loop.  Results go to stdout and BENCH_psmr.json; CI
-   gates on the low-conflict speedup and the state check. *)
+   end-to-end slice runs both executor modes behind Multi-Ring Paxos in the
+   KV service, closed- and open-loop.  Results go to stdout and
+   BENCH_psmr.json; CI gates on the low-conflict speedup, the state check
+   and the end-to-end slices' replica agreement, rollbacks and drops. *)
 
 let out_file = "BENCH_psmr.json"
 let n_commands = 20_000
@@ -132,61 +133,108 @@ let seed_checks () =
     [ 1; 2; 3 ];
   (!ok, !det)
 
-(* End-to-end: the executor approaches behind Multi-Ring Paxos.  One
-   closed-loop run per approach, plus an open-loop run driven by the
-   zipf/rate-curve workload generator. *)
+(* End-to-end: the executor behind Multi-Ring Paxos, deployed as the KV
+   service deploys it (leases off, so every command is ordered; the
+   replica, worker and tree sizes of the Chapter 6 runs).  One closed-loop
+   run per executor mode — 64 chains of puts, each issued when the previous
+   one answers, over 4096 hot keys — plus an open-loop run driven by the
+   zipf/rate-curve workload generator.  Every slice drains before the
+   replicas' trees are compared. *)
+let e2e_config executor =
+  { Kv.default_config with
+    n_replicas = 2;
+    n_workers = 4;
+    executor;
+    leases = false;
+    key_range = 1_000_000 }
+
+let n_e2e_clients = 64
+
+(* Mean latency over every SLO class, weighted by count. *)
+let lat_mean_ms sys =
+  let rows = Kv.Slo.rows (Kv.slo sys) in
+  let n = List.fold_left (fun a (r : Kv.Slo.row) -> a + r.count) 0 rows in
+  let sum =
+    List.fold_left
+      (fun a (r : Kv.Slo.row) -> a +. (float_of_int r.count *. r.mean_ms))
+      0.0 rows
+  in
+  if n = 0 then 0.0 else sum /. float_of_int n
+
 let end_to_end () =
   Util.header "End-to-end (Multi-Ring Paxos + executor replicas)";
-  Printf.printf "%-12s %-6s %10s %10s %10s %10s\n" "approach" "loop" "kcps"
+  Printf.printf "%-12s %-6s %10s %10s %10s %10s\n" "executor" "loop" "kcps"
     "lat(ms)" "rollbacks" "drops";
-  let duration = 0.4 and warm = 0.15 in
-  let e2e approach name =
+  let duration = 0.4 and warm = 0.15 and drain = 0.1 in
+  let in_window now = now >= warm && now < duration in
+  let kcps n = float_of_int n /. (duration -. warm) /. 1e3 in
+  let row sys name loop kcps =
+    let lat = lat_mean_ms sys in
+    Printf.printf "%-12s %-6s %10.1f %10.2f %10d %10d\n" name loop kcps lat
+      (Kv.rollbacks sys) (Kv.drops sys);
+    Util.snap
+      (Printf.sprintf "psmr/e2e/%s/%s" name loop)
+      ~events_per_sec:(kcps *. 1000.0) ~lat_mean:lat
+  in
+  (* Closed loop: each chain issues its next put when the previous one
+     answers, until the horizon.  A put the proposer window refuses would
+     end its chain, so the bench reports drops (CI requires none). *)
+  let closed executor name =
     let engine, net = Util.fresh ~seed:11 () in
+    let sys = Kv.create net (e2e_config executor) ~n_clients:n_e2e_clients in
     let rng = Sim.Rng.create 12 in
-    let gen _ =
-      { Psmr.obj = Sim.Rng.int rng 4096;
-        dependent = Sim.Rng.int rng 100 < 5;
-        size = 128 }
+    let completed = ref 0 in
+    let rec chain () =
+      let key = 1 + Sim.Rng.int rng 4096 in
+      Kv.put sys ~key ~value:key ~k:(fun _ ->
+          let now = Simnet.now net in
+          if in_window now then incr completed;
+          if now < duration then chain ())
     in
-    let config = { Psmr.default_config with approach; exec_cost = 2.0e-5 } in
-    let sys = Psmr.create net config ~n_clients:64 ~gen in
-    Psmr.start sys;
-    Sim.Engine.run engine ~until:duration;
-    let m = Psmr.metrics sys in
-    let kcps = Smr.Metrics.kcps m ~from:warm ~till:duration in
-    let lat = Smr.Metrics.lat_mean_ms m in
-    Printf.printf "%-12s %-6s %10.1f %10.2f %10d %10s\n" name "closed" kcps lat
-      (Psmr.rollbacks sys) "-";
-    Util.snap (Printf.sprintf "psmr/e2e/%s/closed" name)
-      ~events_per_sec:(kcps *. 1000.0) ~lat_mean:lat;
-    (kcps, Psmr.rollbacks sys)
+    for c = 0 to n_e2e_clients - 1 do
+      ignore (Simnet.after net (0.001 +. (1.0e-5 *. float_of_int c)) chain)
+    done;
+    Sim.Engine.run engine ~until:(duration +. drain);
+    let k = kcps !completed in
+    row sys name "closed" k;
+    (k, sys)
   in
-  let dep_kcps, _ = e2e Psmr.Depaware "depaware" in
-  let opt_kcps, opt_rb = e2e Psmr.Optimistic "optimistic" in
+  let dep_kcps, dep = closed Psmr.Executor.Pessimistic "depaware" in
+  let opt_kcps, opt = closed Psmr.Executor.Optimistic "optimistic" in
   (* Open loop: a diurnal rate curve with a hot-key storm in the middle,
-     standing in for an uncontrolled client population. *)
+     standing in for an uncontrolled client population.  Completions are
+     counted as the client proxies receive them. *)
   let engine, net = Util.fresh ~seed:11 () in
-  let config = { Psmr.default_config with approach = Psmr.Optimistic; exec_cost = 2.0e-5 } in
   let sys =
-    Psmr.create net config ~n_clients:64 ~gen:(fun _ ->
-        { Psmr.obj = 0; dependent = false; size = 128 })
+    Kv.create net (e2e_config Psmr.Executor.Optimistic) ~n_clients:n_e2e_clients
   in
+  let completed = ref 0 in
+  for c = 0 to n_e2e_clients - 1 do
+    let p = Kv.client_proc sys c in
+    let prev = Simnet.handler_of p in
+    Simnet.set_handler p (fun m ->
+        (match m.Simnet.payload with
+        | Kv.KResp _ when in_window (Simnet.now net) -> incr completed
+        | _ -> ());
+        prev m)
+  done;
   let wl =
     Smr.Workload.Open_loop.create ~zipf_s:0.8 ~read_pct:30
       ~hot_storm:(0.15, 0.1, 60)
       (Sim.Rng.create 21) ~key_range:1_000_000
       ~rate:(Smr.Workload.Open_loop.Diurnal { base = 20_000.0; peak = 40_000.0; period = 0.4 })
   in
-  Psmr.start_open sys wl ~until:duration;
-  Sim.Engine.run engine ~until:(duration +. 0.1);
-  let m = Psmr.metrics sys in
-  let ol_kcps = Smr.Metrics.kcps m ~from:warm ~till:duration in
-  let ol_lat = Smr.Metrics.lat_mean_ms m in
-  Printf.printf "%-12s %-6s %10.1f %10.2f %10d %10d\n" "optimistic" "open"
-    ol_kcps ol_lat (Psmr.rollbacks sys) (Psmr.open_drops sys);
-  Util.snap "psmr/e2e/optimistic/open" ~events_per_sec:(ol_kcps *. 1000.0)
-    ~lat_mean:ol_lat;
-  (dep_kcps, opt_kcps, opt_rb, ol_kcps)
+  Kv.start_open sys wl ~until:duration;
+  Sim.Engine.run engine ~until:(duration +. drain);
+  let ol_kcps = kcps !completed in
+  row sys "optimistic" "open" ol_kcps;
+  let agree =
+    List.for_all
+      (fun s -> Kv.state_fingerprint_at s 0 = Kv.state_fingerprint_at s 1)
+      [ dep; opt; sys ]
+  in
+  Printf.printf "replicas agree after every slice: %b\n" agree;
+  (dep_kcps, opt_kcps, Kv.rollbacks opt, Kv.drops dep + Kv.drops opt, ol_kcps, agree)
 
 let json_of_cell c =
   Printf.sprintf
@@ -231,7 +279,7 @@ let run () =
     (float_of_int opt50.rollbacks /. float_of_int opt50.commands);
   Printf.printf "state matches sequential on every cell/seed: %b\n" all_match;
   Printf.printf "rollback counts deterministic by seed: %b\n" det_ok;
-  let dep_kcps, opt_kcps, e2e_rb, ol_kcps = end_to_end () in
+  let dep_kcps, opt_kcps, e2e_rb, e2e_drops, ol_kcps, e2e_agree = end_to_end () in
   let oc = open_out out_file in
   Printf.fprintf oc
     "{\n\
@@ -248,13 +296,14 @@ let run () =
      \"optimistic_state_matches_sequential\":%b,\
      \"rollbacks_deterministic\":%b,\
      \"e2e_depaware_kcps\":%.1f,\"e2e_optimistic_kcps\":%.1f,\
-     \"e2e_rollbacks\":%d,\"e2e_openloop_kcps\":%.1f}\n\
+     \"e2e_rollbacks\":%d,\"e2e_closed_drops\":%d,\"e2e_openloop_kcps\":%.1f,\
+     \"e2e_replicas_agree\":%b}\n\
      }\n"
     n_commands
     (String.concat ",\n" (List.map json_of_cell cells))
     pess.speedup opt.speedup
     (float_of_int opt50.rollbacks /. float_of_int opt50.commands)
     opt50.rollbacks opt50.conflicts all_match det_ok dep_kcps opt_kcps e2e_rb
-    ol_kcps;
+    e2e_drops ol_kcps e2e_agree;
   close_out oc;
   Printf.printf "wrote %s\n%!" out_file

@@ -5,6 +5,7 @@ module OL = Smr.Workload.Open_loop
 type config = {
   n_replicas : int;
   n_workers : int;
+  executor : Psmr.Executor.mode;
   ring : Ringpaxos.Mring.config;
   lambda : float;
   delta : float;
@@ -22,6 +23,7 @@ type config = {
 let default_config =
   { n_replicas = 3;
     n_workers = 2;
+    executor = Psmr.Executor.Pessimistic;
     ring = Ringpaxos.Mring.default_config;
     lambda = 50_000.0;
     delta = 1.0e-3;
@@ -605,7 +607,7 @@ let create ?on_broadcast ?on_deliver net cfg ~n_clients =
           (Psmr.Executor.create
              ?tracer:(Simnet.tracer net)
              ~pid:(Simnet.pid (Multiring.learner_proc mr rep.r_idx))
-             ~mode:Psmr.Executor.Pessimistic ~n_workers:cfg.n_workers
+             ~mode:cfg.executor ~n_workers:cfg.n_workers
              rep.r_svc.Smr.Btree_service.service))
     t.reps;
   (* Replica-side handlers: local read requests and write acks arrive on
@@ -714,6 +716,9 @@ let pending_writes t = Hashtbl.length t.wpend
 
 let executed t =
   Array.fold_left (fun acc rep -> acc + Psmr.Executor.executed (exec_of rep)) 0 t.reps
+
+let rollbacks t =
+  Array.fold_left (fun acc rep -> acc + Psmr.Executor.rollbacks (exec_of rep)) 0 t.reps
 
 let state_fingerprint_at t r = Smr.Btree_service.fingerprint t.reps.(r).r_svc
 

@@ -34,6 +34,10 @@ module Slo = Slo
 type config = {
   n_replicas : int;
   n_workers : int;  (** executor worker threads per replica *)
+  executor : Psmr.Executor.mode;
+      (** how each replica's executor schedules commands: [Pessimistic]
+          (the default) waits for conflicting predecessors; [Optimistic]
+          runs speculatively and rolls back on a conflict at commit *)
   ring : Ringpaxos.Mring.config;
   lambda : float;
   delta : float;
@@ -121,6 +125,10 @@ val pending_writes : t -> int
     once per replica, a read-only command once (at its responder).
     Lease-served reads are not counted. *)
 val executed : t -> int
+
+(** Speculative re-executions, summed across replicas: always 0 under the
+    [Pessimistic] executor (see {!Psmr.Executor.rollbacks}). *)
+val rollbacks : t -> int
 
 (** Fingerprint of replica [r]'s btree (replicas must agree). *)
 val state_fingerprint_at : t -> int -> int

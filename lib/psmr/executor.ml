@@ -318,10 +318,6 @@ let last_commit t = t.fl.(commit_i)
 let n_workers t = Array.length t.workers
 let inflight t = t.n_active
 
-let conflict_rate t =
-  if t.executed = 0 then 0.0
-  else float_of_int t.conflicts /. float_of_int t.executed
-
 let utilization t ~from ~till =
   Sim.Stats.Busy.utilization t.busy ~from ~till
   /. float_of_int (Array.length t.workers)

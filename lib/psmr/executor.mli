@@ -79,9 +79,6 @@ val rollbacks : t -> int
 (** Read-write conflicts detected at commit. *)
 val conflicts : t -> int
 
-(** [conflicts / executed]. *)
-val conflict_rate : t -> float
-
 (** Commit time of the latest committed command (commits are in log order,
     so this is also the latest submitted command's commit time). *)
 val last_commit : t -> float

@@ -1,18 +1,11 @@
 module Executor = Executor
 
-type approach = Sequential | Pipelined | Sdpe | Psmr | Depaware | Optimistic
+type approach = Sequential | Pipelined | Sdpe | Psmr
 
 type command = {
   obj : int;
   dependent : bool;
   size : int;
-}
-
-type kv_command = {
-  kv_op : Simnet.payload;
-  kv_reads : Btree.Keyset.t;
-  kv_writes : Btree.Keyset.t;
-  kv_size : int;
 }
 
 type config = {
@@ -25,8 +18,6 @@ type config = {
   merge_m : int;
   exec_cost : float;
   sched_cost : float;
-  initial_keys : int;
-  key_range : int;
 }
 
 let default_config =
@@ -38,13 +29,10 @@ let default_config =
     delta = 1.0e-3;
     merge_m = 8;
     exec_cost = 8.0e-6;
-    sched_cost = 2.0e-6;
-    initial_keys = 10_000;
-    key_range = 1_000_000 }
+    sched_cost = 2.0e-6 }
 
 type Simnet.payload +=
   | PCmd of { obj : int; dependent : bool }
-  | PKv of { op : Simnet.payload; reads : Btree.Keyset.t; writes : Btree.Keyset.t }
   | PResp of { uid : int }
 
 type barrier = {
@@ -63,8 +51,6 @@ type replica = {
   mutable sched_free : float;
   mutable exec_count : int;
   mutable barrier_count : int;
-  mutable exec : Executor.t option;  (* Depaware/Optimistic executor *)
-  mutable kv : Smr.Btree_service.t option;  (* its replicated state *)
 }
 
 type client = {
@@ -80,19 +66,12 @@ type t = {
   replicas : replica array;
   clients : client array;
   gen : int -> command;
-  kv_gen : int -> kv_command;
   metrics : Smr.Metrics.t;
-  ol_inflight : (int, float) Hashtbl.t;  (* open-loop uid -> born *)
-  mutable ol_drops : int;
-  mutable ol_issued : int;  (* open-loop commands accepted by a proposer *)
-  mutable ol_rr : int;  (* open-loop proposer round-robin *)
 }
 
 let the_mr t = match t.mring with Some m -> m | None -> assert false
 
 let all_group t = t.cfg.n_workers (* group id subscribed by every worker *)
-
-let uses_executor = function Depaware | Optimistic -> true | _ -> false
 
 let responder_replica t uid = Paxos.Value.uid_seq uid mod t.cfg.n_replicas
 
@@ -202,23 +181,6 @@ let psmr_deliver t ~learner ~group it =
   Queue.push (Simnet.now t.net, group, it) rep.queues.(w);
   pump t rep w
 
-(* --- dependency-aware parallel executor (Depaware / Optimistic) --------------- *)
-
-let kv_deliver t ~learner (it : Paxos.Value.item) app =
-  let rep = t.replicas.(learner) in
-  match app with
-  | PKv { op; reads; writes } ->
-      let ex = match rep.exec with Some e -> e | None -> assert false in
-      Executor.submit ex ~now:(Simnet.now t.net) ~uid:it.uid ~reads ~writes op;
-      rep.exec_count <- rep.exec_count + 1;
-      let rollbacks = Executor.last_rollbacks ex in
-      if rollbacks > 0 then begin
-        Smr.Metrics.note_rollbacks t.metrics rollbacks;
-        Smr.Metrics.note_conflicts t.metrics rollbacks
-      end;
-      respond t rep ~learner ~uid:it.uid ~at:(Executor.last_commit ex)
-  | _ -> ()
-
 (* --- single-stream approaches -------------------------------------------------- *)
 
 let sdpe_deliver t ~learner (it : Paxos.Value.item) app =
@@ -281,40 +243,19 @@ let sequential_deliver t ~learner (it : Paxos.Value.item) =
 let group_of t cmd = if cmd.dependent then all_group t else cmd.obj mod t.cfg.n_workers
 
 let rec submit_next t c =
-  let group, size, payload =
-    if uses_executor t.cfg.approach then begin
-      let kv = t.kv_gen c.cl_idx in
-      (0, kv.kv_size, PKv { op = kv.kv_op; reads = kv.kv_reads; writes = kv.kv_writes })
-    end
-    else begin
-      let cmd = t.gen c.cl_idx in
-      let group = match t.cfg.approach with Psmr -> group_of t cmd | _ -> 0 in
-      (group, cmd.size, PCmd { obj = cmd.obj; dependent = cmd.dependent })
-    end
+  let cmd = t.gen c.cl_idx in
+  let group = match t.cfg.approach with Psmr -> group_of t cmd | _ -> 0 in
+  let uid =
+    Multiring.multicast (the_mr t) ~group ~proposer:c.cl_idx ~size:cmd.size
+      (PCmd { obj = cmd.obj; dependent = cmd.dependent })
   in
-  let uid = Multiring.multicast (the_mr t) ~group ~proposer:c.cl_idx ~size payload in
   if uid < 0 then ignore (Simnet.after t.net 1.0e-3 (fun () -> submit_next t c))
   else begin
     c.cl_uid <- uid;
     c.cl_born <- Simnet.now t.net
   end
 
-(* Default key-set mapping when no [kv_gen] is given: an independent
-   command is a read-modify-write of the single key its object names; a
-   dependent command declares the whole key space. *)
-let kv_of_command cmd =
-  if cmd.dependent then
-    { kv_op = Smr.Btree_service.Batch [];
-      kv_reads = Btree.Keyset.full;
-      kv_writes = Btree.Keyset.full;
-      kv_size = cmd.size }
-  else
-    { kv_op = Smr.Btree_service.Insert { key = cmd.obj + 1; value = cmd.obj };
-      kv_reads = Btree.Keyset.singleton (cmd.obj + 1);
-      kv_writes = Btree.Keyset.singleton (cmd.obj + 1);
-      kv_size = cmd.size }
-
-let create ?kv_gen net cfg ~n_clients ~gen =
+let create net cfg ~n_clients ~gen =
   let metrics = Smr.Metrics.create (Simnet.engine net) in
   let replicas =
     Array.init cfg.n_replicas (fun r ->
@@ -326,21 +267,12 @@ let create ?kv_gen net cfg ~n_clients ~gen =
           obj_last = Hashtbl.create 1024;
           sched_free = 0.0;
           exec_count = 0;
-          barrier_count = 0;
-          exec = None;
-          kv = None })
+          barrier_count = 0 })
   in
   let clients =
     Array.init n_clients (fun i -> { cl_idx = i; cl_uid = -1; cl_born = 0.0 })
   in
-  let kv_gen =
-    match kv_gen with Some f -> f | None -> fun i -> kv_of_command (gen i)
-  in
-  let t =
-    { net; cfg; mring = None; replicas; clients; gen; kv_gen; metrics;
-      ol_inflight = Hashtbl.create 4096; ol_drops = 0; ol_issued = 0;
-      ol_rr = 0 }
-  in
+  let t = { net; cfg; mring = None; replicas; clients; gen; metrics } in
   let n_rings, n_learners, subs, nodes =
     match cfg.approach with
     | Psmr ->
@@ -369,7 +301,6 @@ let create ?kv_gen net cfg ~n_clients ~gen =
   let deliver ~learner ~group it app =
     match cfg.approach with
     | Psmr -> psmr_deliver t ~learner ~group it
-    | Depaware | Optimistic -> kv_deliver t ~learner it app
     | Sdpe -> sdpe_deliver t ~learner it app
     | Pipelined -> serial_deliver t ~learner it
     | Sequential -> sequential_deliver t ~learner it
@@ -379,29 +310,6 @@ let create ?kv_gen net cfg ~n_clients ~gen =
       ~proposers_per_ring:n_clients ~deliver
   in
   t.mring <- Some mr;
-  if uses_executor cfg.approach then begin
-    let mode =
-      match cfg.approach with
-      | Optimistic -> Executor.Optimistic
-      | _ -> Executor.Pessimistic
-    in
-    Array.iter
-      (fun rep ->
-        (* Every replica holds its own btree, populated from the same seed
-           so the replicated state starts identical. *)
-        let svc =
-          Smr.Btree_service.create ~initial_keys:cfg.initial_keys
-            ~key_range:cfg.key_range ~seed:1 ()
-        in
-        rep.kv <- Some svc;
-        rep.exec <-
-          Some
-            (Executor.create
-               ?tracer:(Simnet.tracer net)
-               ~pid:(Simnet.pid (Multiring.learner_proc mr rep.rep_idx))
-               ~mode ~n_workers:cfg.n_workers svc.Smr.Btree_service.service))
-      replicas
-  end;
   (* Client response handling on the ring-0 proposer processes. *)
   Array.iter
     (fun c ->
@@ -412,11 +320,6 @@ let create ?kv_gen net cfg ~n_clients ~gen =
           | PResp { uid } when uid = c.cl_uid ->
               Smr.Metrics.command t.metrics ~born:c.cl_born ~bytes:m.size;
               submit_next t c
-          | PResp { uid } when Hashtbl.mem t.ol_inflight uid ->
-              (* Open-loop commands: latency measured from generation. *)
-              let born = Hashtbl.find t.ol_inflight uid in
-              Hashtbl.remove t.ol_inflight uid;
-              Smr.Metrics.command t.metrics ~born ~bytes:m.size
           | _ -> prev m))
     clients;
   t
@@ -428,48 +331,6 @@ let start t =
         (Simnet.after t.net (0.001 +. (1.0e-5 *. float_of_int c.cl_idx)) (fun () ->
              submit_next t c)))
     t.clients
-
-(* Open-loop driving: arrivals come from the workload generator (which
-   stands in for an unbounded client population), paced by its rate curve;
-   nothing waits for responses.  Commands are multicast round-robin across
-   the client proposers; a proposer whose window is full drops the arrival
-   (counted in [open_drops]) — the overload signal of an open loop. *)
-let start_open t wl ~until =
-  let n = Array.length t.clients in
-  if n = 0 then invalid_arg "Psmr.start_open: no client proposers";
-  let engine = Simnet.engine t.net in
-  let rec arm () =
-    (* Peek, don't consume: the first arrival past the horizon stays in the
-       generator, so [Open_loop.generated] counts exactly the commands this
-       driver issued or dropped — not a discarded lookahead. *)
-    let a = Smr.Workload.Open_loop.peek wl in
-    if a.Smr.Workload.Open_loop.at <= until then begin
-      ignore (Smr.Workload.Open_loop.next wl);
-      ignore
-        (Sim.Engine.at engine ~time:a.at (fun () ->
-             let c = t.clients.(t.ol_rr mod n) in
-             t.ol_rr <- t.ol_rr + 1;
-             let uid =
-               Multiring.multicast (the_mr t) ~group:0 ~proposer:c.cl_idx
-                 ~size:a.size
-                 (PKv { op = a.op; reads = a.reads; writes = a.writes })
-             in
-             (* A full proposer window drops the arrival: overload shows up
-                in [open_drops], never in the latency meters (no inflight
-                entry, so no response is ever matched) nor the issued-ops
-                denominator ([open_issued] counts successes only). *)
-             if uid < 0 then t.ol_drops <- t.ol_drops + 1
-             else begin
-               t.ol_issued <- t.ol_issued + 1;
-               Hashtbl.replace t.ol_inflight uid (Simnet.now t.net)
-             end;
-             arm ()))
-    end
-  in
-  arm ()
-
-let open_drops t = t.ol_drops
-let open_issued t = t.ol_issued
 
 let metrics t = t.metrics
 
@@ -486,12 +347,8 @@ let barriers t =
 let executed t = Array.fold_left (fun acc r -> acc + r.exec_count) 0 t.replicas
 
 let worker_utilization_at t r ~from ~till =
-  let rep = t.replicas.(r) in
-  match rep.exec with
-  | Some e -> Executor.utilization e ~from ~till
-  | None ->
-      Sim.Stats.Busy.utilization rep.busy ~from ~till
-      /. float_of_int (Stdlib.max 1 t.cfg.n_workers)
+  Sim.Stats.Busy.utilization t.replicas.(r).busy ~from ~till
+  /. float_of_int (Stdlib.max 1 t.cfg.n_workers)
 
 let worker_utilization t ~from ~till =
   let sum = ref 0.0 in
@@ -499,25 +356,6 @@ let worker_utilization t ~from ~till =
     (fun r -> sum := !sum +. worker_utilization_at t r.rep_idx ~from ~till)
     t.replicas;
   !sum /. float_of_int (Stdlib.max 1 t.cfg.n_replicas)
-
-let rollbacks t =
-  Array.fold_left
-    (fun acc r -> match r.exec with Some e -> acc + Executor.rollbacks e | None -> acc)
-    0 t.replicas
-
-let conflicts t =
-  Array.fold_left
-    (fun acc r -> match r.exec with Some e -> acc + Executor.conflicts e | None -> acc)
-    0 t.replicas
-
-let conflict_rate t =
-  let ex = executed t in
-  if ex = 0 then 0.0 else float_of_int (conflicts t) /. float_of_int ex
-
-let state_fingerprint_at t r =
-  match t.replicas.(r).kv with
-  | Some svc -> Smr.Btree_service.fingerprint svc
-  | None -> 0
 
 let table_6_1 =
   [ ("Sequential SMR", "total order", "sequential", "none");

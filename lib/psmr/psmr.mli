@@ -1,6 +1,6 @@
 (** Parallel State-Machine Replication — Chapter 6.
 
-    Six execution models over the same client interface (Fig. 6.1):
+    Four execution models over the same client interface (Fig. 6.1):
 
     - [Sequential]: classic SMR; ordering and execution share the replica's
       single thread.
@@ -15,39 +15,25 @@
       independent commands to a single worker's group and dependent
       commands to the all-workers group, where execution synchronises on a
       barrier — no replica-side scheduler at all.
-    - [Depaware]: a single totally ordered stream of commands carrying
-      read/write key-sets over the replicated btree; a dependency tracker
-      ({!Executor}, after arXiv 1311.6183) dispatches each command as soon
-      as its conflicting predecessors finish — no all-workers barrier for
-      multi-key commands.
-    - [Optimistic]: same stream, but commands execute speculatively and
-      are validated at commit; read-write conflicts roll the command back
-      and re-execute it (arXiv 1404.6721).
 
-    For [Sequential]/[Pipelined]/[Sdpe]/[Psmr], commands name an abstract
-    object; two commands conflict when they touch the same object and at
-    least one writes ([dependent] marks commands that conflict with
-    everything).  For [Depaware]/[Optimistic], commands are btree
-    operations with declared {!Btree.Keyset} footprints ({!kv_command}). *)
+    Commands name an abstract object; two commands conflict when they
+    touch the same object and at least one writes ([dependent] marks
+    commands that conflict with everything).
+
+    The dependency-aware and optimistic executors of the follow-on work
+    ({!Executor}, after arXiv 1311.6183 and 1404.6721) run behind the
+    replicated key-value service: [Kv] deploys one per replica, its mode
+    chosen by [Kv.config.executor]. *)
 
 (** The dependency-aware parallel executor itself, usable standalone. *)
 module Executor = Executor
 
-type approach = Sequential | Pipelined | Sdpe | Psmr | Depaware | Optimistic
+type approach = Sequential | Pipelined | Sdpe | Psmr
 
 type command = {
   obj : int;  (** object the command accesses *)
   dependent : bool;  (** conflicts with every other command *)
   size : int;
-}
-
-(** A btree command with its declared conflict footprint, for the
-    [Depaware]/[Optimistic] executor approaches. *)
-type kv_command = {
-  kv_op : Simnet.payload;  (** a {!Smr.Btree_service} operation *)
-  kv_reads : Btree.Keyset.t;
-  kv_writes : Btree.Keyset.t;
-  kv_size : int;
 }
 
 type config = {
@@ -60,44 +46,19 @@ type config = {
   merge_m : int;
   exec_cost : float;  (** service time per command, seconds *)
   sched_cost : float;  (** SDPE scheduler cost per command, seconds *)
-  initial_keys : int;  (** btree preload for executor approaches *)
-  key_range : int;  (** btree key space for executor approaches *)
 }
 
 val default_config : config
 
 type t
 
-(** [create net cfg ~n_clients ~gen] builds the system.  [kv_gen]
-    generates commands for the executor approaches; when absent one is
-    derived from [gen] (independent commands become single-key
-    read-modify-writes, dependent commands declare the full key space). *)
+(** [create net cfg ~n_clients ~gen] builds the system; [gen c] is client
+    [c]'s next command. *)
 val create :
-  ?kv_gen:(int -> kv_command) ->
-  Simnet.t ->
-  config ->
-  n_clients:int ->
-  gen:(int -> command) ->
-  t
+  Simnet.t -> config -> n_clients:int -> gen:(int -> command) -> t
 
 (** Start the closed-loop clients (each resubmits on response). *)
 val start : t -> unit
-
-(** [start_open t wl ~until] drives the system from an open-loop workload
-    generator instead of closed-loop clients: arrivals are multicast
-    round-robin over the client proposers as they are generated, without
-    waiting for responses, until the virtual time bound.  Executor
-    approaches only (arrivals are {!kv_command}s). *)
-val start_open : t -> Smr.Workload.Open_loop.t -> until:float -> unit
-
-(** Open-loop arrivals dropped because the proposer's window was full.
-    Drops never enter the latency meters or the issued-ops denominator:
-    [Workload.Open_loop.generated wl = open_issued t + open_drops t] holds
-    once the drive completes. *)
-val open_drops : t -> int
-
-(** Open-loop arrivals accepted by a proposer (issued into the ring). *)
-val open_issued : t -> int
 
 val metrics : t -> Smr.Metrics.t
 
@@ -116,18 +77,6 @@ val worker_utilization : t -> from:float -> till:float -> float
 val barriers_at : t -> int -> int
 val executed_at : t -> int -> int
 val worker_utilization_at : t -> int -> from:float -> till:float -> float
-
-(** Executor-approach counters, summed across replicas (zero otherwise). *)
-
-val rollbacks : t -> int
-val conflicts : t -> int
-
-(** [conflicts / executed]. *)
-val conflict_rate : t -> float
-
-(** Fingerprint of a replica's btree state (executor approaches; 0
-    otherwise).  Replicas executing the same stream must agree. *)
-val state_fingerprint_at : t -> int -> int
 
 (** The qualitative comparison of Table 6.1. *)
 val table_6_1 : (string * string * string * string) list

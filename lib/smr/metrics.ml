@@ -2,26 +2,17 @@ type t = {
   engine : Sim.Engine.t;
   rate : Sim.Stats.Rate.t;
   lat : Sim.Stats.Latency.t;
-  mutable rollbacks : int;
-  mutable conflicts : int;
 }
 
 let create engine =
   { engine;
     rate = Sim.Stats.Rate.create ();
-    lat = Sim.Stats.Latency.create ();
-    rollbacks = 0;
-    conflicts = 0 }
+    lat = Sim.Stats.Latency.create () }
 
 let command t ~born ~bytes =
   let now = Sim.Engine.now t.engine in
   Sim.Stats.Rate.add t.rate ~now ~bytes;
   Sim.Stats.Latency.add t.lat (now -. born)
-
-let note_rollbacks t n = t.rollbacks <- t.rollbacks + n
-let note_conflicts t n = t.conflicts <- t.conflicts + n
-let rollbacks t = t.rollbacks
-let conflicts t = t.conflicts
 
 let completed t = Sim.Stats.Rate.events t.rate
 let kcps t ~from ~till = Sim.Stats.Rate.events_per_sec t.rate ~from ~till /. 1e3

@@ -16,16 +16,3 @@ val kcps : t -> from:float -> till:float -> float
 val mbps : t -> from:float -> till:float -> float
 val lat_mean_ms : t -> float
 val lat_p99_ms : t -> float
-
-(** {1 Parallel-executor counters}
-
-    Speculative execution reports re-executions here: [rollbacks] counts
-    commands undone and re-executed, [conflicts] the read-write conflicts
-    detected at commit.  Totals are summed across every replica that
-    executes the stream (replicas are deterministic, so per-replica counts
-    are equal). *)
-
-val note_rollbacks : t -> int -> unit
-val note_conflicts : t -> int -> unit
-val rollbacks : t -> int
-val conflicts : t -> int

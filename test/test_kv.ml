@@ -240,6 +240,58 @@ let test_kv_undeclared_insert_runs_everywhere () =
     (config.Kv.n_replicas * n) (Kv.executed sys);
   check_replicas_agree sys ~n:config.Kv.n_replicas
 
+(* --- executor modes and open-loop accounting --------------------------------------- *)
+
+(* The ordered path under both executor modes, leases off.  A hot 32-key
+   read/update mix delivers conflicting commands together, so the
+   optimistic executor rolls some back and the pessimistic one never does;
+   either way the replicas converge, and speculative execution stays
+   linearizable. *)
+let test_kv_executor_modes () =
+  List.iter
+    (fun executor ->
+      let optimistic = executor = Psmr.Executor.Optimistic in
+      let config =
+        { verify_config with leases = false; executor; record_history = optimistic }
+      in
+      let sys, _ = drive ~config ~rate:2_000.0 () in
+      Alcotest.(check bool) "commands executed" true (Kv.executed sys > 500);
+      check_replicas_agree sys ~n:config.Kv.n_replicas;
+      if optimistic then begin
+        Alcotest.(check bool)
+          (Printf.sprintf "optimistic rolls back (%d)" (Kv.rollbacks sys))
+          true (Kv.rollbacks sys > 0);
+        Alcotest.(check bool) "linearizable" true (Kv.check_history sys)
+      end
+      else Alcotest.(check int) "pessimistic never rolls back" 0 (Kv.rollbacks sys))
+    [ Psmr.Executor.Pessimistic; Psmr.Executor.Optimistic ]
+
+(* A proposer window shrunk to 4 KB refuses arrivals mid-run: every arrival
+   [Kv.start_open] consumes lands in exactly one of issued or drops (no
+   discarded lookahead at the horizon, no double issue), and a dropped
+   command never completes. *)
+let test_kv_open_loop_drop_accounting () =
+  let config =
+    { Kv.default_config with
+      leases = false;
+      ring = { Ringpaxos.Mring.default_config with proposer_buffer = 4 * 1024 } }
+  in
+  let engine, _net, sys = mk ~config ~n_clients:2 () in
+  let wl =
+    OL.create (Sim.Rng.create 9) ~key_range:100_000 ~rate:(OL.Constant 40_000.0)
+  in
+  Kv.start_open sys wl ~until:0.4;
+  Sim.Engine.run engine ~until:0.6;
+  let drops = Kv.drops sys and issued = Kv.issued sys in
+  Alcotest.(check bool)
+    (Printf.sprintf "window overflow dropped arrivals (%d)" drops)
+    true (drops > 0);
+  Alcotest.(check int) "generated = issued + drops" (OL.generated wl) (issued + drops);
+  let completed =
+    List.fold_left (fun a (r : Kv.Slo.row) -> a + r.count) 0 (Kv.Slo.rows (Kv.slo sys))
+  in
+  Alcotest.(check bool) "completions bounded by issued" true (completed <= issued)
+
 (* Lease reads run on the replicas' worker pools.  Served on the learner's
    single CPU instead, a read-only YCSB-C load at 120 kops/s saturates it:
    the lease-served tail grows without bound and reads time out. *)
@@ -412,6 +464,9 @@ let suite =
       test_kv_ordered_read_runs_once_linearizable;
     Alcotest.test_case "kv undeclared insert runs everywhere" `Quick
       test_kv_undeclared_insert_runs_everywhere;
+    Alcotest.test_case "kv executor modes end to end" `Quick test_kv_executor_modes;
+    Alcotest.test_case "kv open-loop drop accounting" `Quick
+      test_kv_open_loop_drop_accounting;
     Alcotest.test_case "kv lease reads on the worker pool at 120 kops/s" `Quick
       test_kv_lease_read_capacity;
     Alcotest.test_case "kv put/get" `Quick test_kv_put_get;

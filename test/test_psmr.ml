@@ -636,41 +636,6 @@ let test_executor_read_leaves_commit_alone () =
   (* Every worker is free of the write by [c], so only the reads remain. *)
   Alcotest.(check int) "reads join the tracker" 2 (Ex.inflight ex)
 
-(* --- executor approaches end to end ------------------------------------------- *)
-
-let test_executor_approaches_end_to_end () =
-  List.iter
-    (fun approach ->
-      let config = { Psmr.default_config with approach } in
-      let engine, sys = make ~config ~dep_pct:5 ~n_clients:16 () in
-      let kcps = run_kcps ~until:0.5 engine sys in
-      Alcotest.(check bool) "completes" true (kcps > 0.05);
-      Alcotest.(check int) "replicas agree on final state"
-        (Psmr.state_fingerprint_at sys 0)
-        (Psmr.state_fingerprint_at sys 1);
-      if approach = Psmr.Optimistic then
-        Alcotest.(check bool) "rollbacks surface in metrics" true
-          (Smr.Metrics.rollbacks (Psmr.metrics sys) > 0
-          = (Psmr.rollbacks sys > 0)))
-    [ Psmr.Depaware; Psmr.Optimistic ]
-
-let test_open_loop_drive () =
-  (* Open-loop driving: arrivals are paced by the generator's rate curve,
-     not by responses; commands complete and latency is recorded. *)
-  let config = { Psmr.default_config with approach = Psmr.Depaware } in
-  let engine, sys = make ~config ~n_clients:16 () in
-  let wl =
-    Smr.Workload.Open_loop.create (Sim.Rng.create 5) ~key_range:100_000
-      ~rate:(Smr.Workload.Open_loop.Constant 10_000.0)
-  in
-  Psmr.start_open sys wl ~until:0.4;
-  Sim.Engine.run engine ~until:0.5;
-  let done_ = Smr.Metrics.completed (Psmr.metrics sys) in
-  Alcotest.(check bool)
-    (Printf.sprintf "open-loop commands complete (%d)" done_)
-    true
-    (done_ > 2_000 && done_ + Psmr.open_drops sys <= Smr.Workload.Open_loop.generated wl)
-
 let suite =
   suite
   @ [ Alcotest.test_case "uid roundtrip, wide origins" `Quick
@@ -704,41 +669,4 @@ let suite =
       Alcotest.test_case "executor: overlapping write waits for a read" `Quick
         test_executor_write_waits_for_read;
       Alcotest.test_case "executor: read leaves the commit timeline alone" `Quick
-        test_executor_read_leaves_commit_alone;
-      Alcotest.test_case "executor approaches end to end" `Quick
-        test_executor_approaches_end_to_end;
-      Alcotest.test_case "open-loop drive" `Quick test_open_loop_drive ]
-
-let test_open_loop_drop_accounting () =
-  (* Shrink the proposer window so the ring refuses arrivals mid-run:
-     every arrival the driver consumes must land in exactly one of
-     issued or drops — no discarded lookahead at the horizon, no
-     double-issue, and drops never enter the completion count. *)
-  let config =
-    { Psmr.default_config with
-      approach = Psmr.Depaware;
-      ring =
-        { Ringpaxos.Mring.default_config with proposer_buffer = 4 * 1024 } }
-  in
-  let engine, sys = make ~config ~n_clients:2 () in
-  let wl =
-    Smr.Workload.Open_loop.create (Sim.Rng.create 9) ~key_range:100_000
-      ~rate:(Smr.Workload.Open_loop.Constant 20_000.0)
-  in
-  Psmr.start_open sys wl ~until:0.4;
-  Sim.Engine.run engine ~until:0.6;
-  Alcotest.(check bool)
-    (Printf.sprintf "window overflow dropped arrivals (%d)"
-       (Psmr.open_drops sys))
-    true
-    (Psmr.open_drops sys > 0);
-  Alcotest.(check int) "generated = issued + drops"
-    (Smr.Workload.Open_loop.generated wl)
-    (Psmr.open_issued sys + Psmr.open_drops sys);
-  Alcotest.(check bool) "completions bounded by issued" true
-    (Smr.Metrics.completed (Psmr.metrics sys) <= Psmr.open_issued sys)
-
-let suite =
-  suite
-  @ [ Alcotest.test_case "open-loop drop accounting" `Quick
-        test_open_loop_drop_accounting ]
+        test_executor_read_leaves_commit_alone ]
