@@ -5,8 +5,8 @@
 
 let usage () =
   prerr_endline
-    "usage: chaos [--seeds N] [--protocol P] [--duration S]\n\
-     protocols: all | mring | uring | multiring | spaxos | lcr | smr | kv-lease";
+    ("usage: chaos [--seeds N] [--protocol P] [--duration S]\nprotocols: "
+    ^ String.concat " | " ("all" :: Fault.Chaos.protocols));
   exit 1
 
 let run args =

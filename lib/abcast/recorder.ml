@@ -19,7 +19,6 @@ let msgs_per_sec t ~from ~till = Sim.Stats.Rate.events_per_sec t.rate ~from ~til
 let items t = Sim.Stats.Rate.events t.rate
 let bytes t = Sim.Stats.Rate.bytes t.rate
 let lat_mean_ms t = Sim.Stats.Latency.mean t.lat *. 1e3
-let lat_p99_ms t = Sim.Stats.Latency.percentile t.lat 0.99 *. 1e3
 let lat_trimmed_ms t = Sim.Stats.Latency.trimmed_mean t.lat ~drop_top:0.05 *. 1e3
 let series t ~window ~till = Sim.Stats.Rate.series t.rate ~window ~till
 

@@ -25,8 +25,6 @@ val bytes : t -> int
 (** Latencies in milliseconds. *)
 val lat_mean_ms : t -> float
 
-val lat_p99_ms : t -> float
-
 (** The paper's recoverable experiments report the mean after dropping the
     top 5 % (§5.4.2). *)
 val lat_trimmed_ms : t -> float

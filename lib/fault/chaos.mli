@@ -1,15 +1,10 @@
 (** Seeded chaos scenarios: one deterministic fault schedule per
     (protocol, seed) pair, audited by {!Safety} (atomic-broadcast
-    invariants) or {!Smr.Linearizability} (the [smr] scenario).
-
-    Each scenario matches the faults it injects to the protocol's fault
-    model (see CORRECTNESS.md, "Fault matrix"): M-Ring sees acceptor
-    crashes (with restart under durable modes), learner partitions,
-    multicast drop/duplicate/jitter and slow CPUs; U-Ring, whose model
-    excludes message loss, sees fail-stop position kills, link lag and
-    slow CPUs; and so on.  Load always stops at 60 % of the run and all
-    faults heal by 80 %, leaving a quiescence window in which uniform
-    agreement must be restored.
+    invariants) plus scenario-specific oracles.  The faults each scenario
+    injects and the invariants it checks are tabled in CORRECTNESS.md,
+    "Fault matrix".  Load always stops at 60 % of the run and all faults
+    heal by 80 %, leaving a quiescence window in which uniform agreement
+    must be restored.
 
     Re-running a (protocol, seed) pair replays the identical fault
     timeline — the seed is the repro. *)
@@ -23,23 +18,7 @@ type outcome = {
   events : (float * string) list;  (** the fault timeline *)
 }
 
-(** Scenario names accepted by {!run_one}: ["mring"; "mring-pressure";
-    "mring-reconfig"; "mring-join"; "uring"; "multiring";
-    "multiring-reconfig"; "spaxos"; "lcr"; "smr"; "kv-lease"].
-    ["kv-lease"] runs the replicated KV service with its lease read tier
-    under chaos — a lease-holding replica partitioned mid-lease, a window
-    where revocation acknowledgements are lost (forcing the lease-expiry
-    deadline path), multicast chaos over the log — and layers
-    {!Smr.Linearizability.Kv} (local reads included), replica-state
-    convergence and write-response drain checks on top of the
-    atomic-broadcast auditor.  The reconfiguration
-    scenarios exercise dynamic membership: ["mring-reconfig"] retires a
-    founding member and crashes the founding coordinator inside the
-    handoff window, then elects the newcomer while activating a staged
-    learner; ["mring-join"] partitions a joining acceptor mid-catch-up
-    under multicast drop/dup/jitter; ["multiring-reconfig"] swaps one
-    ring's coordinator under the deterministic merge (crashing it
-    mid-handoff on odd seeds). *)
+(** Scenario names accepted by {!run_one}, in report order. *)
 val protocols : string list
 
 (** [run_one ~protocol ~seed ~duration ()] builds a fresh simulation,

@@ -61,50 +61,44 @@ let create net ~seed =
   Simnet.set_fault_tap net (Some (fun m ~dst -> tap t m ~dst));
   t
 
-let remove t = Simnet.set_fault_tap t.net None
-
-let at t time f = ignore (Sim.Engine.at (Simnet.engine t.net) ~time f)
+(* Every fault passes through here: [label] reaches the event log when
+   the action fires. *)
+let at t time label f =
+  ignore
+    (Sim.Engine.at (Simnet.engine t.net) ~time (fun () ->
+         note t label;
+         f ()))
 
 (* --- link cuts ----------------------------------------------------------- *)
 
-let cut t ~src ~dst =
+(* Directed cuts are reference counted, so overlapping partitions
+   compose. *)
+let cut t src dst =
   let k = cut_key src dst in
   let n = match Hashtbl.find_opt t.cuts k with Some n -> n | None -> 0 in
   Hashtbl.replace t.cuts k (n + 1)
 
-let heal t ~src ~dst =
+let heal t src dst =
   let k = cut_key src dst in
   match Hashtbl.find_opt t.cuts k with
   | Some n when n > 1 -> Hashtbl.replace t.cuts k (n - 1)
   | Some _ -> Hashtbl.remove t.cuts k
   | None -> ()
 
-let partition t ~at:t0 ~dur ?(sym = true) ~group_a ~group_b label =
+let partition t ~at:t0 ~dur ~group_a ~group_b label =
   let each f =
-    List.iter (fun a -> List.iter (fun b -> f a b) group_b) group_a
+    List.iter (fun a -> List.iter (fun b -> f a b; f b a) group_b) group_a
   in
-  at t t0 (fun () ->
-      note t (Printf.sprintf "partition(%s)" label);
-      each (fun a b ->
-          cut t ~src:a ~dst:b;
-          if sym then cut t ~src:b ~dst:a));
-  at t (t0 +. dur) (fun () ->
-      note t (Printf.sprintf "heal(%s)" label);
-      each (fun a b ->
-          heal t ~src:a ~dst:b;
-          if sym then heal t ~src:b ~dst:a))
+  at t t0 (Printf.sprintf "partition(%s)" label) (fun () -> each (cut t));
+  at t (t0 +. dur) (Printf.sprintf "heal(%s)" label) (fun () -> each (heal t))
 
 (* --- windowed rules ------------------------------------------------------ *)
 
 let add_window t ~at:t0 ~dur label decide =
   let r = { active = false; decide } in
   t.rules <- t.rules @ [ r ];
-  at t t0 (fun () ->
-      note t (Printf.sprintf "start(%s)" label);
-      r.active <- true);
-  at t (t0 +. dur) (fun () ->
-      note t (Printf.sprintf "stop(%s)" label);
-      r.active <- false)
+  at t t0 (Printf.sprintf "start(%s)" label) (fun () -> r.active <- true);
+  at t (t0 +. dur) (Printf.sprintf "stop(%s)" label) (fun () -> r.active <- false)
 
 let rule t ~at ~dur ?(drop = 0.0) ?(dup = 0.0) ?(jitter = 0.0) ~applies label =
   add_window t ~at ~dur label (fun dice m ~dst ->
@@ -121,10 +115,9 @@ let custom t ~at ~dur ~decide label =
 (* --- slow-CPU episodes --------------------------------------------------- *)
 
 let slow_cpu t ~at:t0 ~dur ~factor node =
-  at t t0 (fun () ->
+  let name = Simnet.node_name node in
+  at t t0 (Printf.sprintf "slow_cpu(%s,x%.1f)" name factor) (fun () ->
       let old = Simnet.node_cpu_factor node in
-      note t (Printf.sprintf "slow_cpu(%s,x%.1f)" (Simnet.node_name node) factor);
       Simnet.set_cpu_factor node (old *. factor);
-      at t (Simnet.now t.net +. dur) (fun () ->
-          note t (Printf.sprintf "cpu_restore(%s)" (Simnet.node_name node));
+      at t (Simnet.now t.net +. dur) (Printf.sprintf "cpu_restore(%s)" name) (fun () ->
           Simnet.set_cpu_factor node old))

@@ -7,29 +7,24 @@
     timeline, message for message, which is what makes a chaos failure
     reproducible from its seed alone.
 
-    Faults compose in a fixed precedence: a severed link ({!cut},
-    {!partition}) always drops; otherwise the first active matching rule
-    rolls drop, then duplicate, then jitter.  Crash/recover of protocol
-    processes stays protocol-specific — schedule it with {!at} and
-    record it with {!note} so it appears in the event log. *)
+    Faults compose in a fixed precedence: a severed link ({!partition})
+    always drops; otherwise the first active matching rule rolls drop,
+    then duplicate, then jitter.  Crash/recover of protocol processes
+    stays protocol-specific — schedule it with {!at}, which logs its
+    label, so every fault appears in the event log. *)
 
 type t
 
 (** [create net ~seed] installs the tap on [net]. *)
 val create : Simnet.t -> seed:int -> t
 
-(** Detach the tap; scheduled rule activations become inert. *)
-val remove : t -> unit
-
 (** The schedule stream: scenario code draws fault times, victims and
     probabilities from it (never from the network's own rng). *)
 val sched_rng : t -> Sim.Rng.t
 
-(** [at t time f] runs [f] at absolute simulation time [time]. *)
-val at : t -> float -> (unit -> unit) -> unit
-
-(** Append a labelled entry to the event log at the current time. *)
-val note : t -> string -> unit
+(** [at t time label f] appends [label] to the event log and runs [f]
+    at absolute simulation time [time]. *)
+val at : t -> float -> string -> (unit -> unit) -> unit
 
 (** Timestamped fault events in chronological order. *)
 val events : t -> (float * string) list
@@ -37,22 +32,16 @@ val events : t -> (float * string) list
 (** Messages dropped because of a cut link or a drop rule. *)
 val drops : t -> int
 
-(** {1 Link cuts and partitions} *)
+(** {1 Partitions} *)
 
-(** [cut t ~src ~dst] severs the directed link (pids); reference
-    counted, so overlapping partitions compose. *)
-val cut : t -> src:int -> dst:int -> unit
-
-val heal : t -> src:int -> dst:int -> unit
-
-(** [partition t ~at ~dur ~sym ~group_a ~group_b label] cuts every
-    [group_a]→[group_b] link at [at] (both directions when [sym],
-    default) and heals them [dur] later. *)
+(** [partition t ~at ~dur ~group_a ~group_b label] cuts every link
+    between [group_a] and [group_b] (pids, both directions) at [at] and
+    heals them [dur] later.  Cuts are reference counted, so overlapping
+    partitions compose. *)
 val partition :
   t ->
   at:float ->
   dur:float ->
-  ?sym:bool ->
   group_a:int list ->
   group_b:int list ->
   string ->

@@ -70,18 +70,16 @@ type verdict = {
   delivered : int array;
 }
 
-let verdict ?alive ?(agreement = true) t =
+let verdict ?alive t =
   let logs = Array.to_list (Array.map List.rev t.logs) in
   let broadcast_list = Hashtbl.fold (fun k () acc -> k :: acc) t.bcast [] in
   if not (Abcast.Properties.integrity ~broadcast:broadcast_list logs) then
     violation t "oracle: integrity";
   if not (Abcast.Properties.total_order logs) then violation t "oracle: total order";
-  if agreement then begin
-    let idx = match alive with Some l -> l | None -> List.init t.n Fun.id in
-    let alive_logs = List.map (fun i -> List.rev t.logs.(i)) idx in
-    if not (Abcast.Properties.agreement alive_logs) then
-      violation t "oracle: uniform agreement (alive learners differ at quiescence)"
-  end;
+  let idx = match alive with Some l -> l | None -> List.init t.n Fun.id in
+  let alive_logs = List.map (fun i -> List.rev t.logs.(i)) idx in
+  if not (Abcast.Properties.agreement alive_logs) then
+    violation t "oracle: uniform agreement (alive learners differ at quiescence)";
   { ok = t.nviols = 0;
     violations = List.rev t.viols;
     broadcast = t.nbcast;

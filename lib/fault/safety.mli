@@ -33,8 +33,8 @@ type verdict = {
   delivered : int array;
 }
 
-(** [verdict ?alive ?agreement t] re-checks the complete logs with
-    {!Abcast.Properties.integrity} and {!Abcast.Properties.total_order};
-    when [agreement] (default [true]), uniform agreement at quiescence is
-    checked across the learners listed in [alive] (default: all). *)
-val verdict : ?alive:int list -> ?agreement:bool -> t -> verdict
+(** [verdict ?alive t] re-checks the complete logs with
+    {!Abcast.Properties.integrity} and {!Abcast.Properties.total_order},
+    and uniform agreement at quiescence across the learners listed in
+    [alive] (default: all). *)
+val verdict : ?alive:int list -> t -> verdict

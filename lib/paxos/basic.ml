@@ -526,8 +526,6 @@ let coordinator t =
   match active_coord t with Some c -> c.c_proc | None -> t.coords.(0).c_proc
 
 let acceptor t i = t.accs.(i).a_proc
-let learner_proc t i = t.lrns.(i).l_proc
-let proposer_proc t i = t.props.(i).p_proc
 
 let kill_coordinator t =
   match active_coord t with Some c -> Simnet.kill t.net c.c_proc | None -> ()

@@ -51,8 +51,6 @@ val submit : t -> proposer:int -> size:int -> Simnet.payload -> int
 
 val coordinator : t -> Simnet.proc
 val acceptor : t -> int -> Simnet.proc
-val learner_proc : t -> int -> Simnet.proc
-val proposer_proc : t -> int -> Simnet.proc
 
 (** [kill_coordinator t] crashes the active coordinator; a standby takes
     over after the failure-detection timeout. *)

@@ -17,7 +17,3 @@ let snapshot t =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let reset t = Hashtbl.reset t
-
-let dump t ~label =
-  Printf.printf "--- %s counters ---\n" label;
-  List.iter (fun (k, v) -> Printf.printf "  %-24s %d\n" k v) (snapshot t)

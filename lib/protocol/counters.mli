@@ -23,6 +23,3 @@ val get : t -> string -> int
 val snapshot : t -> (string * int) list
 
 val reset : t -> unit
-
-(** [dump t ~label] prints the snapshot to stdout, for debug sessions. *)
-val dump : t -> label:string -> unit

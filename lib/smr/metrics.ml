@@ -18,4 +18,3 @@ let completed t = Sim.Stats.Rate.events t.rate
 let kcps t ~from ~till = Sim.Stats.Rate.events_per_sec t.rate ~from ~till /. 1e3
 let mbps t ~from ~till = Sim.Stats.Rate.mbps t.rate ~from ~till
 let lat_mean_ms t = Sim.Stats.Latency.mean t.lat *. 1e3
-let lat_p99_ms t = Sim.Stats.Latency.percentile t.lat 0.99 *. 1e3

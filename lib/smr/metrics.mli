@@ -15,4 +15,3 @@ val kcps : t -> from:float -> till:float -> float
 
 val mbps : t -> from:float -> till:float -> float
 val lat_mean_ms : t -> float
-val lat_p99_ms : t -> float

@@ -211,15 +211,32 @@ let test_mring_trace_golden () =
   Alcotest.(check int) "deliveries" 186 delivered;
   check_digest "trace export digest" "961788b779a0150701b9b918e08cc1fc" (Trace.to_chrome_json tr)
 
-(* A chaos scenario (crashes, partitions, drops, restarts): verdict,
-   summary, violations and the fault timeline, times printed exactly. *)
+(* Every chaos scenario at seed 5: verdict, summary, violations and the
+   fault timeline, times printed exactly.  The digests pin each schedule's
+   draw order as well as the protocol runs under it. *)
+let chaos_goldens =
+  [ ("mring", "f36ea752489aee9cd6707569b5496c66");
+    ("mring-pressure", "6d85a29f4629bfc1008d9408e978a10e");
+    ("mring-reconfig", "fdd1b53e23c2a3a9f48fe8dd40e74cc4");
+    ("mring-join", "827b9519012aa0517aba0add10fc41de");
+    ("uring", "392b967767053c4d137169626bdc03e2");
+    ("multiring", "6d08fb698a756bd117a82362daf41ed5");
+    ("multiring-reconfig", "3de24c0e8e8c3c9368fa13cb6e29fb17");
+    ("spaxos", "1c03c0466432f4eee20666ff01ca2913");
+    ("lcr", "c0e87a31ed4cf47240e6b74b865de061");
+    ("smr", "9a28ddb552a5f04ee5a73b15f1a0aba8");
+    ("kv-lease", "aa73f0073c3560e7a16e49b2db3812ef") ]
+
 let test_chaos_seed_golden () =
-  let o = Fault.Chaos.run_one ~protocol:"mring" ~seed:5 ~duration:2.0 () in
-  Alcotest.(check bool) "verdict ok" true o.Fault.Chaos.ok;
-  check_digest "outcome digest" "f36ea752489aee9cd6707569b5496c66"
-    (String.concat "\n"
-       ((o.Fault.Chaos.summary :: o.Fault.Chaos.violations)
-       @ List.map (fun (t, ev) -> Printf.sprintf "%h %s" t ev) o.Fault.Chaos.events))
+  List.iter
+    (fun (protocol, digest) ->
+      let o = Fault.Chaos.run_one ~protocol ~seed:5 ~duration:2.0 () in
+      Alcotest.(check bool) (protocol ^ " verdict ok") true o.Fault.Chaos.ok;
+      check_digest (protocol ^ " outcome digest") digest
+        (String.concat "\n"
+           ((o.Fault.Chaos.summary :: o.Fault.Chaos.violations)
+           @ List.map (fun (t, ev) -> Printf.sprintf "%h %s" t ev) o.Fault.Chaos.events)))
+    chaos_goldens
 
 let suite =
   [ Alcotest.test_case "mring trace matches golden digest" `Quick test_mring_trace_golden;
