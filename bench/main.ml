@@ -59,7 +59,8 @@ let experiments : (string * string * (unit -> unit)) list =
      Psmr_bench.run);
     ("kv",
      "replicated KV + lease read tier, YCSB presets (emits BENCH_kv.json)",
-     Kv_bench.run) ]
+     Kv_bench.run);
+    ("soak", "live-heap growth over 10^6 YCSB-A operations, leases on", Soak.run) ]
 
 let list_experiments () =
   Printf.printf "%-10s %s\n" "id" "description";

@@ -116,10 +116,16 @@ let all_delivered name (v : Safety.verdict) =
            v.broadcast))
     [ 0; 1 ]
 
+(* Every fault heals by this fraction of the run, whatever the horizon:
+   fault durations are absolute seconds while start times scale with it,
+   so without the clamp a short run would leave the agreement check less
+   than a fifth of the run to converge in. *)
+let heal_frac = 0.8
+
 let run ~name ~salt body ~seed ~duration =
   let engine = Sim.Engine.create () in
   let net = Simnet.create engine (Sim.Rng.create (0x5EED0 + seed)) in
-  let inj = Injector.create net ~seed:((seed * 7919) + salt) in
+  let inj = Injector.create ~heal_by:(heal_frac *. duration) net ~seed:((seed * 7919) + salt) in
   let report = body { name; seed; duration; net; inj; rng = Injector.sched_rng inj } in
   Sim.Engine.run engine ~until:duration;
   let r = report () in
@@ -167,7 +173,7 @@ let mring_chaos ({ net; inj; rng; duration; name; seed } as env) =
   let tc = pick rng t0 (0.45 *. duration) in
   Injector.at inj tc (sprintf "crash(acc%d)" victim) (fun () -> Mring.crash_acceptor mr victim);
   if durable then
-    Injector.at inj
+    Injector.heal_at inj
       (tc +. pick rng (0.1 *. duration) (0.25 *. duration))
       (sprintf "restart(acc%d)" victim)
       (fun () -> Mring.restart_acceptor mr victim);
@@ -215,7 +221,7 @@ let mring_pressure ({ net; inj; rng; duration; name; _ } as env) =
     ~factor:(pick rng 20.0 40.0)
     (Simnet.proc_node accs.(victim));
   Injector.at inj tc (sprintf "crash(acc%d)" victim) (fun () -> Mring.crash_acceptor mr victim);
-  Injector.at inj
+  Injector.heal_at inj
     (tc +. pick rng (0.05 *. duration) (0.2 *. duration))
     (sprintf "restart(acc%d)" victim)
     (fun () -> Mring.restart_acceptor mr victim);

@@ -14,6 +14,7 @@ type t = {
   mutable rules : rule list;
   mutable log : (float * string) list;
   mutable r_drops : int;
+  heal_by : float;  (* no heal, stop or restore is scheduled later *)
 }
 
 let cut_key src dst = (src lsl 20) lor (dst land 0xFFFFF)
@@ -47,7 +48,7 @@ let tap t (m : Simnet.msg) ~dst =
     in
     first t.rules
 
-let create net ~seed =
+let create ?(heal_by = infinity) net ~seed =
   let root = Sim.Rng.create seed in
   let t =
     { net;
@@ -56,7 +57,8 @@ let create net ~seed =
       cuts = Hashtbl.create 64;
       rules = [];
       log = [];
-      r_drops = 0 }
+      r_drops = 0;
+      heal_by }
   in
   Simnet.set_fault_tap net (Some (fun m ~dst -> tap t m ~dst));
   t
@@ -68,6 +70,8 @@ let at t time label f =
     (Sim.Engine.at (Simnet.engine t.net) ~time (fun () ->
          note t label;
          f ()))
+
+let heal_at t time label f = at t (Float.min time t.heal_by) label f
 
 (* --- link cuts ----------------------------------------------------------- *)
 
@@ -90,7 +94,7 @@ let partition t ~at:t0 ~dur ~group_a ~group_b label =
     List.iter (fun a -> List.iter (fun b -> f a b; f b a) group_b) group_a
   in
   at t t0 (Printf.sprintf "partition(%s)" label) (fun () -> each (cut t));
-  at t (t0 +. dur) (Printf.sprintf "heal(%s)" label) (fun () -> each (heal t))
+  heal_at t (t0 +. dur) (Printf.sprintf "heal(%s)" label) (fun () -> each (heal t))
 
 (* --- windowed rules ------------------------------------------------------ *)
 
@@ -98,7 +102,7 @@ let add_window t ~at:t0 ~dur label decide =
   let r = { active = false; decide } in
   t.rules <- t.rules @ [ r ];
   at t t0 (Printf.sprintf "start(%s)" label) (fun () -> r.active <- true);
-  at t (t0 +. dur) (Printf.sprintf "stop(%s)" label) (fun () -> r.active <- false)
+  heal_at t (t0 +. dur) (Printf.sprintf "stop(%s)" label) (fun () -> r.active <- false)
 
 let rule t ~at ~dur ?(drop = 0.0) ?(dup = 0.0) ?(jitter = 0.0) ~applies label =
   add_window t ~at ~dur label (fun dice m ~dst ->
@@ -119,5 +123,5 @@ let slow_cpu t ~at:t0 ~dur ~factor node =
   at t t0 (Printf.sprintf "slow_cpu(%s,x%.1f)" name factor) (fun () ->
       let old = Simnet.node_cpu_factor node in
       Simnet.set_cpu_factor node (old *. factor);
-      at t (Simnet.now t.net +. dur) (Printf.sprintf "cpu_restore(%s)" name) (fun () ->
+      heal_at t (Simnet.now t.net +. dur) (Printf.sprintf "cpu_restore(%s)" name) (fun () ->
           Simnet.set_cpu_factor node old))

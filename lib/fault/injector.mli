@@ -15,8 +15,11 @@
 
 type t
 
-(** [create net ~seed] installs the tap on [net]. *)
-val create : Simnet.t -> seed:int -> t
+(** [create ?heal_by net ~seed] installs the tap on [net].  Every heal,
+    rule stop and CPU restore, and every action scheduled with
+    {!heal_at}, happens by [heal_by] at the latest (default: never
+    clamped). *)
+val create : ?heal_by:float -> Simnet.t -> seed:int -> t
 
 (** The schedule stream: scenario code draws fault times, victims and
     probabilities from it (never from the network's own rng). *)
@@ -25,6 +28,11 @@ val sched_rng : t -> Sim.Rng.t
 (** [at t time label f] appends [label] to the event log and runs [f]
     at absolute simulation time [time]. *)
 val at : t -> float -> string -> (unit -> unit) -> unit
+
+(** [heal_at t time label f] is [at t time label f] with [time] clamped
+    to the heal horizon: for actions that end a fault, such as restarting
+    a crashed process. *)
+val heal_at : t -> float -> string -> (unit -> unit) -> unit
 
 (** Timestamped fault events in chronological order. *)
 val events : t -> (float * string) list

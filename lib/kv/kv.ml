@@ -74,6 +74,8 @@ type infl = {
   i_hist : hist_intent option;
 }
 
+(* A deferred response waits on another replica's lease, so it is always
+   answered with [~remember:true]. *)
 type wpend = {
   mutable w_need : int list;  (* replicas whose WAck is still missing *)
   w_client : int;
@@ -103,7 +105,9 @@ type t = {
   inflight : (int, infl) Hashtbl.t;  (* ordered-path uid -> issue record *)
   wpend : (int, wpend) Hashtbl.t;  (* deferred write responses (responder) *)
   early_acks : (int, int list ref) Hashtbl.t;  (* WAcks before commit *)
-  done_uids : (int, unit) Hashtbl.t;  (* responded: straggler acks die here *)
+  done_uids : (int, unit) Hashtbl.t;
+      (* responded writes some other replica may still ack: straggler
+         acks die here (see [respond_now]) *)
   applied : (int, unit) Hashtbl.t;  (* writes applied somewhere (history) *)
   pending_reads : (int, pread) Hashtbl.t;  (* rid -> local read in flight *)
   conts : (int, int option -> unit) Hashtbl.t;  (* uid -> point-op continuation *)
@@ -153,8 +157,12 @@ let complete t inf ~obs ~res =
 
 (* --- responses ------------------------------------------------------------------ *)
 
-let respond_now t ~replica ~uid ~client ~obs ~size ~at =
-  Hashtbl.replace t.done_uids uid ();
+(* [remember] says whether a replica other than the responder held a lease
+   entry over the write at its log position.  Only such a replica can ever
+   send a [KWAck] for it, so only then must the answer be remembered for
+   its straggler acks. *)
+let respond_now t ~replica ~uid ~client ~obs ~size ~at ~remember =
+  if remember then Hashtbl.replace t.done_uids uid ();
   Hashtbl.remove t.early_acks uid;
   ignore
     (Sim.Engine.at (Simnet.engine t.net) ~time:at (fun () ->
@@ -200,6 +208,7 @@ let apply_op t rep (it : Paxos.Value.item) ~op ~reads ~writes =
      before invalidation.  Only lease entries valid right now defer the
      writer's response; an expired entry cannot serve reads anyway. *)
   let holders = ref [] in
+  let remember = ref false in
   if t.cfg.leases && wrote then begin
     let leases = rep.r_leases in
     for j = 0 to Array.length leases - 1 do
@@ -213,6 +222,7 @@ let apply_op t rep (it : Paxos.Value.item) ~op ~reads ~writes =
     for j = 0 to Array.length leases - 1 do
       let e = leases.(j) in
       if e.ls_until > 0.0 && Btree.Keyset.overlaps writes e.ls_keys then begin
+        if j <> responder then remember := true;
         e.ls_until <- 0.0;
         e.ls_epoch <- e.ls_epoch + 1;
         if rep.r_idx = 0 then
@@ -274,6 +284,7 @@ let apply_op t rep (it : Paxos.Value.item) ~op ~reads ~writes =
       in
       if need = [] then
         respond_now t ~replica:rep.r_idx ~uid ~client ~obs ~size ~at:commit
+          ~remember:!remember
       else begin
         let deadline =
           List.fold_left (fun m (_, u) -> Stdlib.max m u) 0.0 need
@@ -305,7 +316,7 @@ let apply_op t rep (it : Paxos.Value.item) ~op ~reads ~writes =
                        ~cat:"lease" ~name:"write-defer" ~id:uid
                        ~ts:(Simnet.now t.net));
                  respond_now t ~replica:w.w_replica ~uid ~client:w.w_client
-                   ~obs:w.w_obs ~size:w.w_size ~at:(Simnet.now t.net)
+                   ~obs:w.w_obs ~size:w.w_size ~at:(Simnet.now t.net) ~remember:true
                end))
       end
     end
@@ -481,7 +492,7 @@ let handle_wack t ~uid ~replica =
                 ~ts:(Simnet.now t.net));
           respond_now t ~replica:w.w_replica ~uid ~client:w.w_client
             ~obs:w.w_obs ~size:w.w_size
-            ~at:(Stdlib.max w.w_commit (Simnet.now t.net))
+            ~at:(Stdlib.max w.w_commit (Simnet.now t.net)) ~remember:true
         end
     | None ->
         (* Ack raced ahead of the responder's own apply: bank it. *)
@@ -752,4 +763,5 @@ let check_history t =
 module Testing = struct
   let break_leases t = t.broken_leases <- true
   let issue = issue
+  let done_uids t = Hashtbl.length t.done_uids
 end

@@ -160,4 +160,7 @@ module Testing : sig
       use it to send commands no generator produces (e.g. an update
       declared with an empty write set). *)
   val issue : t -> Smr.Workload.Open_loop.arrival -> unit
+
+  (** Responded writes remembered for straggler lease acks. *)
+  val done_uids : t -> int
 end

@@ -48,6 +48,7 @@ let hdr = 64
 module Batcher = Protocol.Batcher
 module Od = Protocol.Ordered_delivery
 module Retry = Protocol.Retry
+module Uid_set = Protocol.Uid_set
 
 (* An application item annotated with its destination partitions. *)
 type Simnet.payload +=
@@ -58,8 +59,10 @@ type Simnet.payload +=
       acc : int;
       floor : int;
       votes : (int * int * Paxos.Value.t * int list) list;
+      done_floor : int;
       done_uids : int list;
-          (* item uids of this acceptor's GC-pruned decided votes: a new
+          (* the acceptor's [x_done_uids], the item uids of its GC-pruned
+             decided votes, as its floor plus the uids above it: a new
              coordinator with no vote history of its own (a promoted spare)
              needs them to suppress proposer resubmissions of items that
              were decided, delivered and pruned before its tenure *)
@@ -116,8 +119,10 @@ type acc = {
   x_durable : (int, bool) Hashtbl.t;  (* inst -> write completed *)
   x_held : (int, int * int) Hashtbl.t;  (* inst -> (rnd, vid): P2B awaiting P2A/durability *)
   x_disk : Storage.Disk.t option;
-  x_done_uids : (int, unit) Hashtbl.t;
-      (* item uids of votes pruned by GC — all decided; see [acc_gc] *)
+  x_done_uids : Uid_set.t;
+      (* item uids of votes pruned by GC, all decided (see [acc_gc]); an
+         in-ring acceptor prunes every decided instance, so this is a
+         floor plus the few uids decided ahead of an older pending one *)
   mutable x_mem : int;  (* sum of the value sizes in [x_votes]; see [set_vote] *)
   mutable x_gc_floor : int;
   mutable x_max_dec : int;  (* highest instance known decided *)
@@ -136,7 +141,9 @@ type acc = {
   mutable c_decided : int;
   c_versions : (int, int) Hashtbl.t;  (* learner -> version *)
   mutable c_gc_floor : int;
-  c_seen_uids : (int, unit) Hashtbl.t;  (* duplicate-proposal suppression *)
+  c_seen_uids : Uid_set.t;
+      (* duplicate-proposal suppression: every uid admitted, claimed or
+         known decided; a floor plus the uids admitted out of order *)
   c_preq : (Paxos.Value.item * int list) Queue.t;
       (* proposals received before Phase 1 completed, replayed in arrival
          order once the claimed votes have seeded [c_seen_uids] *)
@@ -600,7 +607,7 @@ and activate_reconfig t c rc =
        claims can no longer produce votes the ring already pruned — without
        these uids a proposer that missed a decision would get its item
        re-decided under a second instance. *)
-    Hashtbl.iter (fun uid () -> Hashtbl.replace nc.x_done_uids uid ()) c.x_done_uids;
+    Uid_set.union ~into:nc.x_done_uids c.x_done_uids;
     if c.x_max_dec > nc.x_max_dec then nc.x_max_dec <- c.x_max_dec;
     nc.c_gc_floor <- Stdlib.max nc.c_gc_floor c.c_gc_floor;
     nc.x_gc_floor <- Stdlib.max nc.x_gc_floor c.x_gc_floor;
@@ -657,12 +664,12 @@ and promote_coordinator t a ?(at_least = 0) ~ring () =
      claimed votes have extended this seeding to every decided value. *)
   Hashtbl.iter
     (fun _ ((_, v, _) : int * Paxos.Value.t * int list) ->
-      List.iter (fun it -> Hashtbl.replace a.c_seen_uids it.Paxos.Value.uid ()) v.items)
+      List.iter (fun it -> Uid_set.add a.c_seen_uids it.Paxos.Value.uid) v.items)
     a.x_votes;
   (* ...including votes GC already pruned.  An in-ring acceptor voted on
      every decided instance (decisions need all f+1 ring votes), so its
      own vote history is a complete record of the decided uids. *)
-  Hashtbl.iter (fun uid () -> Hashtbl.replace a.c_seen_uids uid ()) a.x_done_uids;
+  Uid_set.union ~into:a.c_seen_uids a.x_done_uids;
   (* The coordinator's own votes count toward Phase 1 too.  Without them,
      a decided instance whose only voter in the Phase 1 quorum is the
      coordinator itself would be replayed from a stale lower-round claim
@@ -1053,7 +1060,7 @@ let acc_gc t a floor =
      acceptor later takes over as coordinator, they seed [c_seen_uids] so
      a proposer that missed the decision (lossy multicast) cannot get the
      same item decided under a second instance. *)
-  let done_item (it : Paxos.Value.item) = Hashtbl.replace a.x_done_uids it.uid () in
+  let done_item (it : Paxos.Value.item) = Uid_set.add a.x_done_uids it.uid in
   Hashtbl.filter_map_inplace
     (fun i ((_, (v : Paxos.Value.t), _) as vote) ->
       if i < floor then begin
@@ -1185,9 +1192,9 @@ let failure_detection t =
    items are already decided, and a resubmitted item could be re-proposed
    under a second instance and delivered twice. *)
 let coord_admit a (item : Paxos.Value.item) parts =
-  if not (Hashtbl.mem a.c_seen_uids item.uid) then
+  if not (Uid_set.mem a.c_seen_uids item.uid) then
     if Batcher.enqueue a.c_batch ~key:(canon_parts parts) item then begin
-      Hashtbl.add a.c_seen_uids item.uid ();
+      Uid_set.add a.c_seen_uids item.uid;
       true
     end
     else false
@@ -1202,10 +1209,10 @@ let coord_propose_reconfig t c (item : Paxos.Value.item) =
   let busy = match t.rc with Some rc -> rc.rc_uid <> item.uid | None -> false in
   if
     (not busy)
-    && (not (Hashtbl.mem c.c_seen_uids item.uid))
+    && (not (Uid_set.mem c.c_seen_uids item.uid))
     && not (Hashtbl.mem t.done_rc_uids item.uid)
   then begin
-    Hashtbl.add c.c_seen_uids item.uid ();
+    Uid_set.add c.c_seen_uids item.uid;
     dbg t "reconfig_propose";
     t.next_vid <- t.next_vid + 1;
     let v = Paxos.Value.make ~vid:t.next_vid [ item ] in
@@ -1236,12 +1243,16 @@ let acc_handler t a (m : Simnet.msg) =
         let votes =
           Hashtbl.fold (fun i (vr, vv, ps) l -> (i, vr, vv, ps) :: l) a.x_votes []
         in
-        let done_uids = Hashtbl.fold (fun uid () l -> uid :: l) a.x_done_uids [] in
+        (* The floor costs one 8-byte word once it has moved: an empty set
+           still costs nothing. *)
+        let done_floor = Uid_set.floor a.x_done_uids in
+        let done_uids = Uid_set.sparse_list a.x_done_uids in
+        let done_words = List.length done_uids + if done_floor > 1 then 1 else 0 in
         Simnet.send t.net ~src:a.x_proc ~dst:t.accs.(cidx).x_proc
-          ~size:(hdr + (List.length votes * 24) + (List.length done_uids * 8))
-          (P1b { rnd; acc = a.x_idx; floor = a.x_gc_floor; votes; done_uids })
+          ~size:(hdr + (List.length votes * 24) + (done_words * 8))
+          (P1b { rnd; acc = a.x_idx; floor = a.x_gc_floor; votes; done_floor; done_uids })
       end
-  | P1b { rnd; acc = _; floor; votes; done_uids } ->
+  | P1b { rnd; acc = _; floor; votes; done_floor; done_uids } ->
       if a.x_is_coord && rnd = a.c_rnd && not a.c_phase1_ok then begin
         if floor > a.c_next_inst then a.c_next_inst <- floor;
         (* Decided-and-pruned items exist only as uids now; without them a
@@ -1251,10 +1262,12 @@ let acc_handler t a (m : Simnet.msg) =
            merging each reply's pruned uids covers all such items.  They
            also go into [x_done_uids] so a later planned handoff (which
            transfers that table to the next coordinator) carries them on. *)
+        Uid_set.raise_floor a.c_seen_uids done_floor;
+        Uid_set.raise_floor a.x_done_uids done_floor;
         List.iter
           (fun uid ->
-            Hashtbl.replace a.c_seen_uids uid ();
-            Hashtbl.replace a.x_done_uids uid ())
+            Uid_set.add a.c_seen_uids uid;
+            Uid_set.add a.x_done_uids uid)
           done_uids;
         List.iter
           (fun (inst, vrnd, vval, parts) ->
@@ -1277,7 +1290,7 @@ let acc_handler t a (m : Simnet.msg) =
           Hashtbl.iter
             (fun _ ((_, v, _) : int * Paxos.Value.t * int list) ->
               List.iter
-                (fun it -> Hashtbl.replace a.c_seen_uids it.Paxos.Value.uid ())
+                (fun it -> Uid_set.add a.c_seen_uids it.Paxos.Value.uid)
                 v.items)
             a.c_claimed;
           (* Replay proposals buffered during Phase 1, in arrival order. *)
@@ -1491,7 +1504,7 @@ let new_acc net cfg i ~ring =
     x_durable = Hashtbl.create 4096;
     x_held = Hashtbl.create 64;
     x_disk = disk;
-    x_done_uids = Hashtbl.create 64;
+    x_done_uids = Uid_set.create ();
     x_mem = 0;
     x_gc_floor = 0;
     x_max_dec = -1;
@@ -1507,7 +1520,7 @@ let new_acc net cfg i ~ring =
     c_decided = 0;
     c_versions = Hashtbl.create 16;
     c_gc_floor = 0;
-    c_seen_uids = Hashtbl.create 64;
+    c_seen_uids = Uid_set.create ();
     c_preq = Queue.create ();
     c_rate = Float.Array.make 2 0.0;
     c_rate_timer = false;
@@ -1654,7 +1667,7 @@ let crash_acceptor t idx =
   (* [c_seen_uids] is volatile: keeping it across a restart would suppress
      resubmissions of items that died with the cleared batch.  A later
      Phase 1 re-seeds it from claimed votes before proposals are admitted. *)
-  Hashtbl.reset a.c_seen_uids;
+  Uid_set.reset a.c_seen_uids;
   Queue.clear a.c_preq;
   a.c_phase1_ok <- false;
   a.c_outstanding <- 0;
@@ -1665,7 +1678,7 @@ let crash_acceptor t idx =
     a.x_mem <- 0;
     Hashtbl.reset a.x_decided;
     Hashtbl.reset a.x_durable;
-    Hashtbl.reset a.x_done_uids;
+    Uid_set.reset a.x_done_uids;
     a.x_rnd <- 0;
     acc_update_mem a
   end
@@ -1769,4 +1782,11 @@ module Testing = struct
     && Array.for_all
          (fun l -> l.l_val_bytes = recount l.l_vals (fun v -> v.Paxos.Value.size))
          t.lrns
+
+  let dedup_sparse t =
+    Array.fold_left
+      (fun n a -> n + Uid_set.sparse_count a.x_done_uids + Uid_set.sparse_count a.c_seen_uids)
+      0 t.accs
+
+  let is_p1b = function P1b _ -> true | _ -> false
 end

@@ -181,4 +181,11 @@ module Testing : sig
   (** Every acceptor's and learner's running buffer counter equals a full
       recount of the table it tracks (votes, resp. undelivered values). *)
   val mem_consistent : t -> bool
+
+  (** Uids held above the floor of every acceptor's two dedup sets, the
+      done uids of its pruned votes and the uids it saw as coordinator. *)
+  val dedup_sparse : t -> int
+
+  (** The payload is a Phase 1B reply. *)
+  val is_p1b : Simnet.payload -> bool
 end

@@ -71,7 +71,9 @@ type member = {
   mutable c_next_inst : int;
   mutable c_outstanding : int;
   c_batch : unit Protocol.Batcher.t;
-  c_seen_uids : (int, unit) Hashtbl.t;
+  c_seen_uids : Protocol.Uid_set.t;
+      (* duplicate-proposal suppression: every uid admitted, delivered or
+         claimed, as a floor plus the uids admitted out of order *)
   c_preq : Paxos.Value.item Queue.t;
       (* proposals received before Phase 1 completed, replayed in arrival
          order once [c_seen_uids] has been seeded *)
@@ -397,9 +399,9 @@ let prop_resubmission t m =
    delivery is lagging keeps retrying items that were in fact decided)
    would get the same item decided under a second instance. *)
 let coord_admit c (item : Paxos.Value.item) =
-  if not (Hashtbl.mem c.c_seen_uids item.uid) then
+  if not (Protocol.Uid_set.mem c.c_seen_uids item.uid) then
     if Protocol.Batcher.enqueue c.c_batch ~key:() item then begin
-      Hashtbl.add c.c_seen_uids item.uid ();
+      Protocol.Uid_set.add c.c_seen_uids item.uid;
       true
     end
     else false
@@ -451,7 +453,7 @@ let handler t m (msg : Simnet.msg) =
                voted.  Undecided claims are replayed by [drain], so
                suppressing their resubmission loses nothing. *)
             let see (v : Paxos.Value.t) =
-              List.iter (fun it -> Hashtbl.replace m.c_seen_uids it.Paxos.Value.uid ()) v.items
+              List.iter (fun it -> Protocol.Uid_set.add m.c_seen_uids it.Paxos.Value.uid) v.items
             in
             Hashtbl.iter (fun _ v -> see v) m.m_log;
             Hashtbl.iter (fun _ ((_, v) : int * Paxos.Value.t) -> see v) m.c_claimed;
@@ -541,7 +543,7 @@ let create net cfg ~positions ~deliver =
           c_batch =
             Protocol.Batcher.create ~buffer_bytes:cfg.buffer_bytes
               ~batch_bytes:cfg.batch_bytes ();
-          c_seen_uids = Hashtbl.create 4096;
+          c_seen_uids = Protocol.Uid_set.create ();
           c_preq = Queue.create ();
           c_reports = [] })
   in

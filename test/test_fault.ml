@@ -101,6 +101,36 @@ let test_different_seeds_different_timelines () =
   let b = Fault.Chaos.run_one ~protocol:"mring" ~seed:2 ~duration:2.0 () in
   Alcotest.(check bool) "timelines differ" false (a.Fault.Chaos.events = b.Fault.Chaos.events)
 
+(* Every fault heals by 80 % of the run, whatever its length: each fault
+   that opens (a partition, a rule window, a slow CPU) closes, and every
+   closing event (heal, stop, CPU restore, restart) lands by then.  Fault
+   durations are absolute seconds while start times scale with the run, so
+   unclamped a 2 s run restored a slowed CPU at 1.79 s. *)
+let test_faults_heal_by_80_percent () =
+  let has p (_, l) = String.starts_with ~prefix:p l in
+  let count p evs = List.length (List.filter (has p) evs) in
+  let closers = [ "heal("; "stop("; "cpu_restore("; "restart(" ] in
+  List.iter
+    (fun duration ->
+      List.iter
+        (fun protocol ->
+          for seed = 0 to 4 do
+            let evs = (Fault.Chaos.run_one ~protocol ~seed ~duration ()).Fault.Chaos.events in
+            List.iter
+              (fun ((t, l) as ev) ->
+                if List.exists (fun p -> has p ev) closers && t > (0.8 *. duration) +. 1e-6 then
+                  Alcotest.failf "%s seed %d at %.1f s: %s at %.3f s" protocol seed duration l t)
+              evs;
+            List.iter
+              (fun (opener, closer) ->
+                if count opener evs <> count closer evs then
+                  Alcotest.failf "%s seed %d at %.1f s: %d %s but %d %s" protocol seed duration
+                    (count opener evs) opener (count closer evs) closer)
+              [ ("partition(", "heal("); ("start(", "stop("); ("slow_cpu(", "cpu_restore(") ]
+          done)
+        Fault.Chaos.protocols)
+    [ 1.0; 2.0 ]
+
 (* --- Regression pins ------------------------------------------------------- *)
 
 (* Each of these (protocol, seed, duration) triples produced a safety
@@ -184,6 +214,8 @@ let suite =
     Alcotest.test_case "chaos: same seed replays the same run" `Quick test_same_seed_same_outcome;
     Alcotest.test_case "chaos: different seeds diverge" `Quick
       test_different_seeds_different_timelines;
+    Alcotest.test_case "chaos: every fault heals by 80% of the run" `Quick
+      test_faults_heal_by_80_percent;
     Alcotest.test_case "chaos: pinned regression seeds stay green" `Slow
       test_pinned_seeds_stay_green;
     Alcotest.test_case "chaos: every protocol survives seed 0" `Slow test_smoke_every_protocol ]

@@ -381,6 +381,32 @@ let test_kv_point_ops_under_load () =
     (Kv.counter sys "kv_local_reads" > 100);
   Alcotest.(check (option int)) "get sees the put" (Some 4_242) !got
 
+(* --- bounded response state ------------------------------------------------------ *)
+
+(* The responder remembers an answered write only while another replica may
+   still send its lease ack: one that held an overlapping lease entry at the
+   write's log position.  Without leases nothing is remembered; with them,
+   only writes that invalidated some entry can be.  Remembering every
+   answer kept one table entry per operation for the whole run. *)
+let test_kv_done_uids_bounded () =
+  let run leases =
+    let engine, _net, sys = mk ~config:{ Kv.default_config with leases } () in
+    let wl = Kv.Ycsb.workload Kv.Ycsb.A (Sim.Rng.create 8) ~rate:(OL.Constant 48_000.0) in
+    Kv.start_open sys wl ~until:0.3;
+    Sim.Engine.run engine ~until:0.5;
+    Alcotest.(check bool) "non-trivial run" true (Kv.executed sys > 10_000);
+    Alcotest.(check int) "every write answered" 0 (Kv.pending_writes sys);
+    sys
+  in
+  let off = run false in
+  Alcotest.(check int) "nothing remembered without leases" 0 (Kv.Testing.done_uids off);
+  let on = run true in
+  let remembered = Kv.Testing.done_uids on in
+  let invalidations = Kv.counter on "kv_lease_invalidations" in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d remembered, at most the %d lease invalidations" remembered invalidations)
+    true (remembered <= invalidations)
+
 (* --- golden digest ----------------------------------------------------------------- *)
 
 (* A seeded YCSB-A run with leases on, at the bench's 48 kops/s: SLO rows
@@ -476,6 +502,8 @@ let suite =
     Alcotest.test_case "kv deterministic runs" `Quick test_kv_point_determinism;
     Alcotest.test_case "kv point ops beside a lease-served load" `Quick
       test_kv_point_ops_under_load;
+    Alcotest.test_case "kv remembers only answers a lease ack can reach" `Quick
+      test_kv_done_uids_bounded;
     Alcotest.test_case "kv ycsb-a run matches golden digest" `Quick
       test_kv_ycsb_a_golden;
     Alcotest.test_case "ycsb presets well-formed" `Quick

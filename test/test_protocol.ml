@@ -570,6 +570,82 @@ let test_stop_silences_detector () =
   Alcotest.(check bool) "bounded by stop time" true
     (after_stop <= int_of_float (0.1 /. hb_period) + 2)
 
+(* --- Uid_set ------------------------------------------------------------ *)
+
+(* Uids as one ring mints them: sequence numbers from 1 above an origin
+   that varies from uid to uid. *)
+let uid_of seq = Paxos.Value.make_uid ~seq ~origin:(seq mod 7)
+
+type uid_op = Add of int | Raise of int | Union of int list
+
+let uid_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (8, map (fun q -> Add q) (int_range 1 120));
+        (1, map (fun q -> Raise q) (int_range 1 120));
+        (1, map (fun l -> Union l) (list_size (int_range 0 20) (int_range 1 120))) ])
+
+let uid_op_print = function
+  | Add q -> Printf.sprintf "add %d" q
+  | Raise q -> Printf.sprintf "raise %d" q
+  | Union l -> "union [" ^ String.concat ";" (List.map string_of_int l) ^ "]"
+
+(* Against a plain table of sequence numbers: every membership answer over
+   the range agrees, the floor is the least non-member, and the sparse
+   members are exactly the members above it.  A copy shipped as floor plus
+   sparse list, as a P1b carries it, rebuilds the same set. *)
+let prop_uid_set_matches_table =
+  QCheck.Test.make ~name:"uid_set: membership equals a plain set" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list uid_op_print) QCheck.Gen.(list_size (int_range 0 200) uid_op_gen))
+    (fun ops ->
+      let s = Protocol.Uid_set.create () and r = Hashtbl.create 64 in
+      let add_ref q = Hashtbl.replace r q () in
+      List.iter
+        (function
+          | Add q ->
+              Protocol.Uid_set.add s (uid_of q);
+              add_ref q
+          | Raise f ->
+              Protocol.Uid_set.raise_floor s f;
+              for q = 1 to f - 1 do add_ref q done
+          | Union l ->
+              let src = Protocol.Uid_set.create () in
+              List.iter (fun q -> Protocol.Uid_set.add src (uid_of q)) l;
+              Protocol.Uid_set.union ~into:s src;
+              List.iter add_ref l)
+        ops;
+      let shipped = Protocol.Uid_set.create () in
+      Protocol.Uid_set.raise_floor shipped (Protocol.Uid_set.floor s);
+      List.iter (Protocol.Uid_set.add shipped) (Protocol.Uid_set.sparse_list s);
+      let rec least q = if Hashtbl.mem r q then least (q + 1) else q in
+      let floor = Protocol.Uid_set.floor s in
+      let above = Hashtbl.fold (fun q () n -> if q >= floor then n + 1 else n) r 0 in
+      let agree = ref true in
+      for q = 1 to 130 do
+        let want = Hashtbl.mem r q in
+        agree :=
+          !agree
+          && Protocol.Uid_set.mem s (uid_of q) = want
+          && Protocol.Uid_set.mem shipped (uid_of q) = want
+      done;
+      !agree && floor = least 1
+      && Protocol.Uid_set.sparse_count s = above
+      && List.for_all
+           (fun uid -> Paxos.Value.uid_seq uid >= floor && uid = uid_of (Paxos.Value.uid_seq uid))
+           (Protocol.Uid_set.sparse_list s))
+
+(* Sequence numbers added in order never leave the floor: the set holds
+   no table entry however many it has seen. *)
+let test_uid_set_in_order_stays_flat () =
+  let s = Protocol.Uid_set.create () in
+  for q = 1 to 100_000 do
+    Protocol.Uid_set.add s (uid_of q)
+  done;
+  Alcotest.(check int) "floor" 100_001 (Protocol.Uid_set.floor s);
+  Alcotest.(check int) "no sparse entry" 0 (Protocol.Uid_set.sparse_count s);
+  Protocol.Uid_set.reset s;
+  Alcotest.(check bool) "reset empties it" false (Protocol.Uid_set.mem s (uid_of 1))
+
 let suite =
   [ Alcotest.test_case "batcher: oversized item seals alone" `Quick
       test_oversized_item_seals_alone;
@@ -590,6 +666,9 @@ let suite =
       test_counter_incr_allocates_nothing;
     Alcotest.test_case "retry: ack during iter_due does not fire stale entries" `Quick
       test_iter_due_ack_during_iteration;
+    QCheck_alcotest.to_alcotest prop_uid_set_matches_table;
+    Alcotest.test_case "uid_set: in-order adds keep no sparse entry" `Quick
+      test_uid_set_in_order_stays_flat;
     Alcotest.test_case "od: drop_below frees speculation marks" `Quick
       test_drop_below_frees_speculation_marks;
     Alcotest.test_case "od: drain_sink is iterative, not per-item recursive" `Quick

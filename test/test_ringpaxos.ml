@@ -503,6 +503,82 @@ let test_mring_nominal_stream_no_resubmission () =
   Alcotest.(check int) "every item delivered" !k (List.length (seq env 0));
   Alcotest.(check int) "one Propose per submit" !k !proposes
 
+(* A steady bare M-Ring stream: two proposers alternate 1 KB submissions
+   every [every] seconds to three learners.  [on_start] runs once the
+   deployment exists, before the stream starts. *)
+let steady_stream ?(on_start = fun _ _ -> ()) ~every () =
+  let env = make_mring ~n_proposers:2 ~n_learners:3 () in
+  on_start env.net env.mr;
+  let k = ref 0 in
+  let stop =
+    Simnet.every_tk env.net ~ticks:(Sim.Engine.ticks_of_duration every) (fun () ->
+        incr k;
+        if Ringpaxos.Mring.submit env.mr ~proposer:(!k land 1) ~size:1024 (Cmd !k) < 0 then
+          Alcotest.fail "submit refused")
+  in
+  (env, k, stop)
+
+(* The dedup sets (each acceptor's done uids of pruned votes, the
+   coordinator's seen uids) hold every uid a ring ever decided, but as a
+   floor plus the uids decided ahead of an older pending one: the entries
+   above the floors stay within the in-flight window however long the
+   stream runs (this stream's items arrive in order, and it reads 0).
+   Plain uid tables held about four entries per item, 403k here. *)
+let test_mring_dedup_state_bounded () =
+  let peak = ref 0 in
+  let env, k, stop =
+    steady_stream ~every:5.0e-5
+      ~on_start:(fun net mr ->
+        let (_stop : unit -> unit) =
+          Simnet.every net ~period:0.01 (fun () ->
+              peak := Stdlib.max !peak (Ringpaxos.Mring.Testing.dedup_sparse mr))
+        in
+        ())
+      ()
+  in
+  Sim.Engine.run env.engine ~until:5.0;
+  stop ();
+  Sim.Engine.run env.engine ~until:5.5;
+  Alcotest.(check bool) (Printf.sprintf "a long stream (%d items)" !k) true (!k >= 100_000);
+  Alcotest.(check int) "every item delivered" !k (List.length (seq env 0));
+  Alcotest.(check bool)
+    (Printf.sprintf "%d entries above the floors at most (<= 256)" !peak)
+    true (!peak <= 256)
+
+(* Phase 1 after a coordinator crash ships each acceptor's unpruned votes
+   plus its done uids.  The done uids travel as a floor
+   plus the few above it, so the replies cost the same after 3 s of a
+   steady stream as after 1 s (3704 bytes each); shipped one by one they
+   grew with the run (18088 and 50104 bytes).  A wrapped handler on every
+   acceptor adds up the P1b bytes. *)
+let test_mring_p1b_size_independent_of_run_length () =
+  let p1b_bytes kill_at =
+    let bytes = ref 0 in
+    let env, _, _ =
+      steady_stream ~every:5.0e-4
+        ~on_start:(fun _ mr ->
+          Array.iter
+            (fun p ->
+              let inner = Simnet.handler_of p in
+              Simnet.set_handler p (fun m ->
+                  if Ringpaxos.Mring.Testing.is_p1b m.payload then bytes := !bytes + m.size;
+                  inner m))
+            (Ringpaxos.Mring.acceptor_procs mr))
+        ()
+    in
+    Sim.Engine.run env.engine ~until:kill_at;
+    let before = !bytes in
+    Ringpaxos.Mring.kill_coordinator env.mr;
+    Sim.Engine.run env.engine ~until:(kill_at +. 1.0);
+    !bytes - before
+  in
+  let early = p1b_bytes 1.0 and late = p1b_bytes 3.0 in
+  Alcotest.(check bool) (Printf.sprintf "a Phase 1 ran (%d bytes)" early) true (early > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "P1b bytes after 3 s (%d) within 25%% of after 1 s (%d)" late early)
+    true
+    (float_of_int late <= 1.25 *. float_of_int early)
+
 (* --- U-Ring Paxos --------------------------------------------------------- *)
 
 type uring_env = {
@@ -666,6 +742,9 @@ let suite =
     Alcotest.test_case "mring: decisions acknowledge proposers" `Quick
       test_mring_decisions_ack_proposers;
     QCheck_alcotest.to_alcotest prop_mring_total_order;
+    Alcotest.test_case "mring: dedup state is bounded" `Quick test_mring_dedup_state_bounded;
+    Alcotest.test_case "mring: P1b size does not depend on run length" `Quick
+      test_mring_p1b_size_independent_of_run_length;
     Alcotest.test_case "uring: basic order" `Quick test_uring_basic;
     Alcotest.test_case "uring: all learners agree" `Quick test_uring_all_learners_agree;
     Alcotest.test_case "uring: rejects small rings" `Quick test_uring_rejects_small_rings;
