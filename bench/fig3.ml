@@ -230,7 +230,7 @@ let run_proto_at ?(durability = Ringpaxos.Mring.Memory) ?(duration = 1.5) ?msg_s
             ignore (Ringpaxos.Uring.submit ur ~proposer:(!turn mod n) ~size:sz (Pkt 0));
             true)
     | Lcr ->
-        let cfg = { Abcast.Lcr.default_config with n = Stdlib.max 2 n; durability } in
+        let cfg = { Abcast.Lcr.n = Stdlib.max 2 n; durability } in
         let lcr =
           Abcast.Lcr.create net cfg ~deliver:(fun ~learner v ->
               if learner = 0 then record_value v)

@@ -48,9 +48,7 @@ let run_smr ?(partitions = 1) ?(replicas = 1) ?(speculative = false) ?(cross_pct
       partitions;
       batch_bytes = (if batch then 8192 else 0) }
   in
-  let cfg =
-    { Smr.System.default_config with mring; replicas_per_partition = replicas; speculative }
-  in
+  let cfg = { Smr.System.mring; replicas_per_partition = replicas; speculative } in
   let sys =
     Smr.System.create net cfg
       ~services:(fun l -> services.(l).service)

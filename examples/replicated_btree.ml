@@ -30,8 +30,7 @@ let run ~name ~partitions ~speculative =
       ~n_partitions:partitions
   in
   let cfg =
-    { Hpsmr.Smr.System.default_config with
-      mring = { Hpsmr.Ringpaxos.Mring.default_config with partitions };
+    { Hpsmr.Smr.System.mring = { Hpsmr.Ringpaxos.Mring.default_config with partitions };
       replicas_per_partition = replicas;
       speculative }
   in

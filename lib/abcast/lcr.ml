@@ -1,10 +1,12 @@
 type config = {
   n : int;
-  clock_period : float;
   durability : Ringpaxos.Mring.durability;
 }
 
-let default_config = { n = 5; clock_period = 2.0e-3; durability = Ringpaxos.Mring.Memory }
+let default_config = { n = 5; durability = Ringpaxos.Mring.Memory }
+
+(* Cadence of the stability announcements. *)
+let clock_period = 2.0e-3
 
 let hdr = 48
 
@@ -120,7 +122,7 @@ let handler t m (msg : Simnet.msg) =
 
 let clock_loop t m =
   let (_stop : unit -> unit) =
-    Simnet.every t.net ~period:t.cfg.clock_period (fun () ->
+    Simnet.every t.net ~period:clock_period (fun () ->
         if Simnet.is_alive m.m_proc then begin
           m.m_known.(m.m_idx) <- m.m_clock;
           match successor t m.m_idx with

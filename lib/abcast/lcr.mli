@@ -20,7 +20,6 @@ type t
 
 type config = {
   n : int;  (** ring size; every process is broadcaster and deliverer *)
-  clock_period : float;  (** cadence of stability announcements *)
   durability : Ringpaxos.Mring.durability;
 }
 

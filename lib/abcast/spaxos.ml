@@ -3,8 +3,6 @@ type config = {
   batch_bytes : int;
   batch_timeout : float;
   window : int;
-  cpu_per_batch : float;
-  gc_pause_every : float;
   gc_pause : float;
   hb_period : float;
   hb_timeout : float;
@@ -15,11 +13,15 @@ let default_config =
     batch_bytes = 32 * 1024;
     batch_timeout = 5.0e-4;
     window = 64;
-    cpu_per_batch = 3.0e-4;
-    gc_pause_every = 0.4;
     gc_pause = 0.03;
     hb_period = 0.02;
     hb_timeout = 0.25 }
+
+(* Marshaling and dissemination CPU per batch, charged at each replica. *)
+let cpu_per_batch = 3.0e-4
+
+(* Mean interval between GC pauses, seconds. *)
+let gc_pause_every = 0.4
 
 let hdr = 64
 
@@ -167,7 +169,7 @@ let disseminate t r =
       let info = info_of r bid in
       info.b_value <- Some v;
       Hashtbl.replace info.b_ackers r.r_idx ();
-      Simnet.charge_cpu t.net r.r_proc t.cfg.cpu_per_batch;
+      Simnet.charge_cpu t.net r.r_proc cpu_per_batch;
       Array.iter
         (fun q ->
           if q.r_idx <> r.r_idx then
@@ -195,7 +197,7 @@ let rec batch_tick t r =
 (* --- GC pauses ------------------------------------------------------------ *)
 
 let rec gc_loop t r =
-  let delay = Sim.Rng.exponential t.rng ~mean:t.cfg.gc_pause_every in
+  let delay = Sim.Rng.exponential t.rng ~mean:gc_pause_every in
   ignore
     (Simnet.after t.net delay (fun () ->
          if Simnet.is_alive r.r_proc then begin
@@ -253,7 +255,7 @@ let handler t r (msg : Simnet.msg) =
       ignore (Protocol.Batcher.enqueue r.r_batch ~key:() item);
       batch_tick t r
   | Forward { bid; value } ->
-      Simnet.charge_cpu t.net r.r_proc t.cfg.cpu_per_batch;
+      Simnet.charge_cpu t.net r.r_proc cpu_per_batch;
       let info = info_of r bid in
       info.b_value <- Some value;
       (* Holding the batch implies the originator and this replica ack it. *)

@@ -18,12 +18,12 @@ type config = {
   batch_bytes : int;
   batch_timeout : float;
   window : int;
-  cpu_per_batch : float;  (** marshaling/dissemination overhead per replica *)
-  gc_pause_every : float;  (** mean interval between GC pauses, seconds *)
   gc_pause : float;  (** mean pause length, seconds *)
   hb_period : float;
   hb_timeout : float;
 }
+(** The rest is fixed: a GC pause comes every 0.4 s on average, and each
+    batch costs every replica 0.3 ms of marshaling and dissemination CPU. *)
 
 val default_config : config
 

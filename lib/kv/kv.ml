@@ -12,7 +12,6 @@ type config = {
   merge_m : int;
   leases : bool;
   lease_dur : float;
-  lease_margin : float;
   lease_backoff : float;
   read_timeout : float;
   initial_keys : int;
@@ -30,12 +29,15 @@ let default_config =
     merge_m = 8;
     leases = true;
     lease_dur = 0.5;
-    lease_margin = 1.0e-3;
     lease_backoff = 0.05;
     read_timeout = 0.25;
     initial_keys = 10_000;
     key_range = 100_000;
     record_history = false }
+
+(* Slack past the last overlapping lease's expiry before a write's
+   deadline response. *)
+let lease_margin = 1.0e-3
 
 type Simnet.payload +=
   | KOp of { op : Simnet.payload; reads : Btree.Keyset.t; writes : Btree.Keyset.t }
@@ -288,7 +290,7 @@ let apply_op t rep (it : Paxos.Value.item) ~op ~reads ~writes =
       else begin
         let deadline =
           List.fold_left (fun m (_, u) -> Stdlib.max m u) 0.0 need
-          +. t.cfg.lease_margin
+          +. lease_margin
         in
         let deadline = Stdlib.max deadline commit in
         Hashtbl.replace t.wpend uid

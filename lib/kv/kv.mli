@@ -44,7 +44,6 @@ type config = {
   merge_m : int;
   leases : bool;  (** grant leases and serve local reads *)
   lease_dur : float;  (** lease length, seconds of virtual time *)
-  lease_margin : float;  (** slack past expiry before a deadline response *)
   lease_backoff : float;  (** client-side nack/timeout backoff per replica *)
   read_timeout : float;  (** local-read timeout against a dead replica *)
   initial_keys : int;

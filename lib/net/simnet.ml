@@ -51,7 +51,7 @@ type msg = {
 and minternal = {
   mutable gen : int; (* bumped on recycle: stale refs are detectable *)
   mutable rc : int; (* 1 while in flight; [retain] adds references *)
-  mutable udp : bool;
+  mutable udp : bool; (* a multicast copy: a full receive buffer drops it *)
   mutable credit : bool; (* should credit the TCP window when consumed *)
   mutable srcp : proc;
   mutable dstp : proc; (* concrete destination (dst = -1 for multicast) *)
@@ -135,14 +135,17 @@ type config = {
   latency : float;
   latency_jitter : float;
   bandwidth : float;
-  mtu : int;
-  frame_overhead : int;
   multicast_available : bool;
   mcast_capacity : float;
   udp_base_loss : float;
-  default_rcvbuf : int;
-  default_costs : unit -> costs;
 }
+
+(* Ethernet MTU, and the header bytes each MTU frame adds on the wire. *)
+let mtu = 1500
+let frame_overhead = 52
+
+(* Every process's receive buffer, bytes. *)
+let default_rcvbuf = 16 * 1024 * 1024
 
 let default_costs () =
   { recv_per_msg = 4.0e-6;
@@ -154,13 +157,9 @@ let default_config =
   { latency = 5.0e-5;
     latency_jitter = 0.05;
     bandwidth = 1.0e9;
-    mtu = 1500;
-    frame_overhead = 52;
     multicast_available = true;
     mcast_capacity = 1.0e9;
-    udp_base_loss = 0.0;
-    default_rcvbuf = 16 * 1024 * 1024;
-    default_costs }
+    udp_base_loss = 0.0 }
 
 (* Verdict of the fault tap for one (message, destination) pair. *)
 type fault = Deliver | Drop | Delay of float | Duplicate of float
@@ -284,10 +283,10 @@ let add_proc t node name =
       p_node = node;
       handler = (fun _ -> ());
       alive = true;
-      rcvbuf_cap = t.cfg.default_rcvbuf;
+      rcvbuf_cap = default_rcvbuf;
       rcvbuf_used = 0;
       rcvbuf_epoch = 0;
-      p_costs = t.cfg.default_costs ();
+      p_costs = default_costs ();
       p_recv = Sim.Stats.Rate.create ();
       p_sent = Sim.Stats.Rate.create ();
       p_drops = 0;
@@ -349,16 +348,16 @@ let cpu_busy n = Resource.busy n.cpu
 let is_alive p = p.alive
 let sent_at (m : msg) = float_of_int m.sent_tk *. tick_width
 
-let wire_size t size =
-  let payload_per_frame = t.cfg.mtu - 48 in
+let wire_size size =
+  let payload_per_frame = mtu - 48 in
   let frames = (size + payload_per_frame - 1) / payload_per_frame in
   let frames = if frames < 1 then 1 else frames in
-  size + (frames * t.cfg.frame_overhead)
+  size + (frames * frame_overhead)
 
 (* Serialisation time of [size] payload bytes, in ticks (rounded to
    nearest).  The float arithmetic is local, so nothing boxes. *)
 let[@inline] trans_tk t size =
-  let secs = float_of_int (wire_size t size) *. 8.0 /. t.cfg.bandwidth in
+  let secs = float_of_int (wire_size size) *. 8.0 /. t.cfg.bandwidth in
   let x = (secs *. tick_scale) +. 0.5 in
   if x <= 0.0 then 0 else int_of_float x
 
@@ -519,7 +518,7 @@ let mc_update t g src size =
   let f = g.g_f in
   mc_note_sender t g src.p_id;
   Float.Array.unsafe_set f g_pending
-    (Float.Array.unsafe_get f g_pending +. (float_of_int (wire_size t size) *. 8.0));
+    (Float.Array.unsafe_get f g_pending +. (float_of_int (wire_size size) *. 8.0));
   let dt = n -. Float.Array.unsafe_get f g_last in
   (* Packets sent at the same instant accumulate until time advances, so
      simultaneous senders are counted at their true aggregate rate. *)
@@ -878,32 +877,6 @@ let send ?tid t ~src ~dst ~size payload =
     tcp_transmit t src dst cn size payload (now_tk t) tid
   end
   else ring_push cn ~size ~payload ~sent_tk:(now_tk t) ~tid
-
-let udp ?tid t ~src ~dst ~size payload =
-  let tid = match tid with Some x -> x | None -> alloc_tid t in
-  (* The base-loss draw is skipped when the config disables it. *)
-  if t.cfg.udp_base_loss > 0.0 && Sim.Rng.bool t.rng t.cfg.udp_base_loss then
-    dst.p_drops <- dst.p_drops + 1
-  else begin
-    let tx_done_tk = sender_side_tk t ~tid src size in
-    let arr_tk = tx_done_tk + prop_tk t src dst in
-    trace_prop t ~tid src ~tx_done_tk ~arr_tk;
-    let m = acquire_msg t in
-    let i = m.m_i in
-    m.src <- src.p_id;
-    m.dst <- dst.p_id;
-    m.size <- size;
-    m.payload <- payload;
-    m.sent_tk <- now_tk t;
-    m.tid <- tid;
-    i.udp <- true;
-    i.credit <- false;
-    i.srcp <- src;
-    i.dstp <- dst;
-    i.cn <- t.dummy_conn;
-    i.cepoch <- 0;
-    transmit t m ~arrival_tk:arr_tk
-  end
 
 let new_group t name =
   t.ngroups <- t.ngroups + 1;

@@ -2,7 +2,7 @@
 
     The model reproduces the mechanisms the dissertation's evaluation relies
     on: link serialisation at gigabit speed, per-process CPU cost of sending
-    and receiving, finite UDP socket buffers (overflow drops), TCP-like
+    and receiving, finite socket buffers (multicast overflow drops), TCP-like
     reliable unicast with a receive-window backpressure, switch-level
     ip-multicast whose loss rate grows with the aggregate rate and with the
     number of concurrent senders (Fig. 3.3), process crashes and recoveries,
@@ -66,14 +66,14 @@ type config = {
   latency : float;  (** one-way propagation delay, seconds *)
   latency_jitter : float;  (** uniform fraction of [latency] added per msg *)
   bandwidth : float;  (** bits per second per NIC direction *)
-  mtu : int;
-  frame_overhead : int;  (** header bytes added per MTU frame *)
   multicast_available : bool;
   mcast_capacity : float;  (** aggregate switch multicast capacity, bit/s *)
-  udp_base_loss : float;  (** floor loss probability for UDP/multicast *)
-  default_rcvbuf : int;  (** default UDP socket buffer, bytes *)
-  default_costs : unit -> costs;
+  udp_base_loss : float;  (** floor loss probability of an ip-multicast packet *)
 }
+(** The rest is fixed: a 1500-byte MTU with 52 header bytes per frame on
+    the wire, a 16 MB receive buffer per process, and the per-process
+    cost model of {!costs_of} (4 µs + 1.8 ns/byte to receive, 4.5 µs +
+    4.5 ns/byte to send) until a caller edits it. *)
 
 val default_config : config
 
@@ -119,10 +119,6 @@ val handler_of : proc -> msg -> unit
     threads an existing causal id through (a fresh one is allocated
     otherwise). *)
 val send : ?tid:int -> t -> src:proc -> dst:proc -> size:int -> payload -> unit
-
-(** Unreliable unicast (UDP): dropped on receive-buffer overflow or base
-    loss. *)
-val udp : ?tid:int -> t -> src:proc -> dst:proc -> size:int -> payload -> unit
 
 val new_group : t -> string -> group
 val join : group -> proc -> unit
@@ -209,7 +205,7 @@ val is_alive : proc -> bool
 (** {1 Fault injection}
 
     A fault tap rules on every (message, destination) pair before the
-    receiver side of the link model runs — unicast, UDP and multicast
+    receiver side of the link model runs — unicast and multicast
     alike (multicast deliveries carry [dst = -1] in the message but the
     tap still receives the concrete destination process).  Sender-side
     costs have already been charged when the tap runs, so a dropped
@@ -235,7 +231,7 @@ val node_cpu_factor : node -> float
 val set_rcvbuf : proc -> int -> unit
 val rcvbuf : proc -> int
 
-(** Bytes currently held in the UDP receive buffer (accepted, not yet
+(** Bytes of multicast deliveries held in the receive buffer (accepted, not yet
     served); invariant [0 <= rcvbuf_used p] across kill/recover. *)
 val rcvbuf_used : proc -> int
 
@@ -266,8 +262,8 @@ val mcast_packets : t -> int
 (** CPU accounting of the machine a process runs on. *)
 val cpu_busy : node -> Sim.Stats.Busy.t
 
-(** [wire_size t size] is the on-the-wire size including framing. *)
-val wire_size : t -> int -> int
+(** [wire_size size] is the on-the-wire size including framing. *)
+val wire_size : int -> int
 
 (** {1 Tracing}
 

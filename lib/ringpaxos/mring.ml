@@ -6,19 +6,11 @@ type config = {
   batch_bytes : int;
   batch_timeout : float;
   durability : durability;
-  buffer_bytes : int;
   fc_threshold : int;
-  fc_recover_period : float;
   hb_period : float;
   hb_timeout : float;
-  retrans_timeout : float;
   gc_period : float;
   partitions : int;
-  send_rate : float;  (** coordinator pacing, bits/s of Phase 2A traffic *)
-  reconfig_alpha : int;
-      (** a membership change decided at instance [i] activates at
-          [i + reconfig_alpha] (the paper's alpha parameter for
-          log-ordered reconfiguration) *)
   proposer_buffer : int;
       (** per-proposer unacknowledged-bytes bound; [submit] returns -1
           (drop) once exceeded.  Small values force open-loop overflow for
@@ -31,17 +23,23 @@ let default_config =
     batch_bytes = 8192;
     batch_timeout = 5.0e-4;
     durability = Memory;
-    buffer_bytes = 160 * 1024 * 1024;
     fc_threshold = 64;
-    fc_recover_period = 0.1;
     hb_period = 0.02;
     hb_timeout = 0.25;
-    retrans_timeout = 5.0e-3;
     gc_period = 0.1;
     partitions = 1;
-    send_rate = 0.85e9;
-    reconfig_alpha = 64;
     proposer_buffer = 16 * 1024 * 1024 }
+
+(* Fixed settings: the coordinator's circular proposal buffer (160 MB in
+   §3.5.2), its Phase 2A pacing ceiling in bit/s, the cadence of the
+   flow-control window regrowth, the Phase 2A retransmission and
+   gap-repair timeout, and the alpha of log-ordered reconfiguration (a
+   membership change decided at instance [i] activates at [i + alpha]). *)
+let buffer_bytes = 160 * 1024 * 1024
+let send_rate = 0.85e9
+let fc_recover_period = 0.1
+let retrans_timeout = 5.0e-3
+let reconfig_alpha = 64
 
 let hdr = 64
 
@@ -106,6 +104,19 @@ type catchup = {
   cu_upto : int;  (* the epoch's activation instance *)
 }
 
+(* An acceptor's record of one consensus instance: its vote ([s_rnd] is
+   -1 and [s_val] the empty [no_value] while it holds none), whether the
+   instance is known decided, and whether the vote reached stable
+   storage.  Mutated in place, so a vote, its decision and its write
+   completion cost one table entry. *)
+type slot = {
+  mutable s_rnd : int;
+  mutable s_val : Paxos.Value.t;
+  mutable s_parts : int list;
+  mutable s_decided : bool;
+  mutable s_durable : bool;
+}
+
 type acc = {
   x_proc : Simnet.proc;
   x_idx : int;  (* global acceptor index *)
@@ -114,16 +125,15 @@ type acc = {
   mutable x_is_coord : bool;
   mutable x_retired : bool;  (* removed from the system by reconfiguration *)
   mutable x_catchup : catchup option;
-  x_votes : (int, int * Paxos.Value.t * int list) Hashtbl.t;
-  x_decided : (int, unit) Hashtbl.t;  (* decided instances; [x_votes] holds the values *)
-  x_durable : (int, bool) Hashtbl.t;  (* inst -> write completed *)
+  x_log : (int, slot) Hashtbl.t;  (* inst -> slot, pruned below the GC floor *)
+  mutable x_n_decided : int;  (* slots of [x_log] marked decided *)
   x_held : (int, int * int) Hashtbl.t;  (* inst -> (rnd, vid): P2B awaiting P2A/durability *)
   x_disk : Storage.Disk.t option;
   x_done_uids : Uid_set.t;
       (* item uids of votes pruned by GC, all decided (see [acc_gc]); an
          in-ring acceptor prunes every decided instance, so this is a
          floor plus the few uids decided ahead of an older pending one *)
-  mutable x_mem : int;  (* sum of the value sizes in [x_votes]; see [set_vote] *)
+  mutable x_mem : int;  (* sum of the voted value sizes in [x_log]; see [set_vote] *)
   mutable x_gc_floor : int;
   mutable x_max_dec : int;  (* highest instance known decided *)
   (* coordinator-only state, live on whichever acceptor currently leads *)
@@ -251,6 +261,20 @@ let coord_opt t =
 
 let ring_of t = match coord_opt t with Some c -> c.x_ring | None -> t.cur_ring
 
+(* The first alive ring member other than acceptor [skip], walking the
+   ring from position [k]: learners and joiners starting at their own
+   index spread their repair and report traffic over the ring. *)
+let ring_pick t k ~skip =
+  let ring = ring_of t in
+  let n = List.length ring in
+  let rec pick j =
+    if j >= n then None
+    else
+      let b = t.accs.(List.nth ring ((k + j) mod n)) in
+      if b.x_idx <> skip && Simnet.is_alive b.x_proc then Some b else pick (j + 1)
+  in
+  pick 0
+
 (* Successor of acceptor [idx] in the current ring, -1 if it has none (the
    coordinator, or a non-member); the ring is stored with the coordinator
    last, and the chain starts at the first element. *)
@@ -297,7 +321,7 @@ let note_rc t inst (v : Paxos.Value.t) ~decided =
           { rc_uid = uid;
             rc_epoch = t.epoch + 1;
             rc_inst = inst;
-            rc_activate = inst + t.cfg.reconfig_alpha;
+            rc_activate = inst + reconfig_alpha;
             rc_ring = ring;
             rc_add_lrns = add_lrns;
             rc_rm_lrns = rm_lrns;
@@ -317,18 +341,51 @@ let cancel_catchup a =
       a.x_catchup <- None
   | None -> ()
 
-(* --- memory accounting ------------------------------------------------ *)
+(* --- acceptor log and memory accounting -------------------------------- *)
 
-(* [x_mem] and [l_val_bytes] are running sums of the value sizes held in
-   [x_votes] and [l_vals]: every insert and replace goes through
+let no_value = Paxos.Value.skip ~vid:(-1)
+let new_slot () = { s_rnd = -1; s_val = no_value; s_parts = []; s_decided = false; s_durable = false }
+
+(* What [peek] reads for an instance [a] holds nothing of; never written. *)
+let empty_slot = new_slot ()
+let peek a inst = try Hashtbl.find a.x_log inst with Not_found -> empty_slot
+
+(* [a]'s slot for [inst], created empty if it has none. *)
+let slot a inst =
+  match Hashtbl.find a.x_log inst with
+  | s -> s
+  | exception Not_found ->
+      let s = new_slot () in
+      Hashtbl.add a.x_log inst s;
+      s
+
+let is_decided a inst = (peek a inst).s_decided
+
+let mark_decided a inst =
+  let s = slot a inst in
+  if not s.s_decided then begin
+    s.s_decided <- true;
+    a.x_n_decided <- a.x_n_decided + 1
+  end
+
+let mark_durable a inst = (slot a inst).s_durable <- true
+
+(* [a] already voted for value [vid] at [inst] in round [rnd]. *)
+let same_vote a inst rnd vid =
+  let s = peek a inst in
+  s.s_rnd = rnd && s.s_val.Paxos.Value.vid = vid
+
+(* [x_mem] and [l_val_bytes] are running sums of the value sizes voted in
+   [x_log] and held in [l_vals]: every insert and replace goes through
    [set_vote]/[set_val], and every removal subtracts in place, so reporting
    a process's memory is O(1) instead of a walk over the GC window. *)
-let set_vote a inst ((_, (v : Paxos.Value.t), _) as vote) =
-  (match Hashtbl.find_opt a.x_votes inst with
-  | Some (_, old, _) -> a.x_mem <- a.x_mem - old.Paxos.Value.size
-  | None -> ());
-  Hashtbl.replace a.x_votes inst vote;
-  a.x_mem <- a.x_mem + v.size
+let set_vote a inst rnd (v : Paxos.Value.t) parts =
+  let s = slot a inst in
+  a.x_mem <- a.x_mem - s.s_val.size + v.size;
+  s.s_rnd <- rnd;
+  s.s_val <- v;
+  s.s_parts <- parts;
+  s
 
 let set_val l (v : Paxos.Value.t) =
   (match Hashtbl.find_opt l.l_vals v.vid with
@@ -337,7 +394,7 @@ let set_val l (v : Paxos.Value.t) =
   Hashtbl.replace l.l_vals v.vid v;
   l.l_val_bytes <- l.l_val_bytes + v.size
 
-let acc_update_mem a = Simnet.set_mem a.x_proc (a.x_mem + (Hashtbl.length a.x_decided * 16))
+let acc_update_mem a = Simnet.set_mem a.x_proc (a.x_mem + (a.x_n_decided * 16))
 let lrn_update_mem l = Simnet.set_mem l.l_proc (l.l_val_bytes + (Od.size l.l_od * 16))
 
 (* --- coordinator ------------------------------------------------------- *)
@@ -360,17 +417,10 @@ let mcast_decision t c inst vid parts (v : Paxos.Value.t) =
    durability the vote must reach disk before the final decision can be
    multicast. *)
 let coord_local_vote t c inst rnd (v : Paxos.Value.t) parts =
-  let duplicate =
-    match Hashtbl.find_opt c.x_votes inst with
-    | Some (r, v', _) -> r = rnd && v'.Paxos.Value.vid = v.vid
-    | None -> false
-  in
-  if not duplicate then begin
-    set_vote c inst (rnd, v, parts);
-    Hashtbl.replace c.x_durable inst (t.cfg.durability <> Sync_disk);
+  if not (same_vote c inst rnd v.vid) then begin
+    (set_vote c inst rnd v parts).s_durable <- t.cfg.durability <> Sync_disk;
     (match (t.cfg.durability, c.x_disk) with
-    | Sync_disk, Some d ->
-        Storage.Disk.write_sync d ~bytes:v.size (fun () -> Hashtbl.replace c.x_durable inst true)
+    | Sync_disk, Some d -> Storage.Disk.write_sync d ~bytes:v.size (fun () -> mark_durable c inst)
     | Async_disk, Some d -> Storage.Disk.write_async d ~bytes:v.size
     | _ -> ());
     acc_update_mem c
@@ -411,6 +461,20 @@ let alive_acceptors t =
   Array.to_list t.accs
   |> List.filter (fun a -> (not a.x_retired) && Simnet.is_alive a.x_proc)
 
+(* [op] ([Simnet.join] or [Simnet.leave]) an acceptor's groups, every
+   partition's Phase 2A and the decisions, or a learner's, its own
+   partitions' and the decisions.  The order of joins is the order of
+   multicast fan-out. *)
+let acc_subscribe t op a =
+  Array.iter (fun g -> op g a.x_proc) t.part_groups;
+  op t.dec_group a.x_proc
+
+let lrn_subscribe t op l =
+  List.iter
+    (fun p -> if p < Array.length t.part_groups then op t.part_groups.(p) l.l_proc)
+    l.l_parts;
+  op t.dec_group l.l_proc
+
 let install_ring t new_coord ring =
   t.cur_ring <- ring;
   Array.iter
@@ -419,9 +483,7 @@ let install_ring t new_coord ring =
       a.x_is_coord <- a.x_idx = new_coord.x_idx;
       (* Group membership follows ring membership so promoted spares start
          receiving Phase 2A and decision multicasts. *)
-      let op = if List.mem a.x_idx ring then Simnet.join else Simnet.leave in
-      Array.iter (fun g -> op g a.x_proc) t.part_groups;
-      op t.dec_group a.x_proc)
+      acc_subscribe t (if List.mem a.x_idx ring then Simnet.join else Simnet.leave) a)
     t.accs
 
 let start_phase1 t c =
@@ -446,6 +508,12 @@ let pace_ok t c =
   end;
   Float.Array.get c.c_rate rate_bits < c.c_rate_limit *. 0.01
 
+(* Phase 1 keeps, per instance, the vote of the highest round claimed. *)
+let claim c inst vrnd v parts =
+  match Hashtbl.find c.c_claimed inst with
+  | r, _, _ when r >= vrnd -> ()
+  | _ | (exception Not_found) -> Hashtbl.replace c.c_claimed inst (vrnd, v, parts)
+
 let rec drain t c =
   if c.c_phase1_ok && c.x_is_coord && Simnet.is_alive c.x_proc then begin
     if Hashtbl.length c.c_claimed > 0 then begin
@@ -455,8 +523,9 @@ let rec drain t c =
         (fun (inst, (_, v, parts)) ->
           (* A coordinator taking over mid-reconfiguration reconstructs the
              pending membership change from the claimed votes. *)
-          note_rc t inst v ~decided:(Hashtbl.mem c.x_decided inst);
-          if not (Retry.mem c.c_insts inst) && not (Hashtbl.mem c.x_decided inst) then
+          let decided = is_decided c inst in
+          note_rc t inst v ~decided;
+          if not (Retry.mem c.c_insts inst || decided) then
             propose_instance t c inst v parts;
           if inst >= c.c_next_inst then c.c_next_inst <- inst + 1)
         (List.sort compare claimed)
@@ -521,7 +590,7 @@ and reconfig_drive t c =
       if c.c_rc_fill < rc.rc_activate then begin
         let i = ref (Stdlib.max 0 (Stdlib.max c.c_rc_fill c.x_gc_floor)) in
         while !i < rc.rc_activate do
-          if not (Retry.mem c.c_insts !i) && not (Hashtbl.mem c.x_decided !i) then begin
+          if not (Retry.mem c.c_insts !i || is_decided c !i) then begin
             dbg t "reconfig_noop";
             propose_noop t c !i
           end;
@@ -540,8 +609,8 @@ and propose_noop t c inst =
 
 (* The epoch turns over: install the new ring and learner set, thread the
    epoch through the failure detector, hand the coordinator role (and its
-   decided-map bookkeeping) to the new ring's coordinator, and start
-   catch-up for ring members that lack the prior epoch's history. *)
+   decided marks and GC bookkeeping) to the new ring's coordinator, and
+   start catch-up for ring members that lack the prior epoch's history. *)
 and activate_reconfig t c rc =
   Hashtbl.replace t.done_rc_uids rc.rc_uid ();
   t.rc <- None;
@@ -556,8 +625,7 @@ and activate_reconfig t c rc =
         let a = t.accs.(idx) in
         a.x_retired <- true;
         cancel_catchup a;
-        Array.iter (fun g -> Simnet.leave g a.x_proc) t.part_groups;
-        Simnet.leave t.dec_group a.x_proc
+        acc_subscribe t Simnet.leave a
       end)
     rc.rc_retire;
   (* Removed learners stop at the boundary: leaving the groups means no
@@ -568,11 +636,7 @@ and activate_reconfig t c rc =
       if li >= 0 && li < Array.length t.lrns then begin
         let l = t.lrns.(li) in
         l.l_active <- false;
-        List.iter
-          (fun p ->
-            if p < Array.length t.part_groups then Simnet.leave t.part_groups.(p) l.l_proc)
-          l.l_parts;
-        Simnet.leave t.dec_group l.l_proc
+        lrn_subscribe t Simnet.leave l
       end)
     rc.rc_rm_lrns;
   (* Added learners join exactly at the boundary: their delivery cursor
@@ -584,11 +648,7 @@ and activate_reconfig t c rc =
         let l = t.lrns.(li) in
         l.l_active <- true;
         Od.fast_forward l.l_od rc.rc_activate;
-        List.iter
-          (fun p ->
-            if p < Array.length t.part_groups then Simnet.join t.part_groups.(p) l.l_proc)
-          l.l_parts;
-        Simnet.join t.dec_group l.l_proc
+        lrn_subscribe t Simnet.join l
       end)
     rc.rc_add_lrns;
   (* A removed learner's last version report must not gate GC forever. *)
@@ -596,12 +656,10 @@ and activate_reconfig t c rc =
   let nc = t.accs.(List.nth rc.rc_ring (List.length rc.rc_ring - 1)) in
   if nc.x_idx <> c.x_idx then begin
     (* Handoff state transfer: the outgoing coordinator hands its decided
-       map and GC bookkeeping to the incoming one, so Phase 1's claimed
+       marks and GC bookkeeping to the incoming one, so Phase 1's claimed
        votes over the old epoch are recognised as decided instead of
        being replayed as fresh proposals. *)
-    Hashtbl.iter
-      (fun i () -> if not (Hashtbl.mem nc.x_decided i) then Hashtbl.replace nc.x_decided i ())
-      c.x_decided;
+    Hashtbl.iter (fun i s -> if s.s_decided then mark_decided nc i) c.x_log;
     (* The uids of GC-pruned decided votes travel with the role: a spare
        promoted by the handoff has no vote history of its own, and Phase 1
        claims can no longer produce votes the ring already pruned — without
@@ -654,32 +712,28 @@ and promote_coordinator t a ?(at_least = 0) ~ring () =
   Retry.clear a.c_insts;
   a.c_outstanding <- 0;
   a.c_rc_fill <- -1;
-  a.c_next_inst <-
-    Hashtbl.fold (fun i _ acc -> Stdlib.max (i + 1) acc) a.x_votes
-      (Stdlib.max (Stdlib.max a.c_next_inst a.x_gc_floor) at_least);
+  a.c_next_inst <- Stdlib.max (Stdlib.max a.c_next_inst a.x_gc_floor) at_least;
   (* Every value this acceptor voted for may already be decided, so its
      items must never be proposed again under a fresh instance.  The
      resubmissions triggered by the NewCoord announcement are buffered
      until Phase 1 completes (see the Propose handler), by which point the
-     claimed votes have extended this seeding to every decided value. *)
-  Hashtbl.iter
-    (fun _ ((_, v, _) : int * Paxos.Value.t * int list) ->
-      List.iter (fun it -> Uid_set.add a.c_seen_uids it.Paxos.Value.uid) v.items)
-    a.x_votes;
-  (* ...including votes GC already pruned.  An in-ring acceptor voted on
-     every decided instance (decisions need all f+1 ring votes), so its
-     own vote history is a complete record of the decided uids. *)
-  Uid_set.union ~into:a.c_seen_uids a.x_done_uids;
-  (* The coordinator's own votes count toward Phase 1 too.  Without them,
+     claimed votes have extended this seeding to every decided value.
+     The coordinator's own votes count toward Phase 1 too.  Without them,
      a decided instance whose only voter in the Phase 1 quorum is the
      coordinator itself would be replayed from a stale lower-round claim
      — deciding a different value for the same instance. *)
   Hashtbl.iter
-    (fun inst ((vrnd, vval, parts) : int * Paxos.Value.t * int list) ->
-      match Hashtbl.find_opt a.c_claimed inst with
-      | Some (r, _, _) when r >= vrnd -> ()
-      | _ -> Hashtbl.replace a.c_claimed inst (vrnd, vval, parts))
-    a.x_votes;
+    (fun inst s ->
+      if s.s_rnd >= 0 then begin
+        if inst >= a.c_next_inst then a.c_next_inst <- inst + 1;
+        List.iter (fun it -> Uid_set.add a.c_seen_uids it.Paxos.Value.uid) s.s_val.items;
+        claim a inst s.s_rnd s.s_val s.s_parts
+      end)
+    a.x_log;
+  (* ...including votes GC already pruned.  An in-ring acceptor voted on
+     every decided instance (decisions need all f+1 ring votes), so its
+     own vote history is a complete record of the decided uids. *)
+  Uid_set.union ~into:a.c_seen_uids a.x_done_uids;
   let announce dst = Simnet.send t.net ~src:a.x_proc ~dst ~size:hdr (NewCoord { acc = a.x_idx }) in
   Array.iter (fun p -> announce p.p_proc) t.props;
   Array.iter (fun l -> if l.l_active then announce l.l_proc) t.lrns;
@@ -699,8 +753,8 @@ and start_catchup t a ~floor ~upto =
   dbg t "catchup_start";
   (* Credit history the acceptor already holds (an old spare re-joining). *)
   Hashtbl.iter
-    (fun i _ -> if i < upto && Hashtbl.mem a.x_votes i then ignore (Od.offer od ~inst:i ()))
-    a.x_decided;
+    (fun i s -> if i < upto && s.s_decided && s.s_rnd >= 0 then ignore (Od.offer od ~inst:i ()))
+    a.x_log;
   catchup_pump t a
 
 and catchup_pump t a =
@@ -715,43 +769,30 @@ and catchup_pump t a =
       else catchup_cycle t a cu
 
 and catchup_cycle t a cu =
-  Od.request_repairs cu.cu_repair cu.cu_od t.net ~timeout:t.cfg.retrans_timeout
-    ~cooldown:(4.0 *. t.cfg.retrans_timeout)
+  Od.request_repairs cu.cu_repair cu.cu_od t.net ~timeout:retrans_timeout
+    ~cooldown:(4.0 *. retrans_timeout)
     ~alive:(fun () -> Simnet.is_alive a.x_proc)
     ~complete:(fun _ () -> true)
     ~send:(fun insts ->
-      match catchup_source t a with
+      (* Spread over the ring like the learners, falling back to any alive
+         acceptor (an out-of-ring one still holds the previous epoch's
+         history). *)
+      let src =
+        match ring_pick t a.x_idx ~skip:a.x_idx with
+        | Some b -> Some b
+        | None -> Array.find_opt (fun b -> b.x_idx <> a.x_idx && Simnet.is_alive b.x_proc) t.accs
+      in
+      match src with
       | Some src ->
           dbg t "catchup_req";
           Simnet.send t.net ~src:a.x_proc ~dst:src.x_proc ~size:(hdr + List.length insts)
             (RepairReq { insts; learner = -1 - a.x_idx; fwd = 0 })
       | None -> ())
 
-(* Repair source for a catching-up acceptor: spread over the ring like the
-   learners' preferential acceptors, falling back to any alive acceptor
-   (an out-of-ring one still holds the previous epoch's history). *)
-and catchup_source t a =
-  let ring = ring_of t in
-  let n = List.length ring in
-  let rec pick k =
-    if k >= n then None
-    else
-      let idx = List.nth ring ((a.x_idx + k) mod n) in
-      let b = t.accs.(idx) in
-      if idx <> a.x_idx && Simnet.is_alive b.x_proc then Some b else pick (k + 1)
-  in
-  match pick 0 with
-  | Some b -> Some b
-  | None ->
-      Array.fold_left
-        (fun acc b ->
-          if acc = None && b.x_idx <> a.x_idx && Simnet.is_alive b.x_proc then Some b else acc)
-        None t.accs
-
 (* Decide [inst] once: record it, multicast the decision (which also acks
    the proposers) and propose more. *)
 let coord_fire t c inst vid (v : Paxos.Value.t) parts =
-  if not (Hashtbl.mem c.x_decided inst) then begin
+  if not (is_decided c inst) then begin
     (match Simnet.tracer t.net with
     | Some tr ->
         let now = Simnet.now t.net and pid = Simnet.pid c.x_proc in
@@ -759,7 +800,7 @@ let coord_fire t c inst vid (v : Paxos.Value.t) parts =
         Trace.instant tr ~id:inst ~pid ~cat:"proto" ~name:"decision" ~ts:now
     | None -> ());
     ignore (Retry.ack c.c_insts inst);
-    Hashtbl.add c.x_decided inst ();
+    mark_decided c inst;
     if inst > c.x_max_dec then c.x_max_dec <- inst;
     c.c_outstanding <- c.c_outstanding - 1;
     c.c_decided <- c.c_decided + 1;
@@ -771,7 +812,8 @@ let coord_fire t c inst vid (v : Paxos.Value.t) parts =
 (* A pruned durability entry means the instance was garbage collected
    after being applied by f+1 learners — treat it as durable. *)
 let coord_durable c inst =
-  match Hashtbl.find c.x_durable inst with b -> b | exception Not_found -> true
+  let s = peek c inst in
+  s == empty_slot || s.s_durable
 
 (* The coordinator is the last acceptor: the arriving Phase 2B closes the
    majority provided its own vote is durable.  Every check counts one
@@ -806,11 +848,11 @@ let fc_slow_down t c =
    pacing rate (§3.3.6). *)
 let fc_recovery t =
   ignore
-    (Retry.every t.net ~name:"fc_recover" ~period:t.cfg.fc_recover_period (fun () ->
+    (Retry.every t.net ~name:"fc_recover" ~period:fc_recover_period (fun () ->
          match coord_opt t with
-         | Some c when c.c_window < t.cfg.window || c.c_rate_limit < t.cfg.send_rate ->
+         | Some c when c.c_window < t.cfg.window || c.c_rate_limit < send_rate ->
              c.c_window <- Stdlib.min t.cfg.window (c.c_window + Stdlib.max 1 (c.c_window / 2));
-             c.c_rate_limit <- Stdlib.min t.cfg.send_rate (c.c_rate_limit *. 1.25);
+             c.c_rate_limit <- Stdlib.min send_rate (c.c_rate_limit *. 1.25);
              drain t c
          | _ -> ()))
 
@@ -822,15 +864,10 @@ let forward_p2b t a inst rnd vid =
     Simnet.send t.net ~src:a.x_proc ~dst:t.accs.(next).x_proc ~size:hdr (P2b { inst; rnd; vid })
   else if a.x_is_coord then coord_decide t a inst vid
 
-(* [a]'s vote for [inst] has reached stable storage. *)
-let acc_durable a inst = match Hashtbl.find a.x_durable inst with b -> b | exception Not_found -> false
-
 (* [a] holds a durable vote for value [vid] at [inst]: its Phase 2B may go. *)
 let acc_ready a inst vid =
-  (match Hashtbl.find a.x_votes inst with
-  | _, v, _ -> v.Paxos.Value.vid = vid
-  | exception Not_found -> false)
-  && acc_durable a inst
+  let s = peek a inst in
+  s.s_rnd >= 0 && s.s_val.Paxos.Value.vid = vid && s.s_durable
 
 let acc_try_forward t a inst =
   match Hashtbl.find a.x_held inst with
@@ -844,7 +881,7 @@ let acc_try_forward t a inst =
 (* The vote is on stable storage (at once with [Memory] durability, which
    calls this directly rather than through a closure). *)
 let acc_after_durable t a inst rnd vid =
-  Hashtbl.replace a.x_durable inst true;
+  mark_durable a inst;
   (* First in-ring acceptor spontaneously starts the Phase 2B chain. *)
   if (not a.x_is_coord) && a.x_ring <> [] && List.hd a.x_ring = a.x_idx then
     forward_p2b t a inst rnd vid
@@ -853,12 +890,7 @@ let acc_after_durable t a inst rnd vid =
 let acc_on_p2a t a inst rnd (v : Paxos.Value.t) parts =
   (* A retransmitted Phase 2A for a value already voted (and possibly still
      being persisted) must not trigger another vote or disk write. *)
-  let duplicate =
-    match Hashtbl.find_opt a.x_votes inst with
-    | Some (r, v', _) -> r = rnd && v'.Paxos.Value.vid = v.vid
-    | None -> false
-  in
-  if duplicate then begin
+  if same_vote a inst rnd v.vid then begin
     (* A retransmitted P2A means the coordinator still lacks this instance.
        Mid-chain acceptors re-forward from their held P2B, but the chain
        head holds nothing — its spontaneous P2B may have been the lost
@@ -868,13 +900,13 @@ let acc_on_p2a t a inst rnd (v : Paxos.Value.t) parts =
     if
       (not a.x_is_coord) && a.x_ring <> []
       && List.hd a.x_ring = a.x_idx
-      && acc_durable a inst
+      && (peek a inst).s_durable
     then forward_p2b t a inst rnd v.vid
     else acc_try_forward t a inst
   end
   else if rnd >= a.x_rnd then begin
     a.x_rnd <- rnd;
-    set_vote a inst (rnd, v, parts);
+    ignore (set_vote a inst rnd v parts);
     acc_update_mem a;
     match (t.cfg.durability, a.x_disk) with
     | Sync_disk, Some d ->
@@ -899,7 +931,7 @@ let acc_on_p2b t a inst rnd vid =
        and ask the coordinator to retransmit if the gap persists. *)
     Hashtbl.replace a.x_held inst (rnd, vid);
     ignore
-      (Simnet.after t.net t.cfg.retrans_timeout (fun () ->
+      (Simnet.after t.net retrans_timeout (fun () ->
            if Hashtbl.mem a.x_held inst && Simnet.is_alive a.x_proc then begin
              match coord_opt t with
              | Some c ->
@@ -911,17 +943,9 @@ let acc_on_p2b t a inst rnd vid =
 
 (* --- learner ------------------------------------------------------------ *)
 
+(* Preferential acceptor: spread learners across the ring. *)
 let pref_acceptor t l =
-  (* Preferential acceptor: spread learners across the ring. *)
-  let ring = ring_of t in
-  let n = List.length ring in
-  let rec pick k =
-    if k >= n then None
-    else
-      let idx = List.nth ring ((l.l_idx + k) mod n) in
-      if Simnet.is_alive t.accs.(idx).x_proc then Some t.accs.(idx) else pick (k + 1)
-  in
-  match pick 0 with Some a -> Some a | None -> coord_opt t
+  match ring_pick t l.l_idx ~skip:(-1) with Some a -> Some a | None -> coord_opt t
 
 (* [incoming] counts the instance being released into the sink, if any. *)
 let lrn_fc_check t l ~incoming =
@@ -948,8 +972,8 @@ let announced_vid = function
    decided at or beyond the delivery cursor but lacking either the decision
    or the value (§3.3.4). *)
 let repair_cycle t l =
-  Od.request_repairs l.l_repair l.l_od t.net ~timeout:t.cfg.retrans_timeout
-    ~cooldown:(4.0 *. t.cfg.retrans_timeout)
+  Od.request_repairs l.l_repair l.l_od t.net ~timeout:retrans_timeout
+    ~cooldown:(4.0 *. retrans_timeout)
     ~alive:(fun () -> Simnet.is_alive l.l_proc)
     ~complete:(fun _ d -> Hashtbl.mem l.l_vals (announced_vid d))
     ~send:(fun insts ->
@@ -1062,17 +1086,15 @@ let acc_gc t a floor =
      same item decided under a second instance. *)
   let done_item (it : Paxos.Value.item) = Uid_set.add a.x_done_uids it.uid in
   Hashtbl.filter_map_inplace
-    (fun i ((_, (v : Paxos.Value.t), _) as vote) ->
+    (fun i s ->
       if i < floor then begin
-        List.iter done_item v.items;
-        a.x_mem <- a.x_mem - v.size;
+        List.iter done_item s.s_val.items;
+        a.x_mem <- a.x_mem - s.s_val.size;
+        if s.s_decided then a.x_n_decided <- a.x_n_decided - 1;
         None
       end
-      else Some vote)
-    a.x_votes;
-  let prune i x = if i < floor then None else Some x in
-  Hashtbl.filter_map_inplace prune a.x_decided;
-  Hashtbl.filter_map_inplace prune a.x_durable;
+      else Some s)
+    a.x_log;
   acc_update_mem a
 
 let coord_on_version t c learner version =
@@ -1118,12 +1140,12 @@ let become_coordinator t a =
    re-multicast so the ring's Phase 2B chain can restart (§3.3.4). *)
 let p2a_retransmission t =
   ignore
-    (Retry.every ~counters:t.ctrs t.net ~name:"p2a_retrans" ~period:t.cfg.retrans_timeout
+    (Retry.every ~counters:t.ctrs t.net ~name:"p2a_retrans" ~period:retrans_timeout
        (fun () ->
          match coord_opt t with
          | Some c ->
              Retry.iter_due c.c_insts ~now_tk:(Simnet.now_tk t.net)
-               ~older_than:(2.0 *. t.cfg.retrans_timeout)
+               ~older_than:(2.0 *. retrans_timeout)
                (fun inst (v, parts) -> mcast_p2a t c inst v parts)
          | None -> ()))
 
@@ -1241,7 +1263,9 @@ let acc_handler t a (m : Simnet.msg) =
         a.x_ring <- ring;
         a.x_is_coord <- a.x_idx = cidx;
         let votes =
-          Hashtbl.fold (fun i (vr, vv, ps) l -> (i, vr, vv, ps) :: l) a.x_votes []
+          Hashtbl.fold
+            (fun i s l -> if s.s_rnd >= 0 then (i, s.s_rnd, s.s_val, s.s_parts) :: l else l)
+            a.x_log []
         in
         (* The floor costs one 8-byte word once it has moved: an empty set
            still costs nothing. *)
@@ -1269,12 +1293,7 @@ let acc_handler t a (m : Simnet.msg) =
             Uid_set.add a.c_seen_uids uid;
             Uid_set.add a.x_done_uids uid)
           done_uids;
-        List.iter
-          (fun (inst, vrnd, vval, parts) ->
-            match Hashtbl.find_opt a.c_claimed inst with
-            | Some (r, _, _) when r >= vrnd -> ()
-            | _ -> Hashtbl.replace a.c_claimed inst (vrnd, vval, parts))
-          votes;
+        List.iter (fun (inst, vrnd, vval, parts) -> claim a inst vrnd vval parts) votes;
         a.c_p1b <- a.c_p1b + 1;
         (* Counting its own state, the coordinator needs [n/2] more replies
            for a majority of the n-acceptor pool.  Retired acceptors stay in
@@ -1307,7 +1326,7 @@ let acc_handler t a (m : Simnet.msg) =
   | P2b { inst; rnd; vid } -> acc_on_p2b t a inst rnd vid
   | Decision { inst; _ } ->
       if inst > a.x_max_dec then a.x_max_dec <- inst;
-      if not a.x_is_coord then Hashtbl.replace a.x_decided inst ()
+      if not a.x_is_coord then mark_decided a inst
   | SlowDown _ as sd ->
       (* Forward along the ring until the coordinator reacts. *)
       if a.x_is_coord then fc_slow_down t a
@@ -1342,13 +1361,12 @@ let acc_handler t a (m : Simnet.msg) =
           Od.fast_forward cu.cu_od (Stdlib.min floor cu.cu_upto);
           catchup_pump t a
       | None -> ())
-  | RetransReq { inst; acceptor } -> (
-      match Hashtbl.find_opt a.x_votes inst with
-      | Some (_, v, ps) ->
-          Simnet.send t.net ~src:a.x_proc ~dst:t.accs.(acceptor).x_proc
-            ~size:(v.size + hdr)
-            (Retrans { inst; value = v; parts = ps })
-      | None -> ())
+  | RetransReq { inst; acceptor } ->
+      let s = peek a inst in
+      if s.s_rnd >= 0 then
+        Simnet.send t.net ~src:a.x_proc ~dst:t.accs.(acceptor).x_proc
+          ~size:(s.s_val.size + hdr)
+          (Retrans { inst; value = s.s_val; parts = s.s_parts })
   | RepairReq { insts; learner; fwd } -> begin
       (* Serve every decided instance this acceptor knows; forward the rest
          (ring member -> coordinator -> an out-of-ring acceptor, which may
@@ -1365,12 +1383,11 @@ let acc_handler t a (m : Simnet.msg) =
              the coordinator's own — can still lose its instance to a
              takeover (the proposal multicast lost, the voter crashed), and
              a repair response is taken as a decision by the requester. *)
-          let decided = Hashtbl.mem a.x_decided i in
-          match Hashtbl.find_opt a.x_votes i with
-          | Some (_, v, ps) when decided ->
-              Simnet.send t.net ~src:a.x_proc ~dst:reply_dst ~size:(v.size + hdr)
-                (Retrans { inst = i; value = v; parts = ps })
-          | _ -> missing := i :: !missing)
+          let s = peek a i in
+          if s.s_decided && s.s_rnd >= 0 then
+            Simnet.send t.net ~src:a.x_proc ~dst:reply_dst ~size:(s.s_val.size + hdr)
+              (Retrans { inst = i; value = s.s_val; parts = s.s_parts })
+          else missing := i :: !missing)
         insts;
       if !missing <> [] && fwd < 2 then begin
         let fwd_to b =
@@ -1382,15 +1399,12 @@ let acc_handler t a (m : Simnet.msg) =
           (* The coordinator lacking the value: try an acceptor outside the
              ring (a spare or a retired member of a previous epoch). *)
           match
-            Array.fold_left
-              (fun acc b ->
-                if
-                  acc = None && b.x_idx <> a.x_idx
-                  && (not (List.mem b.x_idx (ring_of t)))
-                  && Simnet.is_alive b.x_proc
-                then Some b
-                else acc)
-              None t.accs
+            Array.find_opt
+              (fun b ->
+                b.x_idx <> a.x_idx
+                && (not (List.mem b.x_idx (ring_of t)))
+                && Simnet.is_alive b.x_proc)
+              t.accs
           with
           | Some b -> fwd_to b
           | None -> ()
@@ -1408,12 +1422,11 @@ let acc_handler t a (m : Simnet.msg) =
           (* Catch-up import: store the decided prefix directly — the
              instance is already decided, so no vote is re-forwarded along
              the ring. *)
-          if not (Hashtbl.mem a.x_votes inst) then begin
-            set_vote a inst (a.x_rnd, value, parts);
-            Hashtbl.replace a.x_durable inst true;
+          if (peek a inst).s_rnd < 0 then begin
+            (set_vote a inst a.x_rnd value parts).s_durable <- true;
             acc_update_mem a
           end;
-          if not (Hashtbl.mem a.x_decided inst) then Hashtbl.replace a.x_decided inst ();
+          mark_decided a inst;
           if inst > a.x_max_dec then a.x_max_dec <- inst;
           ignore (Od.offer cu.cu_od ~inst ());
           catchup_pump t a
@@ -1481,9 +1494,9 @@ let new_proc net role i =
   let node = Simnet.add_node net (Printf.sprintf "mr-%s%d" role i) in
   Simnet.add_proc net node (Printf.sprintf "mr-%s%d" role i)
 
-(* The vote, decision and durability tables hold one GC window of
-   instances (≈ 1–2k under load) and start at that size; every other
-   table is small or coordinator-only and grows on demand. *)
+(* The acceptor log holds one GC window of instances (≈ 1–2k under load)
+   and starts at that size; every other table is small or
+   coordinator-only and grows on demand. *)
 let new_acc net cfg i ~ring =
   let proc = new_proc net "acc" i in
   let disk =
@@ -1499,9 +1512,8 @@ let new_acc net cfg i ~ring =
     x_is_coord = false;
     x_retired = false;
     x_catchup = None;
-    x_votes = Hashtbl.create 4096;
-    x_decided = Hashtbl.create 4096;
-    x_durable = Hashtbl.create 4096;
+    x_log = Hashtbl.create 4096;
+    x_n_decided = 0;
     x_held = Hashtbl.create 64;
     x_disk = disk;
     x_done_uids = Uid_set.create ();
@@ -1514,7 +1526,7 @@ let new_acc net cfg i ~ring =
     c_claimed = Hashtbl.create 64;
     c_next_inst = 0;
     c_outstanding = 0;
-    c_batch = Batcher.create ~buffer_bytes:cfg.buffer_bytes ~batch_bytes:cfg.batch_bytes ();
+    c_batch = Batcher.create ~buffer_bytes ~batch_bytes:cfg.batch_bytes ();
     c_insts = Retry.tracker ();
     c_window = cfg.window;
     c_decided = 0;
@@ -1524,7 +1536,7 @@ let new_acc net cfg i ~ring =
     c_preq = Queue.create ();
     c_rate = Float.Array.make 2 0.0;
     c_rate_timer = false;
-    c_rate_limit = cfg.send_rate;
+    c_rate_limit = send_rate;
     c_rc_fill = -1 }
 
 let new_lrn proc i ~parts ~active =
@@ -1579,28 +1591,16 @@ let create ?speculative ?learner_nodes net cfg ~n_proposers ~n_learners ~learner
         Simnet.new_group net (Printf.sprintf "part%d" p))
   in
   let dec_group = Simnet.new_group net "decision" in
-  (* In-ring acceptors subscribe everywhere; learners to their partitions. *)
-  Array.iter
-    (fun a ->
-      if List.mem a.x_idx ring then begin
-        Array.iter (fun g -> Simnet.join g a.x_proc) part_groups;
-        Simnet.join dec_group a.x_proc
-      end)
-    accs;
-  Array.iter
-    (fun l ->
-      List.iter
-        (fun p -> if p < Array.length part_groups then Simnet.join part_groups.(p) l.l_proc)
-        l.l_parts;
-      Simnet.join dec_group l.l_proc)
-    lrns;
-  Array.iter (fun p -> Simnet.join dec_group p.p_proc) props;
   let t =
     { net; clock = Sim.Engine.now_cell (Simnet.engine net); cfg;
       ctrs = Protocol.Counters.create (); accs; lrns; props; part_groups; dec_group; deliver;
       speculative; fd = None; next_uid = 0; next_vid = 0; cur_ring = ring; epoch = 0; rc = None;
       done_rc_uids = Hashtbl.create 16 }
   in
+  (* In-ring acceptors subscribe everywhere; learners to their partitions. *)
+  Array.iter (fun a -> if List.mem a.x_idx ring then acc_subscribe t Simnet.join a) accs;
+  Array.iter (lrn_subscribe t Simnet.join) lrns;
+  Array.iter (fun p -> Simnet.join dec_group p.p_proc) props;
   Array.iter
     (fun a ->
       a.x_ring <- ring;
@@ -1674,10 +1674,9 @@ let crash_acceptor t idx =
   a.c_rc_fill <- -1;
   cancel_catchup a;
   if t.cfg.durability = Memory then begin
-    Hashtbl.reset a.x_votes;
+    Hashtbl.reset a.x_log;
     a.x_mem <- 0;
-    Hashtbl.reset a.x_decided;
-    Hashtbl.reset a.x_durable;
+    a.x_n_decided <- 0;
     Uid_set.reset a.x_done_uids;
     a.x_rnd <- 0;
     acc_update_mem a
@@ -1777,7 +1776,9 @@ module Testing = struct
   let mem_consistent t =
     let recount tbl size = Hashtbl.fold (fun _ x n -> n + size x) tbl 0 in
     Array.for_all
-      (fun a -> a.x_mem = recount a.x_votes (fun (_, v, _) -> v.Paxos.Value.size))
+      (fun a ->
+        a.x_mem = recount a.x_log (fun s -> s.s_val.Paxos.Value.size)
+        && a.x_n_decided = recount a.x_log (fun s -> Bool.to_int s.s_decided))
       t.accs
     && Array.for_all
          (fun l -> l.l_val_bytes = recount l.l_vals (fun v -> v.Paxos.Value.size))

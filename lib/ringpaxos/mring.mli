@@ -27,24 +27,21 @@ type config = {
   batch_bytes : int;
   batch_timeout : float;
   durability : durability;
-  buffer_bytes : int;  (** circular proposal buffer (160 MB in §3.5.2) *)
   fc_threshold : int;  (** learner pending-decision threshold *)
-  fc_recover_period : float;  (** window regrowth cadence *)
   hb_period : float;
   hb_timeout : float;
-  retrans_timeout : float;
   gc_period : float;
   partitions : int;  (** multicast groups for state partitioning; 1 = plain *)
-  send_rate : float;  (** coordinator Phase 2A pacing, bits per second *)
-  reconfig_alpha : int;
-      (** a membership change decided at instance [i] activates at
-          [i + reconfig_alpha] — the activation lag of log-ordered
-          reconfiguration *)
   proposer_buffer : int;
       (** per-proposer unacknowledged-bytes bound; {!submit} returns -1
           once exceeded (16 MB default).  Shrink it to force open-loop
           window-overflow drops in tests. *)
 }
+(** The rest is fixed: the coordinator's proposal buffer (160 MB, §3.5.2),
+    its Phase 2A pacing ceiling (0.85 Gbps), the flow-control window
+    regrowth cadence (0.1 s), the Phase 2A retransmission and gap-repair
+    timeout (5 ms), and the activation lag [reconfig_alpha] of a
+    membership change (64 instances). *)
 
 val default_config : config
 
@@ -120,8 +117,8 @@ val disk : t -> int -> Storage.Disk.t option
 (** {1 Dynamic membership}
 
     A membership change is an ordinary command ordered through the log:
-    deciding it at instance [i] schedules its activation at
-    [i + reconfig_alpha].  Until activation the coordinator caps its
+    deciding it at instance [i] schedules its activation at [i + 64]
+    ([reconfig_alpha]).  Until activation the coordinator caps its
     pipeline below the activation instance, fills any undecided holes with
     no-ops and waits for in-flight instances to drain, so the epoch
     boundary is a decided prefix — no delivery is lost or duplicated
@@ -178,8 +175,9 @@ val learner_active : t -> int -> bool
 (** {1 Test hooks} *)
 
 module Testing : sig
-  (** Every acceptor's and learner's running buffer counter equals a full
-      recount of the table it tracks (votes, resp. undelivered values). *)
+  (** Every acceptor's and learner's running counters equal a full
+      recount of the table they track: an acceptor's voted bytes and
+      decided slots in its log, a learner's undelivered value bytes. *)
   val mem_consistent : t -> bool
 
   (** Uids held above the floor of every acceptor's two dedup sets, the

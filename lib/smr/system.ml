@@ -2,18 +2,10 @@ type config = {
   mring : Ringpaxos.Mring.config;
   replicas_per_partition : int;
   speculative : bool;
-  read_only : Simnet.payload -> bool;
 }
 
-let default_read_only = function
-  | Btree_service.Query _ -> true
-  | _ -> false
-
 let default_config =
-  { mring = Ringpaxos.Mring.default_config;
-    replicas_per_partition = 2;
-    speculative = false;
-    read_only = default_read_only }
+  { mring = Ringpaxos.Mring.default_config; replicas_per_partition = 2; speculative = false }
 
 type Simnet.payload += Resp of { uid : int; part : int }
 
@@ -73,7 +65,7 @@ let run_items t r (v : Paxos.Value.t) =
       let responder =
         Paxos.Value.uid_seq it.uid mod t.cfg.replicas_per_partition = r.rp_slot
       in
-      let read_only = t.cfg.read_only it.app in
+      let read_only = Btree_service.read_only it.app in
       if (not read_only) || responder then begin
         let o = r.rp_service.execute it.app in
         r.rp_executed <- r.rp_executed + 1;

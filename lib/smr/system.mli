@@ -21,9 +21,9 @@ type config = {
   mring : Ringpaxos.Mring.config;
   replicas_per_partition : int;
   speculative : bool;
-  read_only : Simnet.payload -> bool;
-      (** commands only the designated responder must execute *)
 }
+(** A read-only command ({!Btree_service.read_only}) runs only at its
+    designated responder. *)
 
 val default_config : config
 

@@ -84,8 +84,15 @@ let test_mcast_unavailable () =
     (Failure "Simnet.mcast: ip-multicast unavailable in this deployment") (fun () ->
       Simnet.mcast net ~src:s g ~size:10 (Ping 0))
 
+(* 5 KB datagrams from [a] to [b] alone: the fan-out copy of a one-member
+   multicast group, which a full receive buffer drops. *)
+let datagrams net a b =
+  let g = Simnet.new_group net "to-b" in
+  Simnet.join g b;
+  fun payload -> Simnet.mcast net ~src:a g ~size:5_000 payload
+
 let test_udp_buffer_overflow () =
-  (* A tiny receive buffer and a slow receiver must drop UDP packets. *)
+  (* A tiny receive buffer and a slow receiver must drop datagrams. *)
   let engine, net = make_net ~config:no_jitter () in
   let na = Simnet.add_node net "a" and nb = Simnet.add_node net "b" in
   let a = Simnet.add_proc net na "a" and b = Simnet.add_proc net nb "b" in
@@ -94,8 +101,9 @@ let test_udp_buffer_overflow () =
   c.recv_per_msg <- 1.0e-3 (* pathological slow consumer *);
   let got = ref 0 in
   Simnet.set_handler b (fun _ -> incr got);
+  let send = datagrams net a b in
   for _ = 1 to 100 do
-    Simnet.udp net ~src:a ~dst:b ~size:5_000 (Ping 0)
+    send (Ping 0)
   done;
   Sim.Engine.run_all engine;
   Alcotest.(check bool) "some delivered" true (!got > 0);
@@ -163,11 +171,10 @@ let test_slow_node_cpu_factor () =
   Alcotest.(check (float 1e-9)) "4x slower" 0.4 !at
 
 let test_wire_size () =
-  let _, net = make_net () in
   (* One frame: size + one frame overhead. *)
-  Alcotest.(check int) "small frame" (100 + 52) (Simnet.wire_size net 100);
+  Alcotest.(check int) "small frame" (100 + 52) (Simnet.wire_size 100);
   (* 8 KB crosses several MTU frames. *)
-  Alcotest.(check bool) "8K has multiple frames" true (Simnet.wire_size net 8192 > 8192 + 52 * 4)
+  Alcotest.(check bool) "8K has multiple frames" true (Simnet.wire_size 8192 > 8192 + 52 * 4)
 
 let test_mcast_loss_grows_with_senders () =
   (* Drive the switch near capacity from 1 vs 5 senders; more senders must
@@ -298,8 +305,9 @@ let test_recover_resets_rcvbuf_accounting () =
   Simnet.set_rcvbuf b 10_000;
   (Simnet.costs_of b).recv_per_msg <- 1.0e-2 (* buffered for 10ms each *);
   Simnet.set_handler b (fun _ -> ());
-  Simnet.udp net ~src:a ~dst:b ~size:5_000 (Ping 0);
-  Simnet.udp net ~src:a ~dst:b ~size:5_000 (Ping 1);
+  let send = datagrams net a b in
+  send (Ping 0);
+  send (Ping 1);
   (* Crash and recover while both packets still sit in the buffer. *)
   ignore
     (Simnet.after net 2.0e-3 (fun () ->
@@ -310,7 +318,7 @@ let test_recover_resets_rcvbuf_accounting () =
   (* The recovered buffer must still enforce its bound. *)
   let drops0 = Simnet.drops b in
   for _ = 1 to 100 do
-    Simnet.udp net ~src:a ~dst:b ~size:5_000 (Ping 2)
+    send (Ping 2)
   done;
   Sim.Engine.run_all engine;
   Alcotest.(check bool) "overflow drops still occur" true (Simnet.drops b > drops0);

@@ -26,8 +26,7 @@ let key_range = 20_000
 let make_system ?(partitions = 1) ?(replicas = 2) ?(speculative = false) ?(clients = 4)
     ?(kind = W.Ins_del_single) ?(cross_pct = 0) net =
   let cfg =
-    { Smr.System.default_config with
-      mring = { Ringpaxos.Mring.default_config with partitions };
+    { Smr.System.mring = { Ringpaxos.Mring.default_config with partitions };
       replicas_per_partition = replicas;
       speculative }
   in
