@@ -183,7 +183,6 @@ let verify_slice () =
     { Kv.default_config with
       leases = true;
       lease_dur = 0.05;
-      lease_backoff = 0.02;
       read_timeout = 0.05;
       initial_keys = 0;
       key_range = 64;

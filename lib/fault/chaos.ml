@@ -519,7 +519,6 @@ let kv_lease { net; inj; rng; duration; name; seed } =
       n_replicas;
       leases = true;
       lease_dur = 0.1;
-      lease_backoff = 0.05;
       read_timeout = 0.05;
       initial_keys = 0;
       key_range = 64;
@@ -558,8 +557,9 @@ let kv_lease { net; inj; rng; duration; name; seed } =
     ~dur:(pick rng (0.1 *. duration) (0.2 *. duration))
     ~group_a:[ vpid ] ~group_b:(others vpid pids)
     (sprintf "lease-holder%d" victim);
-  (* 2. lose the revocation acknowledgements themselves for a window:
-     every deferred write in it must fall back to the lease deadline. *)
+  (* 2. lose the revocation confirmations themselves for a window: a
+     write deferred on a lost one falls back to the lease deadline, or to
+     the holder's next confirmation. *)
   Injector.rule inj
     ~at:(pick rng t0 t1)
     ~dur:(pick rng (0.1 *. duration) (0.2 *. duration))

@@ -12,7 +12,6 @@ type config = {
   merge_m : int;
   leases : bool;
   lease_dur : float;
-  lease_backoff : float;
   read_timeout : float;
   initial_keys : int;
   key_range : int;
@@ -29,7 +28,6 @@ let default_config =
     merge_m = 8;
     leases = true;
     lease_dur = 0.5;
-    lease_backoff = 0.05;
     read_timeout = 0.25;
     initial_keys = 10_000;
     key_range = 100_000;
@@ -42,8 +40,9 @@ let lease_margin = 1.0e-3
 type Simnet.payload +=
   | KOp of { op : Simnet.payload; reads : Btree.Keyset.t; writes : Btree.Keyset.t }
   | KGrant of { replica : int; keys : Btree.Keyset.t; until : float }
+  | KLease of { replica : int }
   | KResp of { uid : int; obs : int option }
-  | KWAck of { uid : int; replica : int }
+  | KWAck of { replica : int; epoch : int }
   | KReadReq of { rid : int; client : int; key : int }
   | KReadResp of { rid : int; ok : bool; obs : int option }
 
@@ -56,7 +55,20 @@ type Simnet.payload +=
 type lease = {
   mutable ls_keys : Btree.Keyset.t;
   mutable ls_until : float;  (* 0 = invalidated or never granted *)
+  mutable ls_hold : float;
+      (* latest [until] ever granted: revocation leaves it, because the
+         holder may not have applied the revocation yet *)
   mutable ls_epoch : int;  (* bumped by every conflicting-write invalidation *)
+}
+
+(* A response held back until lease holders confirm their revocations. *)
+type wpend = {
+  w_uid : int;
+  mutable w_waits : int;  (* confirmations still missing; 0 once answered *)
+  w_client : int;
+  w_obs : int option;
+  w_size : int;
+  w_commit : float;
 }
 
 type replica = {
@@ -64,6 +76,12 @@ type replica = {
   r_svc : Smr.Btree_service.t;
   mutable r_exec : Psmr.Executor.t option;  (* set once the ring exists *)
   r_leases : lease array;
+  r_confirmed : int array;
+      (* per replica: the highest own-lease revocation epoch it has
+         confirmed to this one *)
+  r_waiting : (int * wpend) Queue.t array;
+      (* per replica: the deferred responses waiting on it, with the epoch
+         each needs confirmed, in log order (so epochs never decrease) *)
 }
 
 let exec_of rep = match rep.r_exec with Some e -> e | None -> assert false
@@ -74,17 +92,6 @@ type infl = {
   i_born : float;
   i_cls : string;
   i_hist : hist_intent option;
-}
-
-(* A deferred response waits on another replica's lease, so it is always
-   answered with [~remember:true]. *)
-type wpend = {
-  mutable w_need : int list;  (* replicas whose WAck is still missing *)
-  w_client : int;
-  w_replica : int;  (* the responder *)
-  w_obs : int option;
-  w_size : int;
-  w_commit : float;
 }
 
 type pread = {
@@ -105,15 +112,14 @@ type t = {
   ctrs : Protocol.Counters.t;
   slo : Slo.t;
   inflight : (int, infl) Hashtbl.t;  (* ordered-path uid -> issue record *)
-  wpend : (int, wpend) Hashtbl.t;  (* deferred write responses (responder) *)
-  early_acks : (int, int list ref) Hashtbl.t;  (* WAcks before commit *)
-  done_uids : (int, unit) Hashtbl.t;
-      (* responded writes some other replica may still ack: straggler
-         acks die here (see [respond_now]) *)
   applied : (int, unit) Hashtbl.t;  (* writes applied somewhere (history) *)
+  mutable deferred : int;  (* write responses waiting on confirmations *)
   pending_reads : (int, pread) Hashtbl.t;  (* rid -> local read in flight *)
   conts : (int, int option -> unit) Hashtbl.t;  (* uid -> point-op continuation *)
-  backoff : float array;  (* per-replica: no local reads until this time *)
+  leased : bool array;
+      (* per replica: it announced a grant and no read has since been
+         nacked or timed out there.  A routing hint only: [serve_read]
+         alone decides whether a lease is valid. *)
   init_vals : (int, int) Hashtbl.t;  (* pre-run tree contents (history) *)
   mutable hist : Smr.Linearizability.Kv.op list;
   mutable next_rid : int;
@@ -159,13 +165,7 @@ let complete t inf ~obs ~res =
 
 (* --- responses ------------------------------------------------------------------ *)
 
-(* [remember] says whether a replica other than the responder held a lease
-   entry over the write at its log position.  Only such a replica can ever
-   send a [KWAck] for it, so only then must the answer be remembered for
-   its straggler acks. *)
-let respond_now t ~replica ~uid ~client ~obs ~size ~at ~remember =
-  if remember then Hashtbl.replace t.done_uids uid ();
-  Hashtbl.remove t.early_acks uid;
+let respond t ~replica ~uid ~client ~obs ~size ~at =
   ignore
     (Sim.Engine.at (Simnet.engine t.net) ~time:at (fun () ->
          Simnet.send t.net ~src:(learner_proc t replica)
@@ -188,12 +188,41 @@ let apply_grant t rep ~replica ~keys ~until =
   let e = rep.r_leases.(replica) in
   e.ls_keys <- keys;
   e.ls_until <- until;
+  e.ls_hold <- Float.max e.ls_hold until;
   if rep.r_idx = 0 then Protocol.Counters.incr t.ctrs "kv_lease_grants_applied";
-  if rep.r_idx = replica then
+  if rep.r_idx = replica then begin
+    let now = Simnet.now t.net in
+    let src = learner_proc t replica in
     trace t (fun tr ->
-        Trace.instant tr
-          ~pid:(Simnet.pid (learner_proc t rep.r_idx))
-          ~cat:"lease" ~name:"grant" ~ts:(Simnet.now t.net))
+        Trace.instant tr ~pid:(Simnet.pid src) ~cat:"lease" ~name:"grant" ~ts:now);
+    (* Announce the grant to every client proxy, which from then on routes
+       local reads here.  One that expired on its way through the log is
+       not worth a read attempt. *)
+    if until > now then
+      for c = 0 to t.n_clients - 1 do
+        Simnet.send t.net ~src ~dst:(client_proc t c) ~size:64 (KLease { replica })
+      done
+  end
+
+let release t rep w ~at =
+  w.w_waits <- 0;
+  t.deferred <- t.deferred - 1;
+  trace t (fun tr ->
+      Trace.aend tr
+        ~pid:(Simnet.pid (learner_proc t rep.r_idx))
+        ~cat:"lease" ~name:"write-defer" ~id:w.w_uid ~ts:(Simnet.now t.net));
+  respond t ~replica:rep.r_idx ~uid:w.w_uid ~client:w.w_client ~obs:w.w_obs
+    ~size:w.w_size ~at
+
+(* Whether replica [j] may still serve a read missing a write that the
+   responder [rep] just applied: [j]'s latest grant runs past [now], and
+   [j] has not confirmed the revocation that covers the write — made by
+   this write, or by an earlier one [j] may not have applied yet. *)
+let blocks rep ~writes ~now j =
+  let e = rep.r_leases.(j) in
+  j <> rep.r_idx && e.ls_hold > now
+  && e.ls_epoch > rep.r_confirmed.(j)
+  && Btree.Keyset.overlaps writes e.ls_keys
 
 let apply_op t rep (it : Paxos.Value.item) ~op ~reads ~writes =
   let uid = it.Paxos.Value.uid in
@@ -204,39 +233,27 @@ let apply_op t rep (it : Paxos.Value.item) ~op ~reads ~writes =
   let wrote =
     (not (Btree.Keyset.is_empty writes)) && not (Smr.Btree_service.read_only op)
   in
-  let responder = responder_replica t uid in
-  let mine = responder = rep.r_idx in
-  (* Replicas whose lease covers this write at its apply point — computed
-     before invalidation.  Only lease entries valid right now defer the
-     writer's response; an expired entry cannot serve reads anyway. *)
-  let holders = ref [] in
-  let remember = ref false in
-  if t.cfg.leases && wrote then begin
-    let leases = rep.r_leases in
-    for j = 0 to Array.length leases - 1 do
-      let e = leases.(j) in
-      if e.ls_until > now && Btree.Keyset.overlaps writes e.ls_keys then
-        holders := (j, e.ls_until) :: !holders
-    done;
-    (* Conflicting writes invalidate overlapping leases when applied: the
-       epoch bumps and local serving stops until a fresh grant is
-       ordered. *)
+  let leases = rep.r_leases in
+  (* Conflicting writes invalidate overlapping leases when applied: the
+     epoch bumps and local serving stops until a fresh grant is ordered. *)
+  let revoked_own = ref false in
+  if t.cfg.leases && wrote then
     for j = 0 to Array.length leases - 1 do
       let e = leases.(j) in
       if e.ls_until > 0.0 && Btree.Keyset.overlaps writes e.ls_keys then begin
-        if j <> responder then remember := true;
         e.ls_until <- 0.0;
         e.ls_epoch <- e.ls_epoch + 1;
-        if rep.r_idx = 0 then
-          Protocol.Counters.incr t.ctrs "kv_lease_invalidations";
-        if j = rep.r_idx then
+        if rep.r_idx = 0 then Protocol.Counters.incr t.ctrs "kv_lease_invalidations";
+        if j = rep.r_idx then begin
+          revoked_own := true;
           trace t (fun tr ->
               Trace.instant tr
                 ~pid:(Simnet.pid (learner_proc t rep.r_idx))
                 ~cat:"lease" ~name:"revoke" ~ts:now)
+        end
       end
-    done
-  end;
+    done;
+  let mine = responder_replica t uid = rep.r_idx in
   (* The observed value for single-key reads, at this log position (all
      earlier ops already applied to the tree, later ones not yet). *)
   let obs =
@@ -251,74 +268,55 @@ let apply_op t rep (it : Paxos.Value.item) ~op ~reads ~writes =
   Psmr.Executor.submit ex ~now ~uid ~reads ~writes op;
   if t.cfg.record_history && wrote && not (Hashtbl.mem t.applied uid) then
     Hashtbl.replace t.applied uid ();
-  (* A non-responder holding a conflicting lease acks the write once it has
-     applied it (after which its local reads see the new value); the
-     responder holds the client response until every such ack arrives or
-     the lease's deadline passes. *)
-  if (not mine) && t.cfg.leases && wrote
-     && List.mem_assoc rep.r_idx !holders
-  then
+  (* A replica that revoked its own lease confirms the revocation to every
+     other replica once the write commits: from then on its local reads see
+     the write, and so does every read it serves under a later grant. *)
+  if !revoked_own then begin
+    let src = learner_proc t rep.r_idx in
+    let ack = KWAck { replica = rep.r_idx; epoch = leases.(rep.r_idx).ls_epoch } in
     ignore
       (Sim.Engine.at (Simnet.engine t.net) ~time:(Psmr.Executor.last_commit ex)
          (fun () ->
-           Simnet.send t.net ~src:(learner_proc t rep.r_idx)
-             ~dst:(learner_proc t responder) ~size:64
-             (KWAck { uid; replica = rep.r_idx })));
+           for j = 0 to Array.length leases - 1 do
+             if j <> rep.r_idx then
+               Simnet.send t.net ~src ~dst:(learner_proc t j) ~size:64 ack
+           done))
+  end;
   if mine then begin
     let client = Paxos.Value.uid_origin uid - 1 in
     if client >= 0 && client < t.n_clients then begin
       let size = resp_size_of op in
       let commit = Psmr.Executor.last_commit ex in
-      (* Without holders nothing defers the response, and [respond_now]
-         drops any banked acks itself. *)
-      let need =
-        match !holders with
-        | [] -> []
-        | holders ->
-            let acked =
-              match Hashtbl.find_opt t.early_acks uid with
-              | Some l ->
-                  Hashtbl.remove t.early_acks uid;
-                  !l
-              | None -> []
-            in
-            List.filter (fun (j, _) -> j <> rep.r_idx && not (List.mem j acked)) holders
-      in
-      if need = [] then
-        respond_now t ~replica:rep.r_idx ~uid ~client ~obs ~size ~at:commit
-          ~remember:!remember
+      let waits = ref 0 in
+      if t.cfg.leases && wrote then
+        for j = 0 to Array.length leases - 1 do
+          if blocks rep ~writes ~now j then incr waits
+        done;
+      if !waits = 0 then respond t ~replica:rep.r_idx ~uid ~client ~obs ~size ~at:commit
       else begin
-        let deadline =
-          List.fold_left (fun m (_, u) -> Stdlib.max m u) 0.0 need
-          +. lease_margin
+        let w =
+          { w_uid = uid; w_waits = !waits; w_client = client; w_obs = obs;
+            w_size = size; w_commit = commit }
         in
-        let deadline = Stdlib.max deadline commit in
-        Hashtbl.replace t.wpend uid
-          { w_need = List.map fst need;
-            w_client = client;
-            w_replica = rep.r_idx;
-            w_obs = obs;
-            w_size = size;
-            w_commit = commit };
+        let deadline = ref commit in
+        for j = 0 to Array.length leases - 1 do
+          if blocks rep ~writes ~now j then begin
+            Queue.add (leases.(j).ls_epoch, w) rep.r_waiting.(j);
+            deadline := Float.max !deadline (leases.(j).ls_hold +. lease_margin)
+          end
+        done;
+        t.deferred <- t.deferred + 1;
         trace t (fun tr ->
             Trace.abegin tr
               ~pid:(Simnet.pid (learner_proc t rep.r_idx))
               ~cat:"lease" ~name:"write-defer" ~id:uid ~ts:now);
-        (* A holder that never acks (dead, partitioned) stops blocking once
-           its lease has provably expired. *)
+        (* A holder that never confirms (dead, partitioned, its confirmation lost)
+           stops blocking once its latest grant has provably expired. *)
         ignore
-          (Sim.Engine.at (Simnet.engine t.net) ~time:deadline (fun () ->
-               if Hashtbl.mem t.wpend uid then begin
-                 let w = Hashtbl.find t.wpend uid in
-                 Hashtbl.remove t.wpend uid;
+          (Sim.Engine.at (Simnet.engine t.net) ~time:!deadline (fun () ->
+               if w.w_waits > 0 then begin
                  Protocol.Counters.incr t.ctrs "kv_deadline_responses";
-                 trace t (fun tr ->
-                     Trace.aend tr
-                       ~pid:(Simnet.pid (learner_proc t w.w_replica))
-                       ~cat:"lease" ~name:"write-defer" ~id:uid
-                       ~ts:(Simnet.now t.net));
-                 respond_now t ~replica:w.w_replica ~uid ~client:w.w_client
-                   ~obs:w.w_obs ~size:w.w_size ~at:(Simnet.now t.net) ~remember:true
+                 release t rep w ~at:(Simnet.now t.net)
                end))
       end
     end
@@ -378,15 +376,14 @@ let ordered_issue t ~born (a : OL.arrival) =
   end;
   uid
 
-(* Next replica not in nack/timeout backoff, round-robin; -1 if none. *)
+(* Next replica that announced a lease, round-robin; -1 if none. *)
 let pick_replica t =
   let n = t.cfg.n_replicas in
-  let now = Simnet.now t.net in
   let rec go k =
     if k >= n then -1
     else begin
       let j = (t.read_rr + k) mod n in
-      if now >= t.backoff.(j) then j else go (k + 1)
+      if t.leased.(j) then j else go (k + 1)
     end
   in
   let j = go 0 in
@@ -408,8 +405,7 @@ let local_read t (a : OL.arrival) ~key ~replica =
         | Some p ->
             Hashtbl.remove t.pending_reads rid;
             Protocol.Counters.incr t.ctrs "kv_read_timeouts";
-            t.backoff.(p.p_replica) <-
-              Simnet.now t.net +. t.cfg.lease_backoff;
+            t.leased.(p.p_replica) <- false;
             ignore (ordered_issue t ~born:p.p_born p.p_arr))
   in
   Hashtbl.replace t.pending_reads rid
@@ -427,7 +423,7 @@ let issue t (a : OL.arrival) =
       else ignore (ordered_issue t ~born:(Simnet.now t.net) a)
   | _ -> ignore (ordered_issue t ~born:(Simnet.now t.net) a)
 
-(* --- replica-side handlers (local reads, write acks) --------------------------- *)
+(* --- replica-side handlers (local reads, revocation confirmations) ------------ *)
 
 let serve_read t rep ~rid ~client ~key =
   let e = rep.r_leases.(rep.r_idx) in
@@ -479,34 +475,23 @@ let serve_read t rep ~rid ~client ~key =
       (KReadResp { rid; ok = false; obs = None })
   end
 
-let handle_wack t ~uid ~replica =
+(* [replica] confirms it applied the revocation of its lease at [epoch]
+   (and so every earlier one): each deferred response for which this was
+   the last missing confirmation goes out. *)
+let handle_wack t rep ~replica ~epoch =
   Protocol.Counters.incr t.ctrs "kv_wacks";
-  if not (Hashtbl.mem t.done_uids uid) then begin
-    match Hashtbl.find_opt t.wpend uid with
-    | Some w ->
-        w.w_need <- List.filter (fun j -> j <> replica) w.w_need;
-        if w.w_need = [] then begin
-          Hashtbl.remove t.wpend uid;
-          trace t (fun tr ->
-              Trace.aend tr
-                ~pid:(Simnet.pid (learner_proc t w.w_replica))
-                ~cat:"lease" ~name:"write-defer" ~id:uid
-                ~ts:(Simnet.now t.net));
-          respond_now t ~replica:w.w_replica ~uid ~client:w.w_client
-            ~obs:w.w_obs ~size:w.w_size
-            ~at:(Stdlib.max w.w_commit (Simnet.now t.net)) ~remember:true
-        end
-    | None ->
-        (* Ack raced ahead of the responder's own apply: bank it. *)
-        let l =
-          match Hashtbl.find_opt t.early_acks uid with
-          | Some l -> l
-          | None ->
-              let l = ref [] in
-              Hashtbl.add t.early_acks uid l;
-              l
-        in
-        l := replica :: !l
+  if epoch > rep.r_confirmed.(replica) then begin
+    rep.r_confirmed.(replica) <- epoch;
+    let q = rep.r_waiting.(replica) in
+    while (not (Queue.is_empty q)) && fst (Queue.peek q) <= epoch do
+      let _, w = Queue.pop q in
+      (* Answered already (by its deadline) once [w_waits] is 0. *)
+      if w.w_waits > 0 then begin
+        w.w_waits <- w.w_waits - 1;
+        if w.w_waits = 0 then
+          release t rep w ~at:(Float.max w.w_commit (Simnet.now t.net))
+      end
+    done
   end
 
 (* --- client response handler ----------------------------------------------------- *)
@@ -539,11 +524,11 @@ let handle_client_msg t (m : Simnet.msg) prev =
           end
           else begin
             Protocol.Counters.incr t.ctrs "kv_local_nacks_seen";
-            t.backoff.(p.p_replica) <-
-              Simnet.now t.net +. t.cfg.lease_backoff;
+            t.leased.(p.p_replica) <- false;
             ignore (ordered_issue t ~born:p.p_born p.p_arr)
           end
     end
+  | KLease { replica } -> t.leased.(replica) <- true
   | _ -> prev m
 
 (* --- construction ---------------------------------------------------------------- *)
@@ -562,7 +547,10 @@ let create ?on_broadcast ?on_deliver net cfg ~n_clients =
           r_exec = None;
           r_leases =
             Array.init cfg.n_replicas (fun _ ->
-                { ls_keys = Btree.Keyset.empty; ls_until = 0.0; ls_epoch = 0 }) })
+                { ls_keys = Btree.Keyset.empty; ls_until = 0.0; ls_hold = 0.0;
+                  ls_epoch = 0 });
+          r_confirmed = Array.make cfg.n_replicas 0;
+          r_waiting = Array.init cfg.n_replicas (fun _ -> Queue.create ()) })
   in
   let init_vals = Hashtbl.create 1024 in
   if cfg.record_history then
@@ -579,13 +567,11 @@ let create ?on_broadcast ?on_deliver net cfg ~n_clients =
       ctrs = Protocol.Counters.create ();
       slo = Slo.create ();
       inflight = Hashtbl.create 4096;
-      wpend = Hashtbl.create 256;
-      early_acks = Hashtbl.create 256;
-      done_uids = Hashtbl.create 4096;
+      deferred = 0;
       applied = Hashtbl.create 4096;
       pending_reads = Hashtbl.create 1024;
       conts = Hashtbl.create 16;
-      backoff = Array.make cfg.n_replicas 0.0;
+      leased = Array.make cfg.n_replicas false;
       init_vals;
       hist = [];
       next_rid = 0;
@@ -623,7 +609,8 @@ let create ?on_broadcast ?on_deliver net cfg ~n_clients =
              ~mode:cfg.executor ~n_workers:cfg.n_workers
              rep.r_svc.Smr.Btree_service.service))
     t.reps;
-  (* Replica-side handlers: local read requests and write acks arrive on
+  (* Replica-side handlers: local read requests and revocation
+     confirmations arrive on
      the learner process, chained in front of the ring's own handler. *)
   Array.iter
     (fun rep ->
@@ -632,7 +619,7 @@ let create ?on_broadcast ?on_deliver net cfg ~n_clients =
       Simnet.set_handler p (fun m ->
           match m.Simnet.payload with
           | KReadReq { rid; client; key } -> serve_read t rep ~rid ~client ~key
-          | KWAck { uid; replica } -> handle_wack t ~uid ~replica
+          | KWAck { replica; epoch } -> handle_wack t rep ~replica ~epoch
           | _ -> prev m))
     t.reps;
   (* Client handlers on the ring-0 proposer processes. *)
@@ -725,7 +712,7 @@ let counter t name = Protocol.Counters.get t.ctrs name
 let issued t = t.issued
 let drops t = t.drops
 let inflight_count t = Hashtbl.length t.inflight
-let pending_writes t = Hashtbl.length t.wpend
+let pending_writes t = t.deferred
 
 let executed t =
   Array.fold_left (fun acc rep -> acc + Psmr.Executor.executed (exec_of rep)) 0 t.reps
@@ -765,5 +752,4 @@ let check_history t =
 module Testing = struct
   let break_leases t = t.broken_leases <- true
   let issue = issue
-  let done_uids t = Hashtbl.length t.done_uids
 end

@@ -13,12 +13,17 @@
       workers ({!Psmr.Executor.read});
     - an ordered read-only command ({!Smr.Btree_service.read_only}) runs
       only at its responder replica, the one that answers it;
+    - a replica that applies a grant of its own lease announces it to the
+      client proxies ([KLease]), which route local reads only to replicas
+      that announced one; a refused read (or one that times out against a
+      dead replica) falls back to the ordered path and drops that replica
+      from the route until its next announcement;
     - a conflicting write {e invalidates} overlapping leases when applied
-      (the lease epoch bumps), and the write's client response is held
-      until every other replica holding a covering lease has acknowledged
-      applying it — or that lease's deadline has provably passed;
-    - a client whose local read is refused (or times out against a dead
-      replica) falls back to the ordered path and backs off that replica.
+      (the lease epoch bumps), and the replica whose own lease it revoked
+      confirms that to every other replica once the write commits
+      ([KWAck]); the write's client response is held until every other
+      replica whose latest grant is still running has confirmed the
+      revocation covering the write — or that grant has provably expired.
 
     Validity checks compare against the simulation's single virtual clock,
     i.e. perfect clock synchronisation — the classical lease assumption,
@@ -44,7 +49,6 @@ type config = {
   merge_m : int;
   leases : bool;  (** grant leases and serve local reads *)
   lease_dur : float;  (** lease length, seconds of virtual time *)
-  lease_backoff : float;  (** client-side nack/timeout backoff per replica *)
   read_timeout : float;  (** local-read timeout against a dead replica *)
   initial_keys : int;
   key_range : int;
@@ -56,8 +60,12 @@ val default_config : config
 type Simnet.payload +=
   | KOp of { op : Simnet.payload; reads : Btree.Keyset.t; writes : Btree.Keyset.t }
   | KGrant of { replica : int; keys : Btree.Keyset.t; until : float }
+  | KLease of { replica : int }
+      (** to each client proxy: [replica] applied a grant of its own lease *)
   | KResp of { uid : int; obs : int option }
-  | KWAck of { uid : int; replica : int }
+  | KWAck of { replica : int; epoch : int }
+      (** to each other replica: [replica] applied the write that revoked
+          its own lease at [epoch] *)
   | KReadReq of { rid : int; client : int; key : int }
       (** a lease-served point read *)
   | KReadResp of { rid : int; ok : bool; obs : int option }
@@ -117,7 +125,7 @@ val drops : t -> int
 
 val inflight_count : t -> int
 
-(** Write responses still deferred on lease acknowledgements. *)
+(** Write responses still deferred on revocation confirmations. *)
 val pending_writes : t -> int
 
 (** Ordered commands executed, summed across replicas: an update counts
@@ -159,7 +167,4 @@ module Testing : sig
       use it to send commands no generator produces (e.g. an update
       declared with an empty write set). *)
   val issue : t -> Smr.Workload.Open_loop.arrival -> unit
-
-  (** Responded writes remembered for straggler lease acks. *)
-  val done_uids : t -> int
 end

@@ -225,7 +225,7 @@ let chaos_goldens =
     ("spaxos", "1c03c0466432f4eee20666ff01ca2913");
     ("lcr", "c0e87a31ed4cf47240e6b74b865de061");
     ("smr", "9a28ddb552a5f04ee5a73b15f1a0aba8");
-    ("kv-lease", "aa73f0073c3560e7a16e49b2db3812ef") ]
+    ("kv-lease", "eb4498f0c65b9162ff2bbd5280a5b67d") ]
 
 let test_chaos_seed_golden () =
   List.iter
