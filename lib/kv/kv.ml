@@ -7,9 +7,6 @@ type config = {
   n_workers : int;
   executor : Psmr.Executor.mode;
   ring : Ringpaxos.Mring.config;
-  lambda : float;
-  delta : float;
-  merge_m : int;
   leases : bool;
   lease_dur : float;
   read_timeout : float;
@@ -23,9 +20,6 @@ let default_config =
     n_workers = 2;
     executor = Psmr.Executor.Pessimistic;
     ring = Ringpaxos.Mring.default_config;
-    lambda = 50_000.0;
-    delta = 1.0e-3;
-    merge_m = 8;
     leases = true;
     lease_dur = 0.5;
     read_timeout = 0.25;
@@ -36,6 +30,13 @@ let default_config =
 (* Slack past the last overlapping lease's expiry before a write's
    deadline response. *)
 let lease_margin = 1.0e-3
+
+(* Fixed settings of the one ring's Multi-Ring merge (see
+   [Multiring.config]): the skip controller's expected message rate and
+   sampling interval, and the messages taken per merge round. *)
+let merge_lambda = 50_000.0
+let merge_delta = 1.0e-3
+let merge_m = 8
 
 type Simnet.payload +=
   | KOp of { op : Simnet.payload; reads : Btree.Keyset.t; writes : Btree.Keyset.t }
@@ -587,9 +588,9 @@ let create ?on_broadcast ?on_deliver net cfg ~n_clients =
     { Multiring.ring = cfg.ring;
       n_rings = 1;
       n_groups = 0;
-      lambda = cfg.lambda;
-      delta = cfg.delta;
-      m = cfg.merge_m;
+      lambda = merge_lambda;
+      delta = merge_delta;
+      m = merge_m;
       buffer_items = 500_000 }
   in
   let mr =

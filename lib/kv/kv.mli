@@ -44,9 +44,6 @@ type config = {
           (the default) waits for conflicting predecessors; [Optimistic]
           runs speculatively and rolls back on a conflict at commit *)
   ring : Ringpaxos.Mring.config;
-  lambda : float;
-  delta : float;
-  merge_m : int;
   leases : bool;  (** grant leases and serve local reads *)
   lease_dur : float;  (** lease length, seconds of virtual time *)
   read_timeout : float;  (** local-read timeout against a dead replica *)

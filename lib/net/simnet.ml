@@ -49,8 +49,7 @@ type msg = {
 }
 
 and minternal = {
-  mutable gen : int; (* bumped on recycle: stale refs are detectable *)
-  mutable rc : int; (* 1 while in flight; [retain] adds references *)
+  mutable live : bool; (* out of the freelist: guards against a double reclaim *)
   mutable udp : bool; (* a multicast copy: a full receive buffer drops it *)
   mutable credit : bool; (* should credit the TCP window when consumed *)
   mutable srcp : proc;
@@ -665,17 +664,14 @@ and finish_msg t m =
 
 and release_msg t m =
   let i = m.m_i in
-  if i.rc <= 0 then invalid_arg "Simnet: message released twice";
-  i.rc <- i.rc - 1;
-  if i.rc = 0 then begin
-    i.gen <- i.gen + 1;
-    m.payload <- Noop;
-    i.srcp <- t.dummy_proc;
-    i.dstp <- t.dummy_proc;
-    i.cn <- t.dummy_conn;
-    i.grp <- t.dummy_group;
-    push_free t m
-  end
+  if not i.live then invalid_arg "Simnet: message reclaimed twice";
+  i.live <- false;
+  m.payload <- Noop;
+  i.srcp <- t.dummy_proc;
+  i.dstp <- t.dummy_proc;
+  i.cn <- t.dummy_conn;
+  i.grp <- t.dummy_group;
+  push_free t m
 
 and push_free t m =
   let cap = Array.length t.free in
@@ -691,8 +687,7 @@ and push_free t m =
    and are reused for its whole life across recycles. *)
 and birth t =
   let i =
-    { gen = 0;
-      rc = 0;
+    { live = false;
       udp = false;
       credit = false;
       srcp = t.dummy_proc;
@@ -722,7 +717,7 @@ and acquire_msg t =
   if t.n_free = 0 then push_free t (birth t);
   t.n_free <- t.n_free - 1;
   let m = Array.unsafe_get t.free t.n_free in
-  m.m_i.rc <- 1;
+  m.m_i.live <- true;
   m
 
 (* Fault-tap dispatch for one (message, destination) pair, then scheduling
@@ -909,11 +904,6 @@ let mcast ?(loopback = false) ?tid t ~src g ~size payload =
 
 (* {1 Message-pool public API} *)
 
-let retain _t m = m.m_i.rc <- m.m_i.rc + 1
-
-let release t m = release_msg t m
-let msg_generation m = m.m_i.gen
-let msg_refcount m = m.m_i.rc
 let pool_allocated t = t.n_all
 let pool_free t = t.n_free
 

@@ -17,9 +17,8 @@
     Message records are pooled: the record passed
     to a handler is {e borrowed} — it is valid until the handler returns,
     after which the network reclaims and reuses it.  A protocol that needs
-    the record beyond the handler must {!retain} it (and {!release} it
-    later); copying the fields out is usually simpler.  Payloads are NOT
-    pooled: the payload value a handler extracts stays valid forever. *)
+    a field beyond the handler copies it out.  Payloads are NOT pooled:
+    the payload value a handler extracts stays valid forever. *)
 
 (** Extensible message payload; each protocol adds its own constructors. *)
 type payload = ..
@@ -138,23 +137,6 @@ val mcast :
   ?loopback:bool -> ?tid:int -> t -> src:proc -> group -> size:int -> payload -> unit
 
 (** {1 Message pool} *)
-
-(** [retain t m] extends [m]'s lifetime past the handler return by adding
-    a reference; the record stays valid until a matching {!release}. *)
-val retain : t -> msg -> unit
-
-(** [release t m] drops a reference taken by {!retain}; the record goes
-    back to the pool (and its generation is bumped) when the last one
-    is dropped.
-    @raise Invalid_argument on a double release (refcount already zero). *)
-val release : t -> msg -> unit
-
-(** Generation stamp of the record's pool slot, bumped each time the slot
-    is recycled — lets a test detect that a stale reference now names a
-    different message. *)
-val msg_generation : msg -> int
-
-val msg_refcount : msg -> int
 
 (** Records ever created by the pool (high-water mark of concurrently
     live messages and multicast switch hops, since records recycle). *)

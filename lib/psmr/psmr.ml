@@ -13,9 +13,6 @@ type config = {
   n_workers : int;
   n_replicas : int;
   ring : Ringpaxos.Mring.config;
-  lambda : float;
-  delta : float;
-  merge_m : int;
   exec_cost : float;
   sched_cost : float;
 }
@@ -25,11 +22,15 @@ let default_config =
     n_workers = 4;
     n_replicas = 2;
     ring = Ringpaxos.Mring.default_config;
-    lambda = 50_000.0;
-    delta = 1.0e-3;
-    merge_m = 8;
     exec_cost = 8.0e-6;
     sched_cost = 2.0e-6 }
+
+(* Fixed settings of the Multi-Ring merge over the rings (see
+   [Multiring.config]): the skip controller's expected message rate and
+   sampling interval, and the messages taken per merge round. *)
+let merge_lambda = 50_000.0
+let merge_delta = 1.0e-3
+let merge_m = 8
 
 type Simnet.payload +=
   | PCmd of { obj : int; dependent : bool }
@@ -293,9 +294,9 @@ let create net cfg ~n_clients ~gen =
     { Multiring.ring = cfg.ring;
       n_rings;
       n_groups = 0;
-      lambda = cfg.lambda;
-      delta = cfg.delta;
-      m = cfg.merge_m;
+      lambda = merge_lambda;
+      delta = merge_delta;
+      m = merge_m;
       buffer_items = 500_000 }
   in
   let deliver ~learner ~group it app =

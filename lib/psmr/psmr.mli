@@ -41,9 +41,6 @@ type config = {
   n_workers : int;  (** worker threads per replica *)
   n_replicas : int;
   ring : Ringpaxos.Mring.config;
-  lambda : float;
-  delta : float;
-  merge_m : int;
   exec_cost : float;  (** service time per command, seconds *)
   sched_cost : float;  (** SDPE scheduler cost per command, seconds *)
 }

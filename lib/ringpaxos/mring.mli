@@ -25,10 +25,8 @@ type config = {
   f : int;  (** tolerated acceptor failures; the ring has [f+1] members *)
   window : int;
   batch_bytes : int;
-  batch_timeout : float;
   durability : durability;
   fc_threshold : int;  (** learner pending-decision threshold *)
-  hb_period : float;
   hb_timeout : float;
   gc_period : float;
   partitions : int;  (** multicast groups for state partitioning; 1 = plain *)
@@ -37,11 +35,12 @@ type config = {
           once exceeded (16 MB default).  Shrink it to force open-loop
           window-overflow drops in tests. *)
 }
-(** The rest is fixed: the coordinator's proposal buffer (160 MB, §3.5.2),
-    its Phase 2A pacing ceiling (0.85 Gbps), the flow-control window
-    regrowth cadence (0.1 s), the Phase 2A retransmission and gap-repair
-    timeout (5 ms), and the activation lag [reconfig_alpha] of a
-    membership change (64 instances). *)
+(** The rest is fixed: the coordinator's proposal buffer (160 MB, §3.5.2)
+    and the age at which it seals a partial batch (0.5 ms), its Phase 2A
+    pacing ceiling (0.85 Gbps), the flow-control window regrowth cadence
+    (0.1 s), the heartbeat period (20 ms), the Phase 2A retransmission
+    and gap-repair timeout (5 ms), and the activation lag
+    [reconfig_alpha] of a membership change (64 instances). *)
 
 val default_config : config
 
@@ -90,7 +89,9 @@ val kill_ring_acceptor : t -> int -> unit  (** by position, 0 = first *)
 
 (** [crash_acceptor t i] crashes acceptor [i] (global index), losing every
     piece of state not on stable storage (§3.3.5): with [Memory] durability
-    the acceptor is wiped; with the disk modes promises and votes survive. *)
+    the acceptor is wiped (safe only under the majority-never-fails
+    assumption); with the disk modes promises and votes survive, and
+    {!restart_acceptor} reloads them before the acceptor rejoins. *)
 val crash_acceptor : t -> int -> unit
 
 (** [restart_acceptor t i] restarts a crashed acceptor, reloading its
@@ -131,12 +132,14 @@ val disk : t -> int -> Storage.Disk.t option
 
 (** [add_acceptor t] grows the acceptor pool with a fresh spare and
     returns its global index.  The spare serves Phase 1 and repair
-    traffic but joins no ring until a reconfiguration elects it. *)
+    traffic at once but joins no ring (and no multicast group) until a
+    reconfiguration elects it. *)
 val add_acceptor : t -> int
 
-(** [stage_learner t ~parts] creates an inactive learner subscribed to
-    [parts] and returns its index; it delivers nothing until a
-    reconfiguration activates it. *)
+(** [stage_learner t ~parts] creates an inactive learner for [parts] and
+    returns its index.  It joins no group and reports no version until a
+    reconfiguration naming it in [add_learners] activates; it then
+    delivers exactly from the activation instance. *)
 val stage_learner : t -> parts:int list -> int
 
 (** [reconfigure t ?add_learners ?remove_learners ?retire ~ring ()]
@@ -175,9 +178,8 @@ val learner_active : t -> int -> bool
 (** {1 Test hooks} *)
 
 module Testing : sig
-  (** Every acceptor's and learner's running counters equal a full
-      recount of the table they track: an acceptor's voted bytes and
-      decided slots in its log, a learner's undelivered value bytes. *)
+  (** Every acceptor's log counters ({!Log.consistent}) and learner's
+      undelivered value bytes equal a full recount. *)
   val mem_consistent : t -> bool
 
   (** Uids held above the floor of every acceptor's two dedup sets, the
@@ -186,4 +188,14 @@ module Testing : sig
 
   (** The payload is a Phase 1B reply. *)
   val is_p1b : Simnet.payload -> bool
+
+  (** The acceptor log, for model tests. *)
+  module Log : module type of Acc_log
+
+  (** A Phase 2A for [value] at [inst] in round [rnd] (to partition 0), a
+      Phase 2B, and the value id a Phase 2B carries (-1 for any other
+      payload). *)
+  val p2a : inst:int -> rnd:int -> Paxos.Value.t -> Simnet.payload
+  val p2b : inst:int -> rnd:int -> vid:int -> Simnet.payload
+  val p2b_vid : Simnet.payload -> int
 end

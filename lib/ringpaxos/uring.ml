@@ -1,27 +1,21 @@
 type role = Acceptor | Proposer | Learner
 
-type config = {
-  f : int;
-  window : int;
-  batch_bytes : int;
-  batch_timeout : float;
-  durability : Mring.durability;
-  buffer_bytes : int;
-  hb_period : float;
-  hb_timeout : float;
-  resubmit_timeout : float;
-}
+type config = { f : int; durability : Mring.durability }
 
-let default_config =
-  { f = 2;
-    window = 64;
-    batch_bytes = 32 * 1024;
-    batch_timeout = 5.0e-4;
-    durability = Mring.Memory;
-    buffer_bytes = 80 * 1024 * 1024;
-    hb_period = 0.02;
-    hb_timeout = 0.25;
-    resubmit_timeout = 0.5 }
+let default_config = { f = 2; durability = Mring.Memory }
+
+(* Fixed settings: the coordinator's window of outstanding instances, its
+   batch size (32 KB packets, §3.5.2), the age at which it seals a
+   partial batch and its proposal buffer; the failure detector's
+   heartbeat period and timeout; and the age at which a proposer
+   resubmits an unacknowledged item. *)
+let window = 64
+let batch_bytes = 32 * 1024
+let batch_timeout = 5.0e-4
+let buffer_bytes = 80 * 1024 * 1024
+let hb_period = 0.02
+let hb_timeout = 0.25
+let resubmit_timeout = 0.5
 
 let hdr = 64
 
@@ -167,12 +161,12 @@ let rec drain t c =
         then propose_instance t c inst v;
         if inst >= c.c_next_inst then c.c_next_inst <- inst + 1)
       (List.sort compare claimed);
-    while c.c_outstanding < t.cfg.window && Protocol.Batcher.ready c.c_batch <> None do
+    while c.c_outstanding < window && Protocol.Batcher.ready c.c_batch <> None do
       propose_batch t c
     done;
-    Protocol.Batcher.arm_timeout c.c_batch t.net ~timeout:t.cfg.batch_timeout (fun () ->
+    Protocol.Batcher.arm_timeout c.c_batch t.net ~timeout:batch_timeout (fun () ->
         if c.m_pos = t.coord_pos && Simnet.is_alive c.m_proc && c.c_phase1_ok
-           && c.c_outstanding < t.cfg.window
+           && c.c_outstanding < window
         then propose_batch t c;
         drain t c)
   end
@@ -372,8 +366,7 @@ let failure_detection t =
   in
   t.fd <-
     Some
-      (Protocol.Failure_detector.create t.net ~hb_period:t.cfg.hb_period
-         ~hb_timeout:t.cfg.hb_timeout
+      (Protocol.Failure_detector.create t.net ~hb_period ~hb_timeout
          ~leader:(fun () -> Simnet.is_alive (coord t).m_proc)
          ~emit ~on_suspect)
 
@@ -384,10 +377,10 @@ let heard_from_coord t m =
 
 let prop_resubmission t m =
   ignore
-    (Protocol.Retry.every t.net ~name:"resubmit" ~period:t.cfg.resubmit_timeout (fun () ->
+    (Protocol.Retry.every t.net ~name:"resubmit" ~period:resubmit_timeout (fun () ->
          if Simnet.is_alive m.m_proc && m.m_prop_idx >= 0 then
            Protocol.Retry.iter_due m.p_pending ~now_tk:(Simnet.now_tk t.net)
-             ~older_than:t.cfg.resubmit_timeout
+             ~older_than:resubmit_timeout
              (fun _uid (it : Paxos.Value.item) ->
                send_succ t m ~size:(it.isize + hdr) (UForward it))))
 
@@ -541,8 +534,7 @@ let create net cfg ~positions ~deliver =
           c_next_inst = 0;
           c_outstanding = 0;
           c_batch =
-            Protocol.Batcher.create ~buffer_bytes:cfg.buffer_bytes
-              ~batch_bytes:cfg.batch_bytes ();
+            Protocol.Batcher.create ~buffer_bytes ~batch_bytes ();
           c_seen_uids = Protocol.Uid_set.create ();
           c_preq = Queue.create ();
           c_reports = [] })

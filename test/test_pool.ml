@@ -1,8 +1,7 @@
-(* Tests for the pooled message path (lib/net): record lifecycle
-   (borrow / retain / release, generation stamps), pool-epoch safety
-   across kill/recover, the backlog ring against a queue model, bounded
-   backlog-ring memory, allocation-free steady state, and a golden digest
-   of a traced run. *)
+(* Tests for the pooled message path (lib/net): reclaiming a handler's
+   borrowed record, pool-epoch safety across kill/recover, the backlog
+   ring against a queue model, bounded backlog-ring memory,
+   allocation-free steady state, and a golden digest of a traced run. *)
 
 type Simnet.payload += Ping of int
 
@@ -17,78 +16,18 @@ let pair net =
   let na = Simnet.add_node net "a" and nb = Simnet.add_node net "b" in
   (Simnet.add_proc net na "a", Simnet.add_proc net nb "b")
 
-(* --- lifecycle: borrow, retain, release ------------------------------- *)
+(* --- lifecycle: a handler borrows the record ------------------------- *)
 
 let test_borrow_reclaimed_after_handler () =
   let engine, net = make () in
   let a, b = pair net in
   let seen = ref 0 in
-  Simnet.set_handler b (fun m ->
-      incr seen;
-      Alcotest.(check int) "borrowed rc is 1" 1 (Simnet.msg_refcount m));
+  Simnet.set_handler b (fun _ -> incr seen);
   Simnet.send net ~src:a ~dst:b ~size:64 (Ping 1);
   Sim.Engine.run_all engine;
   Alcotest.(check int) "delivered" 1 !seen;
   Alcotest.(check int) "all records back on the freelist"
     (Simnet.pool_allocated net) (Simnet.pool_free net)
-
-let test_retain_keeps_record_release_returns_it () =
-  let engine, net = make () in
-  let a, b = pair net in
-  let kept = ref None in
-  Simnet.set_handler b (fun m ->
-      Simnet.retain net m;
-      kept := Some m);
-  Simnet.send net ~src:a ~dst:b ~size:64 (Ping 42);
-  Sim.Engine.run_all engine;
-  let m = Option.get !kept in
-  (* The record outlives the handler: payload still readable. *)
-  (match m.payload with
-  | Ping i -> Alcotest.(check int) "payload intact after handler" 42 i
-  | _ -> Alcotest.fail "payload clobbered");
-  Alcotest.(check int) "retained record held out of the pool" 1
-    (Simnet.pool_allocated net - Simnet.pool_free net);
-  let gen = Simnet.msg_generation m in
-  Simnet.release net m;
-  Alcotest.(check int) "release returns it"
-    (Simnet.pool_allocated net) (Simnet.pool_free net);
-  Alcotest.(check bool) "generation bumped on reclaim" true
-    (Simnet.msg_generation m <> gen)
-
-let test_double_release_rejected () =
-  let engine, net = make () in
-  let a, b = pair net in
-  let kept = ref None in
-  Simnet.set_handler b (fun m ->
-      Simnet.retain net m;
-      kept := Some m);
-  Simnet.send net ~src:a ~dst:b ~size:64 (Ping 0);
-  Sim.Engine.run_all engine;
-  let m = Option.get !kept in
-  Simnet.release net m;
-  Alcotest.check_raises "second release is a double free"
-    (Invalid_argument "Simnet: message released twice") (fun () ->
-      Simnet.release net m)
-
-let test_generation_distinguishes_reuse () =
-  let engine, net = make () in
-  let a, b = pair net in
-  (* Record the (record, generation) pair of the first delivery without
-     retaining it; after the pool reuses the slot, the stale stamp no
-     longer matches — exactly the check a consumer would use to detect
-     a dangling borrow. *)
-  let stale = ref None in
-  Simnet.set_handler b (fun m ->
-      if !stale = None then stale := Some (m, Simnet.msg_generation m));
-  Simnet.send net ~src:a ~dst:b ~size:64 (Ping 1);
-  Sim.Engine.run_all engine;
-  let m, gen0 = Option.get !stale in
-  (* Same single record gets reused for the next send. *)
-  Simnet.send net ~src:a ~dst:b ~size:64 (Ping 2);
-  Sim.Engine.run_all engine;
-  Alcotest.(check int) "pool did not grow" 1 (Simnet.pool_allocated net);
-  Alcotest.(check bool) "stale generation stamp voided" true
-    (Simnet.msg_generation m <> gen0)
 
 (* --- pool-epoch safety across kill/recover ---------------------------- *)
 
@@ -120,8 +59,7 @@ let test_pool_consistent_across_kill_recover () =
 let prop_random_lifecycle =
   (* Random interleaving of sends, kills and recoveries over three
      processes; at quiescence the freelist must hold every record the
-     pool ever created (each terminal path reclaimed exactly once), and
-     the generation stamps retained mid-run must all be voided. *)
+     pool ever created (each terminal path reclaimed exactly once). *)
   QCheck.Test.make ~name:"random send/kill/recover keeps the pool consistent"
     ~count:30
     QCheck.(pair small_int (list (int_bound 9)))
@@ -370,11 +308,6 @@ let test_traced_run_golden () =
 let suite =
   [ Alcotest.test_case "handler borrow is reclaimed" `Quick
       test_borrow_reclaimed_after_handler;
-    Alcotest.test_case "retain keeps, release returns" `Quick
-      test_retain_keeps_record_release_returns_it;
-    Alcotest.test_case "double release rejected" `Quick test_double_release_rejected;
-    Alcotest.test_case "generation stamp voids reuse" `Quick
-      test_generation_distinguishes_reuse;
     Alcotest.test_case "pool consistent across kill/recover" `Quick
       test_pool_consistent_across_kill_recover;
     QCheck_alcotest.to_alcotest prop_random_lifecycle;

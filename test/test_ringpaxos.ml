@@ -584,6 +584,161 @@ let test_mring_p1b_size_independent_of_run_length () =
     true
     (float_of_int late <= 1.25 *. float_of_int early)
 
+(* §3.3.5: an acceptor passes its Phase 2B on only once its vote is on
+   disk, and a vote that replaces another (a higher round, another value)
+   is on disk only once its own write lands, whatever the replaced vote's
+   state.  Acceptor 1 (mid-chain, [Sync_disk]) holds the durable vote of
+   instance 0 when a round-1000 Phase 2A for another value reaches it; its
+   predecessor's Phase 2B for that value follows 0.3 ms later, while the
+   ~1 ms write is still running.  The Phase 2B that acceptor 1 sends the
+   coordinator must leave no earlier than the write completes.  Keeping
+   the replaced vote's durable flag, it left at once. *)
+let test_mring_replaced_vote_waits_for_its_write () =
+  let module T = Ringpaxos.Mring.Testing in
+  let config = { Ringpaxos.Mring.default_config with durability = Ringpaxos.Mring.Sync_disk } in
+  let env = make_mring ~config () in
+  ignore (Ringpaxos.Mring.submit env.mr ~proposer:0 ~size:256 (Cmd 1));
+  (* Before the first GC (0.1 s), so acceptor 1 still holds the vote. *)
+  Sim.Engine.run env.engine ~until:0.05;
+  Alcotest.(check (list int)) "instance 0 decided" [ 1 ] (seq env 0);
+  let accs = Ringpaxos.Mring.acceptor_procs env.mr in
+  let disk = Option.get (Ringpaxos.Mring.disk env.mr 1) in
+  let uid = Paxos.Value.make_uid ~seq:1_000 ~origin:0 in
+  let w = Paxos.Value.make ~vid:1_000_000 [ { uid; isize = 1024; app = Cmd 2; born = 0.0 } ] in
+  let pending = ref 0.0 and lands = ref infinity and sent = ref [] in
+  let wrap p f =
+    let inner = Simnet.handler_of p in
+    Simnet.set_handler p (fun m ->
+        if T.p2b_vid m.payload = w.vid then f m;
+        inner m)
+  in
+  wrap accs.(1) (fun _ ->
+      let now = Simnet.now env.net in
+      pending := Storage.Disk.backlog disk ~now;
+      lands := now +. !pending);
+  wrap accs.(2) (fun m -> sent := Simnet.sent_at m :: !sent);
+  Simnet.send env.net ~src:accs.(2) ~dst:accs.(1) ~size:(w.size + 64) (T.p2a ~inst:0 ~rnd:1000 w);
+  ignore
+    (Simnet.after env.net 3.0e-4 (fun () ->
+         Simnet.send env.net ~src:accs.(0) ~dst:accs.(1) ~size:64
+           (T.p2b ~inst:0 ~rnd:1000 ~vid:w.vid)));
+  Sim.Engine.run env.engine ~until:0.06;
+  Alcotest.(check bool) "the Phase 2B arrived while the write ran" true (!pending > 0.0);
+  Alcotest.(check bool) "acceptor 1 passed it on" true (!sent <> []);
+  List.iter
+    (fun at ->
+      Alcotest.(check bool)
+        (Printf.sprintf "sent at %.6f s, write landed at %.6f s" at !lands)
+        true
+        (at >= !lands -. 2.0e-6))
+    !sent
+
+(* [Acc_log] against a plain model: random votes, replacements, decided
+   and durable marks (some for votes already replaced), prunes and
+   clears.  After every step the log reads as the model does, its
+   counters equal a recount, the done uids are exactly the uids of the
+   pruned votes, and a vote is ready only after its own durable mark. *)
+type model_slot = {
+  m_rnd : int;
+  m_vid : int;
+  m_size : int;
+  m_uids : int list;
+  m_decided : bool;
+  m_durable : bool;
+}
+
+let test_acc_log_model () =
+  let module L = Ringpaxos.Mring.Testing.Log in
+  let empty = { m_rnd = -1; m_vid = -1; m_size = 0; m_uids = []; m_decided = false; m_durable = false } in
+  let n_inst = 24 in
+  for seed = 1 to 20 do
+    let rng = Random.State.make [| seed |] in
+    let l = L.create () and m = Hashtbl.create 16 and pruned = Hashtbl.create 64 in
+    let floor = ref 0 and next_seq = ref 1 and next_vid = ref 0 and history = ref [] in
+    let get i = Option.value ~default:empty (Hashtbl.find_opt m i) in
+    let check step =
+      let ctx what = Printf.sprintf "seed %d step %d: %s" seed step what in
+      let slots = Hashtbl.fold (fun _ s acc -> s :: acc) m [] in
+      let bytes = List.fold_left (fun n s -> n + s.m_size) 0 slots in
+      let decided = List.length (List.filter (fun s -> s.m_decided) slots) in
+      Alcotest.(check int) (ctx "voted bytes") bytes (L.vote_bytes l);
+      Alcotest.(check int) (ctx "memory") (bytes + (16 * decided)) (L.mem_bytes l);
+      Alcotest.(check bool) (ctx "counters equal a recount") true (L.consistent l);
+      Alcotest.(check int) (ctx "gc floor") !floor (L.gc_floor l);
+      for i = 0 to n_inst - 1 do
+        let s = L.peek l i and e = get i in
+        Alcotest.(check (list int)) (ctx (Printf.sprintf "slot %d" i))
+          [ e.m_rnd; (if e.m_rnd < 0 then -1 else e.m_vid); Bool.to_int e.m_decided;
+            Bool.to_int e.m_durable ]
+          [ s.s_rnd; (if s.s_rnd < 0 then -1 else s.s_val.vid); Bool.to_int s.s_decided;
+            Bool.to_int s.s_durable ]
+      done;
+      List.iter
+        (fun (i, _, vid) ->
+          let e = get i in
+          Alcotest.(check bool) (ctx (Printf.sprintf "inst %d vid %d ready" i vid))
+            (e.m_rnd >= 0 && e.m_vid = vid && e.m_durable)
+            (L.ready l i vid))
+        !history;
+      for sq = 1 to !next_seq - 1 do
+        let uid = Paxos.Value.make_uid ~seq:sq ~origin:0 in
+        Alcotest.(check bool) (ctx (Printf.sprintf "uid %d done" sq))
+          (Hashtbl.mem pruned uid)
+          (Protocol.Uid_set.mem (L.done_uids l) uid)
+      done
+    in
+    for step = 1 to 300 do
+      let i = Random.State.int rng n_inst in
+      (match Random.State.int rng 10 with
+      | 0 | 1 | 2 ->
+          let items =
+            List.init (1 + Random.State.int rng 3) (fun _ ->
+                let uid = Paxos.Value.make_uid ~seq:!next_seq ~origin:0 in
+                incr next_seq;
+                { Paxos.Value.uid; isize = 1 + Random.State.int rng 1000; app = Cmd 0; born = 0.0 })
+          in
+          incr next_vid;
+          let v = Paxos.Value.make ~vid:!next_vid items in
+          let rnd = Random.State.int rng 5 in
+          L.set_vote l i rnd v [ 0 ];
+          history := (i, rnd, v.vid) :: !history;
+          Hashtbl.replace m i
+            { (get i) with m_rnd = rnd; m_vid = v.vid; m_size = v.size;
+              m_uids = List.map (fun (it : Paxos.Value.item) -> it.uid) items; m_durable = false }
+      | 3 | 4 -> L.mark_decided l i; Hashtbl.replace m i { (get i) with m_decided = true }
+      | 5 | 6 | 7 -> (
+          (* The latest vote at some instance, or one since replaced. *)
+          match !history with
+          | [] -> ()
+          | h ->
+              let i, rnd, vid = List.nth h (Random.State.int rng (List.length h)) in
+              let e = get i in
+              let holds = e.m_rnd = rnd && e.m_vid = vid in
+              Alcotest.(check bool) "mark_durable reports whether it marked" holds
+                (L.mark_durable l i ~rnd ~vid);
+              if holds then Hashtbl.replace m i { e with m_durable = true })
+      | 8 ->
+          let f = Random.State.int rng n_inst in
+          L.prune l ~floor:f;
+          floor := Stdlib.max !floor f;
+          Hashtbl.filter_map_inplace
+            (fun j s ->
+              if j < f then begin
+                List.iter (fun u -> Hashtbl.replace pruned u ()) s.m_uids;
+                None
+              end
+              else Some s)
+            m
+      | _ ->
+          if Random.State.int rng 4 = 0 then begin
+            L.clear l;
+            Hashtbl.reset m;
+            Hashtbl.reset pruned
+          end);
+      check step
+    done
+  done
+
 (* --- U-Ring Paxos --------------------------------------------------------- *)
 
 type uring_env = {
@@ -750,6 +905,9 @@ let suite =
     Alcotest.test_case "mring: dedup state is bounded" `Quick test_mring_dedup_state_bounded;
     Alcotest.test_case "mring: P1b size does not depend on run length" `Quick
       test_mring_p1b_size_independent_of_run_length;
+    Alcotest.test_case "mring: a replaced vote waits for its own write" `Quick
+      test_mring_replaced_vote_waits_for_its_write;
+    Alcotest.test_case "mring: acceptor log matches a model" `Quick test_acc_log_model;
     Alcotest.test_case "uring: basic order" `Quick test_uring_basic;
     Alcotest.test_case "uring: all learners agree" `Quick test_uring_all_learners_agree;
     Alcotest.test_case "uring: rejects small rings" `Quick test_uring_rejects_small_rings;
