@@ -31,20 +31,13 @@ let default_config =
    deadline response. *)
 let lease_margin = 1.0e-3
 
-(* Fixed settings of the one ring's Multi-Ring merge (see
-   [Multiring.config]): the skip controller's expected message rate and
-   sampling interval, and the messages taken per merge round. *)
-let merge_lambda = 50_000.0
-let merge_delta = 1.0e-3
-let merge_m = 8
-
 type Simnet.payload +=
   | KOp of { op : Simnet.payload; reads : Btree.Keyset.t; writes : Btree.Keyset.t }
   | KGrant of { replica : int; keys : Btree.Keyset.t; until : float }
   | KLease of { replica : int }
   | KResp of { uid : int; obs : int option }
   | KWAck of { replica : int; epoch : int }
-  | KReadReq of { rid : int; client : int; key : int }
+  | KReadReq of { rid : int; client : int; op : Simnet.payload; reads : Btree.Keyset.t }
   | KReadResp of { rid : int; ok : bool; obs : int option }
 
 (* One replica's view of every replica's lease.  The table is log-driven
@@ -104,6 +97,18 @@ type pread = {
   p_timer : Sim.Engine.handle;
 }
 
+(* A reply on its way out, from the replica's process [rp_src].  Replies
+   are pooled per [Kv] (the {!Simnet} message-pool pattern): a record and
+   its send closure [rp_fire] are built once and reused, so scheduling a
+   reply allocates only its payload. *)
+type reply = {
+  mutable rp_src : Simnet.proc;
+  mutable rp_dst : Simnet.proc;
+  mutable rp_size : int;
+  mutable rp_payload : Simnet.payload;
+  mutable rp_fire : unit -> unit;
+}
+
 type t = {
   net : Simnet.t;
   cfg : config;
@@ -131,6 +136,8 @@ type t = {
   mutable broken_leases : bool;  (* Testing: serve despite expiry/revocation *)
   on_broadcast : (uid:int -> unit) option;
   on_deliver : (replica:int -> uid:int -> unit) option;
+  mutable replies : reply array;  (* free reply records, a stack *)
+  mutable n_replies : int;
 }
 
 let the_mr t = match t.mr with Some m -> m | None -> assert false
@@ -166,11 +173,49 @@ let complete t inf ~obs ~res =
 
 (* --- responses ------------------------------------------------------------------ *)
 
+(* A reply sent when its timer fires goes out only if its replica is still
+   alive then: a killed process sends nothing (see [Simnet.kill]).  The
+   record returns to the pool either way, holding no payload. *)
+let reply_fire t r () =
+  let src = r.rp_src in
+  if Simnet.is_alive src then
+    Simnet.send t.net ~src ~dst:r.rp_dst ~size:r.rp_size r.rp_payload;
+  r.rp_payload <- Simnet.Noop;
+  let n = t.n_replies in
+  if n = Array.length t.replies then begin
+    let a = Array.make (Stdlib.max 16 (2 * n)) r in
+    Array.blit t.replies 0 a 0 n;
+    t.replies <- a
+  end;
+  t.replies.(n) <- r;
+  t.n_replies <- n + 1
+
+(* [send_at t ~src ~dst ~size payload ~at] sends [payload] at time [at]
+   from a pooled record: one engine event, no closure.  The pool grows
+   on demand. *)
+let send_at t ~src ~dst ~size payload ~at =
+  let r =
+    if t.n_replies > 0 then begin
+      t.n_replies <- t.n_replies - 1;
+      t.replies.(t.n_replies)
+    end
+    else begin
+      let r =
+        { rp_src = src; rp_dst = dst; rp_size = 0; rp_payload = Simnet.Noop; rp_fire = ignore }
+      in
+      r.rp_fire <- reply_fire t r;
+      r
+    end
+  in
+  r.rp_src <- src;
+  r.rp_dst <- dst;
+  r.rp_size <- size;
+  r.rp_payload <- payload;
+  ignore (Sim.Engine.at (Simnet.engine t.net) ~time:at r.rp_fire)
+
 let respond t ~replica ~uid ~client ~obs ~size ~at =
-  ignore
-    (Sim.Engine.at (Simnet.engine t.net) ~time:at (fun () ->
-         Simnet.send t.net ~src:(learner_proc t replica)
-           ~dst:(client_proc t client) ~size (KResp { uid; obs })))
+  send_at t ~src:(learner_proc t replica) ~dst:(client_proc t client) ~size
+    (KResp { uid; obs }) ~at
 
 (* --- ordered delivery ----------------------------------------------------------- *)
 
@@ -278,10 +323,11 @@ let apply_op t rep (it : Paxos.Value.item) ~op ~reads ~writes =
     ignore
       (Sim.Engine.at (Simnet.engine t.net) ~time:(Psmr.Executor.last_commit ex)
          (fun () ->
-           for j = 0 to Array.length leases - 1 do
-             if j <> rep.r_idx then
-               Simnet.send t.net ~src ~dst:(learner_proc t j) ~size:64 ack
-           done))
+           if Simnet.is_alive src then
+             for j = 0 to Array.length leases - 1 do
+               if j <> rep.r_idx then
+                 Simnet.send t.net ~src ~dst:(learner_proc t j) ~size:64 ack
+             done))
   end;
   if mine then begin
     let client = Paxos.Value.uid_origin uid - 1 in
@@ -414,7 +460,7 @@ let local_read t (a : OL.arrival) ~key ~replica =
       p_timer = timer };
   Simnet.send t.net ~src:(client_proc t c) ~dst:(learner_proc t replica)
     ~size:64
-    (KReadReq { rid; client = c; key })
+    (KReadReq { rid; client = c; op = a.OL.op; reads = a.OL.reads })
 
 let issue t (a : OL.arrival) =
   match a.OL.op with
@@ -426,33 +472,33 @@ let issue t (a : OL.arrival) =
 
 (* --- replica-side handlers (local reads, revocation confirmations) ------------ *)
 
-let serve_read t rep ~rid ~client ~key =
+(* [op] is the read's [Query] and [reads] its key set, both as the client
+   issued them, so serving builds neither. *)
+let serve_read t rep ~rid ~client ~op ~reads =
   let e = rep.r_leases.(rep.r_idx) in
   let now = Simnet.now t.net in
   let proc = learner_proc t rep.r_idx in
   let valid = t.broken_leases || now < e.ls_until in
-  let keys = Btree.Keyset.range ~lo:key ~hi:key in
-  let covered = Btree.Keyset.subset keys e.ls_keys in
+  let covered = Btree.Keyset.subset reads e.ls_keys in
   if t.cfg.leases && valid && covered then begin
     Protocol.Counters.incr t.ctrs "kv_local_reads";
     (* The service owns the CPU cost; the reply carries one value. *)
     let cost =
-      (rep.r_svc.Smr.Btree_service.service.Smr.Service.execute
-         (Smr.Btree_service.Query { lo = key; hi = key }))
-        .Smr.Service.cost
+      (rep.r_svc.Smr.Btree_service.service.Smr.Service.execute op).Smr.Service.cost
     in
     (* The observed value only feeds the linearizability history.  It is
        the tree at [now], while the lease is valid: the read's
        linearization point, however long it then waits for a worker. *)
     let obs =
-      if t.cfg.record_history then
-        Btree.find rep.r_svc.Smr.Btree_service.tree key
-      else None
+      match op with
+      | Smr.Btree_service.Query { lo = key; _ } when t.cfg.record_history ->
+          Btree.find rep.r_svc.Smr.Btree_service.tree key
+      | _ -> None
     in
     (* The read runs on the replica's worker pool, beside the ordered
        commands, not on the learner's CPU. *)
     let ex = exec_of rep in
-    Psmr.Executor.read ex ~now ~reads:keys ~cost;
+    Psmr.Executor.read ex ~now ~reads ~cost;
     let fin = Psmr.Executor.last_read_fin ex in
     (match Simnet.tracer t.net with
     | Some tr ->
@@ -463,12 +509,8 @@ let serve_read t rep ~rid ~client ~key =
             ~dur:(start -. now);
         Trace.span tr ~pid ~cat:"lease" ~name:"local-read" ~ts:start ~dur:cost
     | None -> ());
-    ignore
-      (Sim.Engine.at (Simnet.engine t.net) ~time:fin (fun () ->
-           if Simnet.is_alive proc then
-             Simnet.send t.net ~src:proc ~dst:(client_proc t client)
-               ~size:point_resp
-               (KReadResp { rid; ok = true; obs })))
+    send_at t ~src:proc ~dst:(client_proc t client) ~size:point_resp
+      (KReadResp { rid; ok = true; obs }) ~at:fin
   end
   else begin
     Protocol.Counters.incr t.ctrs "kv_local_nacks";
@@ -582,19 +624,12 @@ let create ?on_broadcast ?on_deliver net cfg ~n_clients =
       drops = 0;
       broken_leases = false;
       on_broadcast;
-      on_deliver }
-  in
-  let mcfg =
-    { Multiring.ring = cfg.ring;
-      n_rings = 1;
-      n_groups = 0;
-      lambda = merge_lambda;
-      delta = merge_delta;
-      m = merge_m;
-      buffer_items = 500_000 }
+      on_deliver;
+      replies = [||];
+      n_replies = 0 }
   in
   let mr =
-    Multiring.create net mcfg ~n_learners:cfg.n_replicas
+    Multiring.create net (Multiring.service_config cfg.ring ~n_rings:1) ~n_learners:cfg.n_replicas
       ~subs:(fun _ -> [ 0 ])
       ~proposers_per_ring:(n_clients + cfg.n_replicas)
       ~deliver:(deliver t)
@@ -619,7 +654,7 @@ let create ?on_broadcast ?on_deliver net cfg ~n_clients =
       let prev = Simnet.handler_of p in
       Simnet.set_handler p (fun m ->
           match m.Simnet.payload with
-          | KReadReq { rid; client; key } -> serve_read t rep ~rid ~client ~key
+          | KReadReq { rid; client; op; reads } -> serve_read t rep ~rid ~client ~op ~reads
           | KWAck { replica; epoch } -> handle_wack t rep ~replica ~epoch
           | _ -> prev m))
     t.reps;

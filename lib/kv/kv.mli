@@ -23,7 +23,10 @@
       confirms that to every other replica once the write commits
       ([KWAck]); the write's client response is held until every other
       replica whose latest grant is still running has confirmed the
-      revocation covering the write — or that grant has provably expired.
+      revocation covering the write — or that grant has provably expired;
+    - a reply or confirmation a replica scheduled goes out only if the
+      replica is still alive when it is due: a killed replica sends
+      nothing.
 
     Validity checks compare against the simulation's single virtual clock,
     i.e. perfect clock synchronisation — the classical lease assumption,
@@ -63,8 +66,9 @@ type Simnet.payload +=
   | KWAck of { replica : int; epoch : int }
       (** to each other replica: [replica] applied the write that revoked
           its own lease at [epoch] *)
-  | KReadReq of { rid : int; client : int; key : int }
-      (** a lease-served point read *)
+  | KReadReq of { rid : int; client : int; op : Simnet.payload; reads : Btree.Keyset.t }
+      (** a lease-served point read: the arrival's [Query] and its declared
+          read set (the key), carried as issued *)
   | KReadResp of { rid : int; ok : bool; obs : int option }
 
 type t

@@ -17,6 +17,9 @@ let default_config =
     m = 1;
     buffer_items = 50_000 }
 
+let service_config ring ~n_rings =
+  { ring; n_rings; n_groups = 0; lambda = 50_000.0; delta = 1.0e-3; m = 8; buffer_items = 500_000 }
+
 let groups_of cfg = if cfg.n_groups <= 0 then cfg.n_rings else cfg.n_groups
 
 type Simnet.payload += Skip of { count : int }
@@ -74,10 +77,24 @@ let advance_if_done t l =
 let unwrap (it : Paxos.Value.item) =
   match it.app with Grouped { app; _ } -> app | app -> app
 
+(* Merge's step on [it], the next item of the current group [cur]: a skip
+   banks its slots as credit; a real message fills one slot and is
+   delivered. *)
+let take t l cur (it : Paxos.Value.item) =
+  (match unwrap it with
+  | Skip { count } -> l.ml_credit.(cur) <- l.ml_credit.(cur) + count
+  | app ->
+      l.ml_delivered <- l.ml_delivered + 1;
+      l.ml_taken <- l.ml_taken + 1;
+      t.deliver ~learner:l.ml_idx ~group:l.ml_subs.(cur) it app);
+  advance_if_done t l
+
 (* Deterministic merge: consume [m] message slots per subscribed group, in
    ascending group order.  A real message fills one slot and is delivered; a
    skip message banks [count] slots of credit for its group, consumed round
-   by round so idle groups never stall the others (§5.2.1). *)
+   by round so idle groups never stall the others (§5.2.1).  It runs until
+   it stands still: halted, or at a group with no credit and nothing
+   queued. *)
 let rec merge t l =
   if not l.ml_halted then begin
     let cur = l.ml_cur in
@@ -94,37 +111,55 @@ let rec merge t l =
       if not (Queue.is_empty q) then begin
         let it = Queue.take q in
         l.ml_buffered <- l.ml_buffered - 1;
-        (match unwrap it with
-        | Skip { count } -> l.ml_credit.(cur) <- l.ml_credit.(cur) + count
-        | app ->
-            l.ml_delivered <- l.ml_delivered + 1;
-            l.ml_taken <- l.ml_taken + 1;
-            t.deliver ~learner:l.ml_idx ~group:l.ml_subs.(cur) it app);
-        advance_if_done t l;
+        take t l cur it;
         merge t l
       end
     end
   end
 
-let rec receive t l = function
+(* The items of one ring delivery, in order.  Merge stands still when an
+   item arrives; when it stands at the item's own group (no credit there,
+   nothing queued), taking that item is exactly merge's next step, so it is
+   taken on the spot, without a queue cell, and merge then runs on to its
+   next standstill.  Any other item is queued.  Merge delivers one fixed
+   sequence whether it runs item by item or once per delivery; only the
+   halt rule sees the difference, as it counts every item of the delivery
+   before merge runs.  So [direct] is set only when the delivery cannot
+   halt the learner, and otherwise every item is queued as before. *)
+let rec receive t l ~direct = function
   | [] -> ()
   | (it : Paxos.Value.item) :: rest ->
       let group = match it.app with Grouped { group; _ } -> group | _ -> -1 in
       let slot = if group >= 0 then sub_slot l.ml_subs group 0 else -1 in
       if slot >= 0 then begin
         l.ml_recv.(group) <- l.ml_recv.(group) + 1;
-        Queue.push it l.ml_queues.(slot);
-        l.ml_buffered <- l.ml_buffered + 1;
-        if l.ml_buffered > t.cfg.buffer_items then l.ml_halted <- true
+        if direct
+           && slot = l.ml_cur
+           && l.ml_credit.(slot) = 0
+           && Queue.is_empty l.ml_queues.(slot)
+        then begin
+          take t l slot it;
+          merge t l
+        end
+        else begin
+          Queue.push it l.ml_queues.(slot);
+          l.ml_buffered <- l.ml_buffered + 1;
+          if l.ml_buffered > t.cfg.buffer_items then l.ml_halted <- true
+        end
       end
       else
         (* Traffic of a co-hosted group this learner does not subscribe to:
            received, paid for, and discarded (§5.2.4's drawback). *)
         l.ml_foreign <- l.ml_foreign + 1;
-      receive t l rest
+      receive t l ~direct rest
 
 let on_ring_deliver t l (v : Paxos.Value.t) =
-  receive t l v.items;
+  (* Pushing every item of [v] halts the learner only past its buffer
+     bound; short of it, [receive] may take items directly. *)
+  let direct =
+    (not l.ml_halted) && l.ml_buffered + List.length v.items <= t.cfg.buffer_items
+  in
+  receive t l ~direct v.items;
   merge t l
 
 (* The skip controller of one group: every delta, top the group's traffic up
@@ -237,13 +272,14 @@ let multicast t ~group ~proposer ~size app =
 
 let ring t i = t.rings.(i)
 
-let index_in arr x =
-  let rec go i = if arr.(i) = x then i else go (i + 1) in
-  go 0
+(* Position of [x] in [arr] from [i] on.  A top-level function over an
+   [int array]: every reply a service sends looks its process up here, and
+   a local closure or a polymorphic compare would cost that on each. *)
+let rec index_in (arr : int array) x i = if arr.(i) = x then i else index_in arr x (i + 1)
 
 let learner_proc t l =
   let r = ring_of_group t t.lrns.(l).ml_subs.(0) in
-  Ringpaxos.Mring.learner_proc t.rings.(r) (index_in t.ring_learners.(r) l)
+  Ringpaxos.Mring.learner_proc t.rings.(r) (index_in t.ring_learners.(r) l 0)
 
 let proposer_proc t ~group ~proposer =
   Ringpaxos.Mring.proposer_proc t.rings.(ring_of_group t group) (proposer + 1)

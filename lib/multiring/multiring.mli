@@ -34,6 +34,14 @@ type config = {
 
 val default_config : config
 
+(** [service_config ring ~n_rings] is the merge the replicated services
+    ([Kv] over one ring, [Psmr] over one or more) run on [n_rings] rings of
+    configuration [ring]: one group per ring, a skip controller expecting
+    50,000 messages per second per group sampled every 1 ms, 8 messages
+    per group per merge round, and a learner halt past 500,000 unmerged
+    items. *)
+val service_config : Ringpaxos.Mring.config -> n_rings:int -> config
+
 type t
 
 (** [create net cfg ~n_learners ~subs ~proposers_per_ring ~deliver] builds

@@ -223,7 +223,7 @@ let submit_optimistic t ~uid ~reads op =
       span t tr ~id:uid ~cat:"execute" ~name:"execute" ~ts:start0 ~dur:o0.cost);
   t.fl.(start_i) <- start0;
   t.fl.(fin_i) <- start0 +. o0.cost;
-  let o = ref o0 and n_roll = ref 0 and retry = ref true in
+  let n_roll = ref 0 and retry = ref true in
   while !retry do
     let start = t.fl.(start_i) in
     (* Latest finish among predecessors whose writes this execution may
@@ -241,7 +241,9 @@ let submit_optimistic t ~uid ~reads op =
       let fin = t.fl.(fin_i) in
       t.conflicts <- t.conflicts + 1;
       t.rollbacks <- t.rollbacks + 1;
-      (match !o.undo with Some u -> u () | None -> ());
+      (* The service keeps the latest command's inverse; this rollback is
+         the only time it is turned into a closure. *)
+      (match t.service.last_undo () with Some u -> u () | None -> ());
       Sim.Stats.Busy.add_at t.busy ~now:fin rb;
       let start' = fmax !latest (fin +. rb) in
       let o' = t.service.execute op in
@@ -253,7 +255,6 @@ let submit_optimistic t ~uid ~reads op =
           span t tr ~id:uid ~cat:"execute" ~name:"re-execute" ~ts:start' ~dur:o'.cost);
       t.fl.(start_i) <- start';
       t.fl.(fin_i) <- start' +. o'.cost;
-      o := o';
       incr n_roll
     end
   done;

@@ -25,13 +25,6 @@ let default_config =
     exec_cost = 8.0e-6;
     sched_cost = 2.0e-6 }
 
-(* Fixed settings of the Multi-Ring merge over the rings (see
-   [Multiring.config]): the skip controller's expected message rate and
-   sampling interval, and the messages taken per merge round. *)
-let merge_lambda = 50_000.0
-let merge_delta = 1.0e-3
-let merge_m = 8
-
 type Simnet.payload +=
   | PCmd of { obj : int; dependent : bool }
   | PResp of { uid : int }
@@ -290,15 +283,6 @@ let create net cfg ~n_clients ~gen =
           Some (Array.map (fun r -> machines.(r)) nodes) )
     | _ -> (1, cfg.n_replicas, (fun _ -> [ 0 ]), None)
   in
-  let mcfg =
-    { Multiring.ring = cfg.ring;
-      n_rings;
-      n_groups = 0;
-      lambda = merge_lambda;
-      delta = merge_delta;
-      m = merge_m;
-      buffer_items = 500_000 }
-  in
   let deliver ~learner ~group it app =
     match cfg.approach with
     | Psmr -> psmr_deliver t ~learner ~group it
@@ -307,7 +291,9 @@ let create net cfg ~n_clients ~gen =
     | Sequential -> sequential_deliver t ~learner it
   in
   let mr =
-    Multiring.create ?learner_nodes:nodes net mcfg ~n_learners ~subs
+    Multiring.create ?learner_nodes:nodes net
+      (Multiring.service_config cfg.ring ~n_rings)
+      ~n_learners ~subs
       ~proposers_per_ring:n_clients ~deliver
   in
   t.mring <- Some mr;

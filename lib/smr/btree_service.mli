@@ -4,9 +4,16 @@
     [query(key_min, key_max)] over 8-byte integer tuples.  Execution costs
     are a calibrated virtual-time model (the simulated 2 GHz Opteron);
     state changes are applied to a real {!Btree} so replica equivalence can
-    be checked exactly, and undo closures support speculative rollback
-    (an insert is rolled back by a delete; a delete by re-inserting the old
-    tuple, §4.4.2). *)
+    be checked exactly, and the service's [last_undo] supports speculative
+    rollback (an insert is rolled back by a delete; a delete by
+    re-inserting the old tuple, §4.4.2).
+
+    Executing a command allocates no bookkeeping: an update, a query with
+    at most one hit (every point query) and an unknown command answer an
+    outcome built once at [create]; only a range query with more hits and
+    a [Batch] build a fresh one.  The latest command's inverse is kept in
+    plain fields and becomes a closure only when [last_undo] is called; a
+    [Batch] keeps a list of its updates' inverses. *)
 
 (** Command payloads (also produced by {!Workload}). *)
 type Simnet.payload +=

@@ -57,8 +57,10 @@ let trace t f = match Simnet.tracer t.net with Some tr -> f tr | None -> ()
 (* --- execution -------------------------------------------------------------- *)
 
 (* Execute the items of a value this replica is responsible for; returns the
-   responses owed, the undo closures (newest first) and the virtual cost. *)
-let run_items t r (v : Paxos.Value.t) =
+   responses owed, the undo closures (newest first) and the virtual cost.
+   Only a speculative execution can be rolled back, so only it asks the
+   service for each command's undo. *)
+let run_items t r ~speculative (v : Paxos.Value.t) =
   let resps = ref [] and undos = ref [] and cost = ref 0.0 in
   List.iter
     (fun (it : Paxos.Value.item) ->
@@ -70,7 +72,11 @@ let run_items t r (v : Paxos.Value.t) =
         let o = r.rp_service.execute it.app in
         r.rp_executed <- r.rp_executed + 1;
         cost := !cost +. o.cost;
-        (match o.undo with Some u -> undos := u :: !undos | None -> ());
+        if speculative then begin
+          match r.rp_service.last_undo () with
+          | Some u -> undos := u :: !undos
+          | None -> ()
+        end;
         if responder then
           resps := (Paxos.Value.uid_origin it.uid, o.resp_size, it.uid) :: !resps
       end)
@@ -104,7 +110,7 @@ let send_resps t r ~at resps =
            resps))
 
 let exec_now t r v =
-  let resps, _undos, cost = run_items t r v in
+  let resps, _undos, cost = run_items t r ~speculative:false v in
   let fin = book t r cost in
   send_resps t r ~at:fin resps
 
@@ -127,7 +133,7 @@ let rollback_all t r =
   r.rp_conf_seq <- r.rp_spec_seq
 
 let on_speculative t r inst (v : Paxos.Value.t) =
-  let resps, undos, cost = run_items t r v in
+  let resps, undos, cost = run_items t r ~speculative:true v in
   let fin = book t r cost in
   let seq = r.rp_spec_seq in
   r.rp_spec_seq <- seq + 1;

@@ -507,6 +507,124 @@ let test_kv_ycsb_a_golden () =
   Alcotest.(check string) "kv run digest" "97ba4b8c31ca89bc8214bd9cf2bff5a1"
     (Digest.to_hex (Digest.string s))
 
+(* Replica-side minor words per ordered command: a 50/50 read/update run
+   over a fully populated key space (every update overwrites), leases off,
+   so each command is ordered, executed and answered by its responder.
+   [on_deliver] stamps the words at the start of each delivery; the gap
+   between two deliveries at one replica in one instant is what the first
+   one cost, from its delivery to its reply being scheduled.  The reading
+   averages all such gaps. *)
+let replica_words_per_command () =
+  let n = 200 in
+  let config =
+    { Kv.default_config with leases = false; initial_keys = n; key_range = n }
+  in
+  let engine = Sim.Engine.create () in
+  let net = Simnet.create engine (Sim.Rng.create 7) in
+  let last_t = Array.make config.Kv.n_replicas (-1.0) in
+  let last_w = Array.make config.Kv.n_replicas 0.0 in
+  let gaps = ref 0 and words = ref 0.0 in
+  let on_deliver ~replica ~uid:_ =
+    let w = Gc.minor_words () in
+    let now = Simnet.now net in
+    if last_t.(replica) = now then begin
+      incr gaps;
+      words := !words +. (w -. last_w.(replica))
+    end;
+    last_t.(replica) <- now;
+    last_w.(replica) <- Gc.minor_words ()
+  in
+  let sys = Kv.create ~on_deliver net config ~n_clients:4 in
+  let wl =
+    OL.create
+      ~ops:[ (OL.Read, 50); (OL.Update, 50) ]
+      ~dist:(OL.Zipf 0.99) (Sim.Rng.create 8) ~key_range:n
+      ~rate:(OL.Constant 20_000.0)
+  in
+  Kv.start_open sys wl ~until:0.5;
+  Sim.Engine.run engine ~until:0.7;
+  (!gaps, !words /. float_of_int (Stdlib.max 1 !gaps))
+
+(* What is left per command: the reply payload, the tree's [Some] of the
+   prior value, the executor's boxed times and the reply's time.  The
+   service's outcome record, boxed cost and undo closure, and a closure
+   per scheduled reply, read 15.3 words here; this reads 6.7. *)
+let test_kv_replica_allocation () =
+  let gaps, per = replica_words_per_command () in
+  Alcotest.(check bool) "many same-instant deliveries" true (gaps > 5_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "replica allocates %.2f words per ordered command (<= 7.3)" per)
+    true (per <= 7.3)
+
+(* A replica killed while it applies a write sends nothing afterwards: not
+   the reply it owes as the write's responder, and not the confirmation
+   of the revocation of its own lease.  [Simnet.kill] leaves timers to the
+   protocol, so both sends check liveness when they fire. *)
+let killed_during_write ~leases =
+  let config =
+    { Kv.default_config with leases; initial_keys = 0; key_range = 100 }
+  in
+  let engine = Sim.Engine.create () in
+  let net = Simnet.create engine (Sim.Rng.create 7) in
+  let put_uid = ref (-1) and victim = ref (-1) in
+  let sys = ref None in
+  let on_broadcast ~uid = if Simnet.now net >= 0.05 && !put_uid < 0 then put_uid := uid in
+  let on_deliver ~replica ~uid =
+    if uid = !put_uid && !victim < 0 then begin
+      (* With leases, kill the first replica to apply the write (it revokes
+         its own lease); without, the write's responder. *)
+      let target = Paxos.Value.uid_seq uid mod config.Kv.n_replicas in
+      if leases || replica = target then begin
+        victim := replica;
+        Simnet.kill net (Kv.replica_proc (Option.get !sys) replica)
+      end
+    end
+  in
+  let kv = Kv.create ~on_broadcast ~on_deliver net config ~n_clients:1 in
+  sys := Some kv;
+  (* Everything the victim sends after its death, wherever it lands. *)
+  let from_victim = ref [] in
+  let tap p =
+    let prev = Simnet.handler_of p in
+    Simnet.set_handler p (fun m ->
+        if !victim >= 0 && m.Simnet.src = Simnet.pid (Kv.replica_proc kv !victim) then
+          from_victim := m.Simnet.payload :: !from_victim;
+        prev m)
+  in
+  tap (Kv.client_proc kv 0);
+  for r = 0 to config.Kv.n_replicas - 1 do
+    tap (Kv.replica_proc kv r)
+  done;
+  (* Leases are granted while an open-loop run lasts; this one's first
+     arrival falls past its end, so it issues nothing else. *)
+  if leases then
+    Kv.start_open kv
+      (OL.create ~ops:[ (OL.Read, 100) ] (Sim.Rng.create 8) ~key_range:100
+         ~rate:(OL.Constant 1.0))
+      ~until:0.2;
+  let answered = ref false in
+  ignore
+    (Sim.Engine.at engine ~time:0.05 (fun () ->
+         Kv.put kv ~key:1 ~value:2 ~k:(fun _ -> answered := true)));
+  Sim.Engine.run engine ~until:1.5;
+  (kv, !victim, !from_victim, !answered)
+
+let test_kv_killed_responder_stays_silent () =
+  let kv, victim, sent, answered = killed_during_write ~leases:false in
+  Alcotest.(check bool) "the responder was killed" true (victim >= 0);
+  Alcotest.(check bool) "it is dead" false (Simnet.is_alive (Kv.replica_proc kv victim));
+  Alcotest.(check bool) "no reply from the dead responder" true
+    (not (List.exists (function Kv.KResp _ -> true | _ -> false) sent));
+  Alcotest.(check bool) "the put is not answered" false answered
+
+let test_kv_killed_holder_sends_no_confirmation () =
+  let kv, victim, sent, _ = killed_during_write ~leases:true in
+  Alcotest.(check bool) "a lease holder was killed" true (victim >= 0);
+  Alcotest.(check bool) "it had a lease to revoke" true
+    (Kv.lease_epoch kv ~replica:victim > 0);
+  Alcotest.(check bool) "no confirmation from the dead holder" true
+    (not (List.exists (function Kv.KWAck _ -> true | _ -> false) sent))
+
 let test_ycsb_presets_wellformed () =
   List.iter
     (fun p ->
@@ -576,6 +694,12 @@ let suite =
       test_kv_unapplied_revocation_defers;
     Alcotest.test_case "kv ycsb-a run matches golden digest" `Quick
       test_kv_ycsb_a_golden;
+    Alcotest.test_case "kv replica allocation per ordered command" `Quick
+      test_kv_replica_allocation;
+    Alcotest.test_case "kv killed responder sends no reply" `Quick
+      test_kv_killed_responder_stays_silent;
+    Alcotest.test_case "kv killed lease holder sends no confirmation" `Quick
+      test_kv_killed_holder_sends_no_confirmation;
     Alcotest.test_case "ycsb presets well-formed" `Quick
       test_ycsb_presets_wellformed;
     Alcotest.test_case "ycsb D latest-key" `Quick test_ycsb_d_uses_latest;

@@ -272,15 +272,64 @@ let test_steady_stream_allocation () =
   let ring_items, ring = steady_stream_words ~via_multiring:false in
   Alcotest.(check bool) "the stream delivered" true (items >= 1900);
   Alcotest.(check int) "same stream either way" ring_items items;
-  (* The group tag (4 words) and the merge queue's cell (3), plus the skip
-     controller's idle timer. *)
+  (* The group tag (4 words) plus the skip controller's idle timer; the
+     merge itself takes each item without a queue cell (see below). *)
   Alcotest.(check bool)
     (Printf.sprintf "multi-ring adds %.1f words per item (%.1f over %.1f; <= 8)"
        (multi -. ring) multi ring)
     true
     (multi -. ring <= 8.0)
 
+(* Minor words of a steady one-ring stream with [learners] learners and [k]
+   items multicast every 100 us, over 0.4 s after a 0.2 s warm-up. *)
+let merge_stream_words ~learners ~k =
+  let engine = Sim.Engine.create () in
+  let net = Simnet.create engine (Sim.Rng.create 3) in
+  let cfg =
+    { Multiring.default_config with
+      n_rings = 1; lambda = 50_000.0; m = 8; buffer_items = 500_000 }
+  in
+  let delivered = ref 0 in
+  let mr =
+    Multiring.create net cfg ~n_learners:learners ~subs:(fun _ -> [ 0 ])
+      ~proposers_per_ring:1
+      ~deliver:(fun ~learner:_ ~group:_ _ _ -> incr delivered)
+  in
+  let cmd = Cmd 1 in
+  let (_stop : unit -> unit) =
+    Simnet.every_tk net ~ticks:(Sim.Engine.ticks_of_duration 1.0e-4) (fun () ->
+        for _ = 1 to k do
+          ignore (Multiring.multicast mr ~group:0 ~proposer:0 ~size:64 cmd)
+        done)
+  in
+  Sim.Engine.run engine ~until:0.2;
+  let d0 = !delivered in
+  let w0 = Gc.minor_words () in
+  Sim.Engine.run engine ~until:0.6;
+  (Gc.minor_words () -. w0, !delivered - d0)
+
+(* What the merge allocates per item and learner, isolated by a double
+   difference: doubling the items per tick adds the per-item cost once
+   per learner, and going from one learner to three adds it twice more,
+   while everything paid once per item or once per ring value cancels.
+   The merge takes each item straight off the ring delivery, so this is
+   0; a queue cell per item read 3.0. *)
+let test_merge_allocation_per_learner () =
+  let w11, d11 = merge_stream_words ~learners:1 ~k:1 in
+  let w12, d12 = merge_stream_words ~learners:1 ~k:2 in
+  let w31, d31 = merge_stream_words ~learners:3 ~k:1 in
+  let w32, d32 = merge_stream_words ~learners:3 ~k:2 in
+  let extra = d32 - d31 - (d12 - d11) in
+  Alcotest.(check bool) "the second item per tick reaches the extra learners" true
+    (extra >= 7_000);
+  let per = (w32 -. w31 -. (w12 -. w11)) /. float_of_int extra in
+  Alcotest.(check bool)
+    (Printf.sprintf "merge allocates %.2f words per item per learner (<= 0.5)" per)
+    true (per <= 0.5)
+
 let suite =
   suite
   @ [ Alcotest.test_case "gamma groups over delta rings" `Quick test_groups_share_rings;
-      Alcotest.test_case "steady stream allocation bound" `Quick test_steady_stream_allocation ]
+      Alcotest.test_case "steady stream allocation bound" `Quick test_steady_stream_allocation;
+      Alcotest.test_case "merge allocates nothing per item and learner" `Quick
+        test_merge_allocation_per_learner ]

@@ -409,7 +409,7 @@ module Model = struct
             else begin
               m.conflicts <- m.conflicts + 1;
               m.rollbacks <- m.rollbacks + 1;
-              Option.iter (fun u -> u ()) o.undo;
+              Option.iter (fun u -> u ()) (m.svc.last_undo ());
               let settled = List.fold_left (fun a e -> Stdlib.max a e.fin) 0.0 stale in
               let start' = Stdlib.max settled (fin +. m.svc.rollback_cost) in
               attempt start' (m.svc.execute op) (n + 1)

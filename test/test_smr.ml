@@ -241,11 +241,12 @@ let test_smr_history_linearizable () =
           match op with
           | BS.Insert { key = _; value = v } ->
               value := Some v;
-              { resp_size = 64; cost = 1.0e-5; undo = None }
+              { resp_size = 64; cost = 1.0e-5 }
           | BS.Query _ ->
               let observed = match !value with Some v -> v | None -> -1 in
-              { resp_size = 64 + observed; cost = 1.0e-5; undo = None }
-          | _ -> { resp_size = 64; cost = 0.0; undo = None });
+              { resp_size = 64 + observed; cost = 1.0e-5 }
+          | _ -> { resp_size = 64; cost = 0.0 });
+      last_undo = (fun () -> None);
       rollback_cost = 0.0 }
   in
   (* Intercept executions to build the history: wrap execute. *)
@@ -303,18 +304,79 @@ let test_batch_undo_restores_tree () =
     ignore (Btree.insert bs.tree k k)
   done;
   let before = BS.fingerprint bs in
-  let outcome =
-    bs.service.execute
-      (BS.Batch
-         [ BS.Insert { key = 500; value = 5 };
-           BS.Delete { key = 50 };
-           BS.Insert { key = 50; value = 999 };
-           BS.Delete { key = 501 } ])
-  in
+  ignore
+    (bs.service.execute
+       (BS.Batch
+          [ BS.Insert { key = 500; value = 5 };
+            BS.Delete { key = 50 };
+            BS.Insert { key = 50; value = 999 };
+            BS.Delete { key = 501 } ]));
   Alcotest.(check bool) "state changed" true (BS.fingerprint bs <> before);
-  (match outcome.undo with Some u -> u () | None -> Alcotest.fail "batch must be undoable");
+  (match bs.service.last_undo () with
+  | Some u -> u ()
+  | None -> Alcotest.fail "batch must be undoable");
   Alcotest.(check int) "undo restores the exact tree" before (BS.fingerprint bs);
   Btree.check bs.tree
+
+(* Undo on demand: after each kind of update, the inverse the service
+   hands out restores the exact tree; a read has none. *)
+let test_undo_on_demand () =
+  let bs = BS.create () in
+  for k = 1 to 100 do
+    ignore (Btree.insert bs.tree k k)
+  done;
+  let undone name op =
+    let before = BS.fingerprint bs in
+    ignore (bs.service.execute op);
+    Alcotest.(check bool) (name ^ ": state changed") true (BS.fingerprint bs <> before);
+    (match bs.service.last_undo () with
+    | Some u -> u ()
+    | None -> Alcotest.failf "%s: an update must be undoable" name);
+    Alcotest.(check int) (name ^ ": undo restores the exact tree") before (BS.fingerprint bs);
+    Btree.check bs.tree
+  in
+  undone "insert of a new key" (BS.Insert { key = 500; value = 5 });
+  undone "insert over an existing key" (BS.Insert { key = 50; value = 999 });
+  undone "delete" (BS.Delete { key = 60 });
+  undone "batch"
+    (BS.Batch
+       [ BS.Insert { key = 700; value = 7 };
+         BS.Delete { key = 70 };
+         BS.Insert { key = 70; value = 1 };
+         BS.Query { lo = 1; hi = 100 };
+         BS.Delete { key = 701 } ]);
+  ignore (bs.service.execute (BS.Query { lo = 1; hi = 1 }));
+  Alcotest.(check bool) "a read has no undo" true (bs.service.last_undo () = None)
+
+(* Executing keeps no per-command bookkeeping: an update of an existing key
+   allocates only the tree's own [Some] of the prior value, and a point
+   query nothing (an outcome record, a boxed cost and an undo closure per
+   command read 14.3 and 6.0 words). *)
+let test_execute_allocation () =
+  let bs = BS.create () in
+  let n = 1_000 in
+  for k = 0 to n - 1 do
+    ignore (Btree.insert bs.tree k k)
+  done;
+  let updates = Array.init n (fun k -> BS.Insert { key = k; value = k + 1 }) in
+  (* Every other query misses: 0 and 1 hits both occur. *)
+  let queries = Array.init n (fun i -> BS.Query { lo = 2 * i; hi = 2 * i }) in
+  let per_op ops =
+    let w0 = Gc.minor_words () in
+    for i = 0 to n - 1 do
+      ignore (bs.service.execute ops.(i))
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  ignore (per_op updates);
+  ignore (per_op queries);
+  let upd = per_op updates and qry = per_op queries in
+  Alcotest.(check bool)
+    (Printf.sprintf "update of an existing key allocates %.2f words (<= 2)" upd)
+    true (upd <= 2.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "point query allocates %.2f words (0)" qry)
+    true (qry = 0.0)
 
 let test_workload_batch_single_partition () =
   let wl = W.create (Sim.Rng.create 9) W.Ins_del_batch ~key_range:10_000 ~n_partitions:4 in
@@ -342,6 +404,8 @@ let test_workload_batch_single_partition () =
 let suite =
   suite
   @ [ Alcotest.test_case "batch undo restores tree" `Quick test_batch_undo_restores_tree;
+      Alcotest.test_case "undo on demand restores the tree" `Quick test_undo_on_demand;
+      Alcotest.test_case "execute allocates no bookkeeping" `Quick test_execute_allocation;
       Alcotest.test_case "batch workload partition containment" `Quick
         test_workload_batch_single_partition ]
 
